@@ -233,7 +233,6 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
         raise DepthLimitError(
             f"chunk {chunk} exceeds safe recursion depth {cfg.max_recursion_depth}"
         )
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), chunk + 1000))
     chains = spec.size // chunk
     plan = make_partitions(chains, spec.partitions)
 
@@ -243,7 +242,12 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
             total += chain_value(chunk)
         return total
 
-    return _timed_run(spec, plan, kernel, stack_bytes=_WORKER_STACK_BYTES)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, chunk + 1000))
+    try:
+        return _timed_run(spec, plan, kernel, stack_bytes=_WORKER_STACK_BYTES)
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:

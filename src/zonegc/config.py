@@ -2,17 +2,32 @@
 and factory helpers that assemble the configured runtime pieces.
 
 File format: one `key = value` per line, `#` starts a comment, blank lines
-ignored. Keys are dotted paths, for example:
+ignored. A key is its field's name with the group prefix dotted off, for
+example:
 
     zones.green = 2048
+    gen.fraction0 = 0.3
     simple.access_red = 10
     cost.blue.stage = 1.0
-    pause.red = 0.5
     policy = simple
+
+Key groups: zones.* and partitions.* (red, green, blue); gen.fraction0 and
+gen.fraction1; simple.* and predicate.* policy thresholds;
+cost.<zone>.mark|scan|stage and cost.mark_tolerance; and the plain keys
+policy, pool_discipline, rate_window, ema_weight, seconds_per_op,
+sweep_interval and max_recursion_depth.
+
+A config is checked as a whole when it is built. The pieces it assembles
+(ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
+apply their own rules; RuntimeConfig adds the rules no piece owns: policy and
+pool_discipline take one of their allowed values, sweep_interval and
+max_recursion_depth are >= 1, rate_window and seconds_per_op are finite and
+> 0. parse_config reports a broken rule as ConfigError naming a line.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -20,6 +35,8 @@ from .errors import ConfigError
 from .layout import ZoneId, ZoneLayout
 from .objects import EmaConfig, LogicalClock
 from .zones import (
+    POLICIES,
+    POOL_DISCIPLINES,
     CostParams,
     PredicateThresholds,
     RateThresholds,
@@ -71,27 +88,28 @@ class RuntimeConfig:
     cost_blue_scan: float = 0.5
     cost_blue_stage: float = 1.0
     cost_mark_tolerance: float = 0.25
-    pause_red: float = 0.5
-    pause_green: float = 0.3
-    pause_blue: float = 0.2
-    # scheduler
-    eta_red: float = 0.9
-    eta_green: float = 0.9
-    eta_blue: float = 0.9
-    delta_red: float = 1.0
-    delta_green: float = 1.0
-    delta_blue: float = 1.0
-    rebalance_factor: float = 1.5
-    rebalance_normalize: bool = True
-    cores: int | None = None
-    # yield memory
-    scratch_slots: int = 4096
-    scratch_bytes: int = 4096 * 16
     # bench harness
     max_recursion_depth: int = 32000
-    chi_loop: float = 1.0
-    chi_recursion: float = 2.0
-    chi_matrix: float = 4.0
+
+    def __post_init__(self) -> None:
+        own_rules = (
+            (self.policy in POLICIES, f"policy must be one of {POLICIES}"),
+            (self.pool_discipline in POOL_DISCIPLINES,
+             f"pool_discipline must be one of {POOL_DISCIPLINES}"),
+            (self.sweep_interval >= 1, "sweep_interval must be >= 1"),
+            (self.max_recursion_depth >= 1, "max_recursion_depth must be >= 1"),
+            (0 < self.rate_window < math.inf, "rate_window must be finite and > 0"),
+            (0 < self.seconds_per_op < math.inf, "seconds_per_op must be finite and > 0"),
+        )
+        problems = [message for ok, message in own_rules if not ok]
+        for factory in (self.layout, self.ema, self.rate_thresholds,
+                        self.predicate_thresholds, self.cost_params):
+            try:
+                factory()
+            except ValueError as exc:
+                problems.append(str(exc))
+        if problems:
+            raise ConfigError(*problems)
 
     # -- factories ----------------------------------------------------------
 
@@ -148,27 +166,8 @@ class RuntimeConfig:
                     self.cost_blue_mark, self.cost_blue_scan, self.cost_blue_stage
                 ),
             },
-            pause_fraction={
-                ZoneId.RED: self.pause_red,
-                ZoneId.GREEN: self.pause_green,
-                ZoneId.BLUE: self.pause_blue,
-            },
             mark_tolerance=self.cost_mark_tolerance,
         )
-
-    def eta(self) -> tuple[float, float, float]:
-        return (self.eta_red, self.eta_green, self.eta_blue)
-
-    def delta(self) -> tuple[float, float, float]:
-        return (self.delta_red, self.delta_green, self.delta_blue)
-
-    def complexity_of(self, kind: str) -> float:
-        return {
-            "loop": self.chi_loop,
-            "recursion": self.chi_recursion,
-            "deep_recursion": self.chi_recursion,
-            "matrix": self.chi_matrix,
-        }.get(kind, 1.0)
 
     def build_arena(self) -> ZoneArena:
         return ZoneArena(
@@ -184,92 +183,64 @@ class RuntimeConfig:
         )
 
 
-# Dotted config key -> dataclass field. The long way around a naming DSL.
-_KEY_TO_FIELD = {
-    "zones.red": "zone_red",
-    "zones.green": "zone_green",
-    "zones.blue": "zone_blue",
-    "gen.fraction0": "gen_fraction0",
-    "gen.fraction1": "gen_fraction1",
-    "partitions.red": "partitions_red",
-    "partitions.green": "partitions_green",
-    "partitions.blue": "partitions_blue",
-    "policy": "policy",
-    "pool_discipline": "pool_discipline",
-    "rate_window": "rate_window",
-    "ema_weight": "ema_weight",
-    "seconds_per_op": "seconds_per_op",
-    "sweep_interval": "sweep_interval",
-    "simple.access_red": "simple_access_red",
-    "simple.access_green": "simple_access_green",
-    "simple.mutation_red": "simple_mutation_red",
-    "simple.mutation_green": "simple_mutation_green",
-    "predicate.lifetime_red": "predicate_lifetime_red",
-    "predicate.lifetime_green": "predicate_lifetime_green",
-    "predicate.mutation_red": "predicate_mutation_red",
-    "predicate.mutation_green": "predicate_mutation_green",
-    "predicate.access_red": "predicate_access_red",
-    "predicate.access_green": "predicate_access_green",
-    "predicate.size_red": "predicate_size_red",
-    "predicate.size_green": "predicate_size_green",
-    "cost.red.mark": "cost_red_mark",
-    "cost.red.scan": "cost_red_scan",
-    "cost.red.stage": "cost_red_stage",
-    "cost.green.mark": "cost_green_mark",
-    "cost.green.scan": "cost_green_scan",
-    "cost.green.stage": "cost_green_stage",
-    "cost.blue.mark": "cost_blue_mark",
-    "cost.blue.scan": "cost_blue_scan",
-    "cost.blue.stage": "cost_blue_stage",
-    "cost.mark_tolerance": "cost_mark_tolerance",
-    "pause.red": "pause_red",
-    "pause.green": "pause_green",
-    "pause.blue": "pause_blue",
-    "eta.red": "eta_red",
-    "eta.green": "eta_green",
-    "eta.blue": "eta_blue",
-    "delta.red": "delta_red",
-    "delta.green": "delta_green",
-    "delta.blue": "delta_blue",
-    "rebalance.factor": "rebalance_factor",
-    "rebalance.normalize": "rebalance_normalize",
-    "cores": "cores",
-    "scratch.slots": "scratch_slots",
-    "scratch.bytes": "scratch_bytes",
-    "max_recursion_depth": "max_recursion_depth",
-    "chi.loop": "chi_loop",
-    "chi.recursion": "chi_recursion",
-    "chi.matrix": "chi_matrix",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RuntimeConfig)}
+# Groups whose keys are dotted: field cost_red_mark is key cost.red.mark and
+# cost_mark_tolerance is cost.mark_tolerance. zones.* is the one group whose
+# key prefix differs from its fields' prefix (zone_*).
+_GROUPS = {"zone": "zones", "gen": "gen", "partitions": "partitions",
+           "simple": "simple", "predicate": "predicate", "cost": "cost"}
 
 
-def _convert(key: str, field_name: str, raw: str):
-    ftype = _FIELD_TYPES[field_name]
-    raw = raw.strip()
+def _key_of(name: str) -> str:
+    group, _, rest = name.partition("_")
+    if group not in _GROUPS:
+        return name
+    colour, _, tail = rest.partition("_")
+    if tail and colour in ("red", "green", "blue"):
+        rest = f"{colour}.{tail}"
+    return f"{_GROUPS[group]}.{rest}"
+
+
+_FIELDS = {_key_of(f.name): f for f in fields(RuntimeConfig)}
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
+def _problems(base: RuntimeConfig, values: dict) -> tuple[str, ...]:
+    """Messages of the checks `base` with `values` applied fails; empty if none."""
     try:
-        if ftype == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if ftype == "int":
-            return int(raw)
-        if ftype == "int | None":
-            return None if raw.lower() in ("none", "auto") else int(raw)
-        if ftype == "float":
-            return float(raw)
-        return raw  # str fields
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        replace(base, **values)
+    except ConfigError as exc:
+        return exc.args
+    return ()
+
+
+def _line_of(problem: str, base: RuntimeConfig, values: dict,
+             lines: dict[str, int]) -> int:
+    """Line of a key that `problem` involves.
+
+    A line is involved when dropping it clears the problem. Among those, a
+    line whose value breaks a rule by itself is preferred, so a value out of
+    range on its own is reported at its own line.
+    """
+    ordered = sorted(lines, key=lines.get)
+    involved = [
+        name for name in ordered
+        if problem not in _problems(
+            base, {n: v for n, v in values.items() if n != name})
+    ]
+    alone = [name for name in involved if _problems(base, {name: values[name]})]
+    return lines[(alone or involved or ordered)[0]]
 
 
 def parse_config(text: str, base: RuntimeConfig | None = None) -> RuntimeConfig:
-    """Apply key-value overrides from `text` on top of `base` (or defaults)."""
-    cfg = base or RuntimeConfig()
-    overrides = {}
+    """Apply key-value overrides from `text` on top of `base` (or defaults).
+
+    The overrides are checked together, so a valid file parses whatever its
+    line order; a broken rule raises ConfigError at the line of a key it
+    involves. A repeated key keeps its last value.
+    """
+    base = base or RuntimeConfig()
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -277,12 +248,21 @@ def parse_config(text: str, base: RuntimeConfig | None = None) -> RuntimeConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        field_name = _KEY_TO_FIELD.get(key)
-        if field_name is None:
+        key, raw = key.strip(), raw.strip()
+        field = _FIELDS.get(key)
+        if field is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        overrides[field_name] = _convert(key, field_name, raw)
-    return replace(cfg, **overrides)
+        try:
+            values[field.name] = _PARSERS[field.type](raw)
+        except ValueError:
+            raise ConfigError(
+                f"line {lineno}: bad value for {key!r}: {raw!r}") from None
+        lines[field.name] = lineno
+    try:
+        return replace(base, **values)
+    except ConfigError as exc:
+        problem = exc.args[0]
+    raise ConfigError(f"line {_line_of(problem, base, values, lines)}: {problem}")
 
 
 def load_config(path: str | Path, base: RuntimeConfig | None = None) -> RuntimeConfig:

@@ -73,4 +73,10 @@ class DepthLimitError(ZonegcError):
 
 
 class ConfigError(ZonegcError):
-    """Malformed configuration file or unknown configuration key."""
+    """Malformed configuration file, unknown key, or out-of-range value.
+
+    args holds one message per failed check of the configuration.
+    """
+
+    def __str__(self) -> str:
+        return "; ".join(map(str, self.args))

@@ -22,13 +22,6 @@ class EventKind(enum.Enum):
     ALLOCATION = "allocation"
 
 
-class Layer(enum.Enum):
-    """Runtime layer tag. Passive is a tag only; nothing branches on it."""
-
-    ACTIVE = "active"
-    PASSIVE = "passive"
-
-
 @dataclass(frozen=True)
 class EmaConfig:
     """Smoothing weight for the moving average, open interval (0, 1)."""
@@ -143,7 +136,6 @@ class ObjectHeader:
     size: float = 0.0
     fan_out: float = 0.0
     complexity_weight: float = 0.0
-    layer: Layer = Layer.ACTIVE
     alive: bool = True
     trackers: dict[EventKind, RateTracker] = field(default_factory=dict)
 

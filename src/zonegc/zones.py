@@ -28,6 +28,9 @@ from .objects import (
 # Argmin preference when zone costs tie: green, then blue, then red.
 _TIE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
 
+POLICIES = ("simple", "predicates")
+POOL_DISCIPLINES = ("lifo", "fifo")
+
 
 @dataclass(frozen=True)
 class RateThresholds:
@@ -95,13 +98,9 @@ def _default_weights() -> dict[ZoneId, ZoneWeights]:
     }
 
 
-def _default_pause() -> dict[ZoneId, float]:
-    return {ZoneId.RED: 0.5, ZoneId.GREEN: 0.3, ZoneId.BLUE: 0.2}
-
-
 @dataclass(frozen=True)
 class CostParams:
-    """Per-zone cost weights plus stop-the-world pause fractions.
+    """Per-zone cost weights.
 
     Orderings enforced at construction: staging strictly decreases red to
     blue; mark weight red and green agree within mark_tolerance and both
@@ -109,7 +108,6 @@ class CostParams:
     """
 
     weights: dict[ZoneId, ZoneWeights] = field(default_factory=_default_weights)
-    pause_fraction: dict[ZoneId, float] = field(default_factory=_default_pause)
     mark_tolerance: float = 0.25
 
     def __post_init__(self) -> None:
@@ -123,21 +121,12 @@ class CostParams:
             )
         if not r.scan >= g.scan >= b.scan:
             raise ValueError("scan weights must be non-increasing red >= green >= blue")
-        for zone in ZONE_ORDER:
-            if not 0.0 < self.pause_fraction[zone] < 1.0:
-                raise ValueError(f"pause fraction of zone {zone} must be in (0, 1)")
 
 
 def zone_cost(zone: ZoneId, f: FeatureVector, costs: CostParams) -> float:
     """Expected per-object work of hosting f in zone: mark, scan, staging."""
     w = costs.weights[zone]
     return w.mark * f.complexity_weight + w.scan * f.fan_out + w.stage * f.size
-
-
-def pause_contribution(zone: ZoneId, members: list[FeatureVector],
-                       costs: CostParams) -> float:
-    """Pause-weighted total cost of a zone's member set."""
-    return costs.pause_fraction[zone] * sum(zone_cost(zone, f, costs) for f in members)
 
 
 def argmin_cost(f: FeatureVector, costs: CostParams) -> ZoneId:
@@ -246,9 +235,9 @@ class ZoneArena:
         policy: str = "simple",
         pool_discipline: str = "lifo",
     ) -> None:
-        if policy not in ("simple", "predicates"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        if pool_discipline not in ("lifo", "fifo"):
+        if pool_discipline not in POOL_DISCIPLINES:
             raise ValueError(f"unknown pool discipline {pool_discipline!r}")
         self.layout = layout or ZoneLayout(1024, 1024, 1024)
         self.table = CheckpointTable(self.layout, base)

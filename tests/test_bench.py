@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +82,13 @@ def test_loop_partial_empty_range():
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 50, 1000])
 def test_chain_value_closed_form(depth):
-    assert chain_value(depth) == chain_total_oracle(depth)
+    # A chain of `depth` frames needs more than the default limit of 1000.
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, depth + 1000))
+    try:
+        assert chain_value(depth) == chain_total_oracle(depth)
+    finally:
+        sys.setrecursionlimit(old_limit)
 
 
 def test_matrix_operands_formula_and_identity():
@@ -146,6 +153,12 @@ def test_run_loop_produces_frozen_checksum():
 def test_run_recursion_produces_frozen_checksum():
     report = run_bench(WorkloadSpec("recursion", 10_000, attempts=2))
     assert {r.checksum for r in report.records} == {RECURSION_WRAP[(10_000, 1000)]}
+
+
+def test_recursion_limit_restored_after_run():
+    before = sys.getrecursionlimit()
+    run_bench(WorkloadSpec("deep_recursion", 8000, chunk=4000, attempts=1))
+    assert sys.getrecursionlimit() == before
 
 
 def test_run_matrix_produces_frozen_checksum():

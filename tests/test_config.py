@@ -6,7 +6,8 @@ import dataclasses
 
 import pytest
 
-from zonegc.config import _KEY_TO_FIELD, RuntimeConfig, load_config, parse_config
+from zonegc.cli import main
+from zonegc.config import RuntimeConfig, load_config, parse_config
 from zonegc.errors import ConfigError
 from zonegc.layout import ZoneId
 
@@ -27,8 +28,8 @@ def test_parse_overrides_and_comments():
         zones.green = 64   # trailing comment
         policy = predicates
         ema_weight = 0.25
-        rebalance.normalize = false
-        cores = none
+        pool_discipline = fifo
+        cost.red.mark = 1.1
         sweep_interval = 100
         """
     )
@@ -36,8 +37,8 @@ def test_parse_overrides_and_comments():
     assert cfg.zone_red == 1024  # untouched default
     assert cfg.policy == "predicates"
     assert cfg.ema_weight == 0.25
-    assert cfg.rebalance_normalize is False
-    assert cfg.cores is None
+    assert cfg.pool_discipline == "fifo"
+    assert cfg.cost_red_mark == 1.1
     assert cfg.sweep_interval == 100
 
 
@@ -55,32 +56,79 @@ def test_parse_rejects_unknown_key_and_bad_values():
     with pytest.raises(ConfigError):
         parse_config("ema_weight = high")
     with pytest.raises(ConfigError):
-        parse_config("rebalance.normalize = maybe")
+        parse_config("sweep_interval = 2.5")
     with pytest.raises(ConfigError):
         parse_config("just a line without equals")
 
 
 def test_every_documented_key_maps_to_a_real_field():
-    names = {f.name for f in dataclasses.fields(RuntimeConfig)}
-    for key, field_name in _KEY_TO_FIELD.items():
-        assert field_name in names, f"{key} points at missing field {field_name}"
-    # and every field is reachable from some key
-    assert set(_KEY_TO_FIELD.values()) == names
+    cfg = parse_config(
+        """
+        zones.red = 7
+        gen.fraction0 = 0.3
+        partitions.blue = 2
+        rate_window = 2.0
+        simple.mutation_green = 200
+        predicate.size_red = 128
+        cost.red.mark = 1.2
+        cost.mark_tolerance = 0.5
+        max_recursion_depth = 100
+        """
+    )
+    assert (cfg.zone_red, cfg.gen_fraction0, cfg.partitions_blue) == (7, 0.3, 2)
+    assert (cfg.rate_window, cfg.simple_mutation_green) == (2.0, 200.0)
+    assert (cfg.predicate_size_red, cfg.cost_red_mark) == (128.0, 1.2)
+    assert (cfg.cost_mark_tolerance, cfg.max_recursion_depth) == (0.5, 100)
+    assert {f.type for f in dataclasses.fields(RuntimeConfig)} == {"int", "float", "str"}
+    # only the documented spelling of a key is accepted
+    for alias in ("zone.red", "zones_red", "cost_red_mark", "cost.red_mark",
+                  "cost.mark.tolerance", "rate.window", "gen_fraction0",
+                  "simple.access.red", "partitions_red"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"{alias} = 1")
 
 
-def test_bool_and_optional_conversions():
-    assert parse_config("rebalance.normalize = yes").rebalance_normalize is True
-    assert parse_config("rebalance.normalize = 0").rebalance_normalize is False
-    assert parse_config("cores = 4").cores == 4
-    assert parse_config("cores = auto").cores is None
+@pytest.mark.parametrize("key", [
+    "pause.red", "pause.green", "pause.blue", "eta.red", "eta.green", "eta.blue",
+    "delta.red", "delta.green", "delta.blue", "rebalance.factor",
+    "rebalance.normalize", "cores", "scratch.slots", "scratch.bytes",
+    "chi.loop", "chi.recursion", "chi.matrix",
+])
+def test_deleted_keys_fail_at_their_line(key):
+    with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
+        parse_config(f"zones.red = 8\n{key} = 1\n")
+
+
+def test_config_rules_are_checked_at_construction():
+    with pytest.raises(ConfigError, match="zone R needs at least one entry"):
+        RuntimeConfig(zone_red=0)
+    with pytest.raises(ConfigError, match="sweep_interval.*; EMA weight"):
+        RuntimeConfig(sweep_interval=0, ema_weight=1.0)
+
+
+@pytest.mark.parametrize("text, line", [
+    # cross-key rule broken by both lines together: either line is involved
+    ("gen.fraction0 = 0.5\ngen.fraction1 = 0.4", 1),
+    # a value out of range on its own is named at its own line
+    ("gen.fraction1 = 0.9\ngen.fraction0 = 1.5", 2),
+    # a pair valid together does not take the blame for another key's error
+    ("gen.fraction1 = 0.9\nzones.red = 0\ngen.fraction0 = 0.8", 2),
+    # a repeated key is named at its last line, the one that takes effect
+    ("zones.red = 0\nzones.green = 8\nzones.red = 0", 3),
+    # the first line already breaks the ordering against the defaults
+    ("predicate.access_red = 5\npredicate.access_green = 50", 1),
+])
+def test_broken_rule_names_a_line_it_involves(text, line):
+    with pytest.raises(ConfigError, match=rf"^line {line}: "):
+        parse_config(text)
 
 
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "runtime.conf"
-    path.write_text("zones.red = 33\nchi.matrix = 8.0\n")
+    path.write_text("zones.red = 33\nseconds_per_op = 0.5\n")
     cfg = load_config(path)
     assert cfg.zone_red == 33
-    assert cfg.chi_matrix == 8.0
+    assert cfg.seconds_per_op == 0.5
 
 
 def test_config_is_frozen():
@@ -89,28 +137,49 @@ def test_config_is_frozen():
         cfg.zone_red = 1  # type: ignore[misc]
 
 
-def test_complexity_lookup():
-    cfg = RuntimeConfig()
-    assert cfg.complexity_of("loop") == 1.0
-    assert cfg.complexity_of("recursion") == 2.0
-    assert cfg.complexity_of("deep_recursion") == 2.0
-    assert cfg.complexity_of("matrix") == 4.0
-    assert cfg.complexity_of("unknown") == 1.0
-
-
 def test_factories_honor_overrides():
     cfg = parse_config(
         """
         cost.blue.stage = 0.5
-        pause.red = 0.7
-        eta.green = 0.5
         seconds_per_op = 0.001
         """
     )
     costs = cfg.cost_params()
     assert costs.weights[ZoneId.BLUE].stage == 0.5
-    assert costs.pause_fraction[ZoneId.RED] == 0.7
-    assert cfg.eta() == (0.9, 0.5, 0.9)
     clock = cfg.clock()
     clock.tick(10)
     assert clock.now == pytest.approx(0.01)
+
+
+# -- the CLI boundary ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [
+    "sweep_interval = 0",
+    "rate_window = nan",
+    "seconds_per_op = -1",
+    "max_recursion_depth = 0",
+    "zones.red = 0",
+    "ema_weight = 2",
+    "policy = bogus",
+    "pause.red = 0.5",
+])
+def test_cli_reports_bad_config_at_its_line(tmp_path, capsys, bad):
+    path = tmp_path / "runtime.conf"
+    path.write_text(f"# runtime overrides\n{bad}\nzones.green = 64\n")
+    assert main(["checkpoint_lifecycle", "--size", "10", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "gen.fraction0 = 0.8\ngen.fraction1 = 0.9\n",
+    "gen.fraction1 = 0.9\ngen.fraction0 = 0.8\n",
+])
+def test_cli_accepts_valid_config_in_any_line_order(tmp_path, capsys, text):
+    path = tmp_path / "runtime.conf"
+    path.write_text(text)
+    assert main(["checkpoint_lifecycle", "--size", "10", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""

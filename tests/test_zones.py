@@ -21,7 +21,6 @@ from zonegc.zones import (
     classify_predicates,
     classify_simple,
     eligibility,
-    pause_contribution,
     zone_cost,
 )
 
@@ -46,15 +45,6 @@ def test_zone_cost_manual():
     assert zone_cost(ZoneId.BLUE, f, costs) == pytest.approx(0.5 + 0.5 + 1)
 
 
-def test_pause_contribution_scales_cost_sum():
-    costs = CostParams()
-    members = [fv(size=1.0), fv(size=3.0)]
-    total = sum(zone_cost(ZoneId.BLUE, f, costs) for f in members)
-    assert pause_contribution(ZoneId.BLUE, members, costs) == pytest.approx(
-        0.2 * total
-    )
-
-
 def test_argmin_tie_and_strict_minimum():
     costs = CostParams()
     # zero feature vector costs 0 everywhere: full tie, green wins.
@@ -76,9 +66,6 @@ def test_cost_params_orderings_enforced():
         CostParams(weights=weights((2, 1, 4), (1, 0.8, 2), (0.5, 0.5, 1)))
     with pytest.raises(ValueError):  # scan must be non-increasing
         CostParams(weights=weights((1, 0.2, 4), (1, 0.8, 2), (0.5, 0.5, 1)))
-    with pytest.raises(ValueError):  # pause fraction outside (0,1)
-        CostParams(pause_fraction={ZoneId.RED: 1.0, ZoneId.GREEN: 0.3,
-                                   ZoneId.BLUE: 0.2})
 
 
 def test_threshold_orderings_enforced():
