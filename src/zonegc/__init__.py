@@ -87,7 +87,6 @@ from .ppe import (
     allocate_threads,
     make_partitions,
     optimize_thread_allocation,
-    partition_ratio,
     probe_cores,
     rebalance_targets,
     run_parallel,

@@ -347,8 +347,12 @@ def _schedule_checkpoint_lifecycle(arena: ZoneArena, per_zone: int,
     for k in range(1, per_zone + 1):
         handle = allocate(ZoneId.BLUE, "swept_blue")
         if k % interval == 0:
-            expire(handle)
-            arena.run_sweep()
+            # Blue dies at the boundary: marked expired, it is reclaimed
+            # because the sweep reports it.
+            set_state(handle.slot_index, StateCode.EXPIRED)
+            live = {handle.slot_index: handle}
+            for idx in arena.run_sweep().reclaimed:
+                expire(live[idx])
         else:
             release(handle)
     for k in range(per_zone):

@@ -2,26 +2,25 @@
 
 Every tracked object owns one 3-bit entry in a global table laid out as
 [red | green | blue] regions. Entry state encodes the lifecycle phase; the
-sweep evaluates retention with the logic gates, one packed word at a time,
-so per-entry work is constant and no object graph is traversed.
+sweep reads 21 entries' states per 63-bit word and decides from those bits
+alone, so per-entry work is constant and no object graph is traversed.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import AlignmentError, IndexRangeError, SignalConflictError
-from .gates import eval_liveness_gate, transition_detect  # noqa: F401  (re-export)
-from .layout import SLOT_BYTES, Generation, ZoneId, ZoneLayout, ZONE_ORDER
+from .gates import eval_liveness_gate  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .layout import SLOT_BYTES, ZoneLayout
 
 ENTRIES_PER_WORD = 21  # 21 entries * 3 bits = 63 bits, 1 pad bit per word
 STATE_BITS = 3
 
 # Lane helper masks: one bit per entry at stride 3 within a word.
 _LANE_LSB = sum(1 << (STATE_BITS * k) for k in range(ENTRIES_PER_WORD))
-_WORD_BITS = STATE_BITS * ENTRIES_PER_WORD
 
 
 class StateCode(enum.IntEnum):
@@ -133,8 +132,6 @@ class CheckpointTable:
         self.epoch = 0
         nwords = (self.capacity + ENTRIES_PER_WORD - 1) // ENTRIES_PER_WORD
         self._words = [0] * nwords
-        self._zone_lanes: dict[ZoneId, list[int]] | None = None
-        self._valid_lanes: list[int] | None = None
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.capacity:
@@ -165,61 +162,27 @@ class CheckpointTable:
         self._check_index(index)
         return address_of(index, self.base)
 
-    def _lane_masks(self) -> tuple[dict[ZoneId, list[int]], list[int]]:
-        """Per-word lane bitmasks for zone membership and valid entries."""
-        if self._zone_lanes is None:
-            nwords = len(self._words)
-            zone_lanes = {z: [0] * nwords for z in ZONE_ORDER}
-            valid = [0] * nwords
-            for zone in ZONE_ORDER:
-                lo, hi = self.layout.span(zone)
-                for i in range(lo, hi):
-                    w, lane = divmod(i, ENTRIES_PER_WORD)
-                    bit = 1 << (STATE_BITS * lane)
-                    zone_lanes[zone][w] |= bit
-                    valid[w] |= bit
-            self._zone_lanes = zone_lanes
-            self._valid_lanes = valid
-        return self._zone_lanes, self._valid_lanes  # type: ignore[return-value]
+    def epoch_sweep(self) -> SweepReport:
+        """Report reclaimable entries and candidates, without mutating.
 
-    def epoch_sweep(self, zone_active: Mapping[ZoneId, bool] | None = None) -> SweepReport:
-        """Evaluate retention for every entry and report, without mutating.
-
-        The zone activation bit is broadcast across each region; the pending
-        bit is derived per entry (deferred state). An entry whose state
-        self-asserts liveness (active or persistent) survives in an active
-        zone; a deferred entry survives through the pending path; an expired
-        entry that evaluates dead is reported reclaimable. Promotion and
-        demotion candidates are reported for re-classification. Reclamation
-        itself is the slot owner's job, so pool accounting stays in one place.
+        The decision reads only the state bits, 21 entries per 63-bit word:
+        an expired entry (111) is reclaimable, and promotion and demotion
+        candidates (010, 011) are reported for re-classification. Pad lanes
+        and lanes past capacity are never written, so they read idle (000).
+        Reclamation itself is the slot owner's job, so pool accounting stays
+        in one place.
         """
-        if zone_active is None:
-            zone_active = {z: True for z in ZONE_ORDER}
-        zone_lanes, valid_lanes = self._lane_masks()
-        active_masks = [
-            zone_lanes[z] if zone_active.get(z, False) else None for z in ZONE_ORDER
-        ]
         reclaimed: list[int] = []
         candidates: list[int] = []
         lane_lsb = _LANE_LSB
         for w, word in enumerate(self._words):
-            valid = valid_lanes[w]
-            if not valid:
+            if not word:
                 continue
             s0 = word & lane_lsb
             s1 = (word >> 1) & lane_lsb
             s2 = (word >> 2) & lane_lsb
-            # States 001 and 100 assert liveness on their own.
-            live = (s0 & ~s1 & ~s2) | (s2 & ~s1 & ~s0)
-            pending = s2 & ~s1 & s0  # state 101
-            zmask = 0
-            for zl in active_masks:
-                if zl is not None:
-                    zmask |= zl[w]
-            out = eval_liveness_gate(live & valid, zmask, pending & valid, _WORD_BITS)
-            dead = valid & ~out
-            reclaim_lanes = dead & s0 & s1 & s2  # dead and state 111
-            candidate_lanes = valid & s1 & ~s2  # states 010 and 011
+            reclaim_lanes = s0 & s1 & s2  # state 111
+            candidate_lanes = s1 & ~s2  # states 010 and 011
             base_index = w * ENTRIES_PER_WORD
             while reclaim_lanes:
                 low = reclaim_lanes & -reclaim_lanes

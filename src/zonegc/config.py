@@ -11,11 +11,10 @@ example:
     cost.blue.stage = 1.0
     policy = simple
 
-Key groups: zones.* and partitions.* (red, green, blue); gen.fraction0 and
-gen.fraction1; simple.* and predicate.* policy thresholds;
-cost.<zone>.mark|scan|stage and cost.mark_tolerance; and the plain keys
-policy, pool_discipline, rate_window, ema_weight, seconds_per_op,
-sweep_interval and max_recursion_depth.
+Key groups: zones.* (red, green, blue); gen.fraction0 and gen.fraction1;
+simple.* and predicate.* policy thresholds; cost.<zone>.mark|scan|stage and
+cost.mark_tolerance; and the plain keys policy, pool_discipline, rate_window,
+ema_weight, seconds_per_op, sweep_interval and max_recursion_depth.
 
 A config is checked as a whole when it is built. The pieces it assembles
 (ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
@@ -53,9 +52,6 @@ class RuntimeConfig:
     zone_blue: int = 1024
     gen_fraction0: float = 0.25
     gen_fraction1: float = 0.75
-    partitions_red: int = 1
-    partitions_green: int = 1
-    partitions_blue: int = 1
     # metrics and lifecycle
     policy: str = "simple"
     pool_discipline: str = "lifo"
@@ -120,11 +116,6 @@ class RuntimeConfig:
             self.zone_blue,
             gen0_fraction=self.gen_fraction0,
             gen1_fraction=self.gen_fraction1,
-            partitions={
-                ZoneId.RED: self.partitions_red,
-                ZoneId.GREEN: self.partitions_green,
-                ZoneId.BLUE: self.partitions_blue,
-            },
         )
 
     def ema(self) -> EmaConfig:
@@ -186,8 +177,8 @@ class RuntimeConfig:
 # Groups whose keys are dotted: field cost_red_mark is key cost.red.mark and
 # cost_mark_tolerance is cost.mark_tolerance. zones.* is the one group whose
 # key prefix differs from its fields' prefix (zone_*).
-_GROUPS = {"zone": "zones", "gen": "gen", "partitions": "partitions",
-           "simple": "simple", "predicate": "predicate", "cost": "cost"}
+_GROUPS = {"zone": "zones", "gen": "gen", "simple": "simple",
+           "predicate": "predicate", "cost": "cost"}
 
 
 def _key_of(name: str) -> str:

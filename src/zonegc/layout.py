@@ -1,19 +1,20 @@
-"""Index geometry of the checkpoint table: zone regions, generations, partitions.
+"""Index geometry of the checkpoint table: zone regions and generations.
 
 The table is a single flat index space split into three contiguous regions,
 red then green then blue. Each region is subdivided positionally into three
-generations and, independently, into per-zone partitions. All of this is pure
-arithmetic on indices; nothing here touches object state.
+generations. All of this is pure arithmetic on indices; nothing here touches
+object state.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IndexRangeError
 
 SLOT_BYTES = 16  # address granularity; one table index per 16-byte slot
+MAX_ZONE_SLOTS = 1 << 24  # per zone; bounds the table a config can ask for
 
 
 class ZoneId(enum.Enum):
@@ -49,7 +50,8 @@ class ZoneLayout:
 
     gen0_fraction and gen1_fraction are cumulative cut points: generation 0
     covers the first gen0_fraction of a zone, generation 1 up to gen1_fraction,
-    generation 2 the rest. Cut points are floored to whole indices.
+    generation 2 the rest. Cut points are floored to whole indices. Each zone
+    holds 1 to MAX_ZONE_SLOTS entries.
     """
 
     n_red: int
@@ -57,9 +59,6 @@ class ZoneLayout:
     n_blue: int
     gen0_fraction: float = 0.25
     gen1_fraction: float = 0.75
-    partitions: dict[ZoneId, int] = field(
-        default_factory=lambda: {z: 1 for z in ZONE_ORDER}
-    )
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gen0_fraction < self.gen1_fraction < 1.0):
@@ -69,12 +68,11 @@ class ZoneLayout:
             )
         for zone in ZONE_ORDER:
             n = self.size(zone)
-            p = self.partitions.get(zone, 1)
             if n < 1:
                 raise ValueError(f"zone {zone} needs at least one entry")
-            if not 1 <= p <= n:
+            if n > MAX_ZONE_SLOTS:
                 raise ValueError(
-                    f"zone {zone}: partition count {p} outside [1, {n}]"
+                    f"zone {zone} has {n} entries, more than {MAX_ZONE_SLOTS}"
                 )
 
     @property
@@ -119,17 +117,3 @@ class ZoneLayout:
         if offset < int(self.gen1_fraction * n):
             return Generation.GEN1
         return Generation.GEN2
-
-    def partition_ranges(self, zone: ZoneId) -> list[tuple[int, int]]:
-        """Absolute half-open index ranges of a zone's partitions.
-
-        Partition p of a zone with n entries spans offsets
-        [floor(p*n/P), floor((p+1)*n/P)), shifted by the zone start.
-        """
-        lo = self.start(zone)
-        n = self.size(zone)
-        count = self.partitions.get(zone, 1)
-        return [
-            (lo + (p * n) // count, lo + ((p + 1) * n) // count)
-            for p in range(count)
-        ]

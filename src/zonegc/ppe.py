@@ -12,7 +12,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Sequence
 
 from .errors import (
@@ -37,22 +36,6 @@ def probe_cores(override: int | None = None) -> int:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
         return os.cpu_count() or 1
-
-
-def partition_ratio(threads: int, cores: int) -> Fraction:
-    """Threads per core as an exact rational; above 1 means clustering."""
-    if cores < 1:
-        raise TopologyError(f"core count must be >= 1, got {cores}")
-    if threads < 0:
-        raise ValueError(f"thread count must be >= 0, got {threads}")
-    return Fraction(threads, cores)
-
-
-def map_threads_to_cores(threads: int, cores: int) -> list[int]:
-    """Round-robin core id per thread; identity when the ratio is <= 1."""
-    if cores < 1:
-        raise TopologyError(f"core count must be >= 1, got {cores}")
-    return [t % cores for t in range(threads)]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checkpoint import ENTRIES_PER_WORD, STATE_BITS, CheckpointTable, StateCode, SweepReport
+from .checkpoint import ENTRIES_PER_WORD, STATE_BITS, CheckpointTable, SweepReport
 from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
@@ -359,18 +359,9 @@ class ZoneArena:
         self._pools[header.zone.ordinal].append(idx)
 
     def expire(self, handle: ObjectHandle) -> None:
-        """Terminal expiry: mark, expire, and reclaim the slot into its pool."""
-        header = self._live_header(handle)
-        self.clock.ops += 1
-        idx = header.checkpoint_index
-        table = self.table
-        table.set_state(idx, StateCode.MARKED)
-        table.set_state(idx, StateCode.EXPIRED)
-        header.alive = False
-        zi = header.zone.ordinal
-        self._expired[zi] += 1
-        table.set_state(idx, StateCode.IDLE)
-        self._pools[zi].append(idx)
+        """Terminal expiry: reclaim the slot into its pool and count it."""
+        self.release(handle)
+        self._expired[self._headers[handle.slot_index].zone.ordinal] += 1
 
     def expire_and_reallocate(self, handle: ObjectHandle, new_zone: ZoneId) -> ObjectHandle:
         """Re-zone by expiry plus fresh request; same-zone calls are no-ops.
@@ -417,8 +408,8 @@ class ZoneArena:
 
     # -- sweep integration --------------------------------------------------
 
-    def run_sweep(self, zone_active: dict[ZoneId, bool] | None = None) -> SweepReport:
-        return self.table.epoch_sweep(zone_active)
+    def run_sweep(self) -> SweepReport:
+        return self.table.epoch_sweep()
 
     def reclassify_candidates(self, report: SweepReport) -> list[tuple[int, ObjectHandle]]:
         """Re-run the active policy on promotion/demotion candidates.

@@ -24,7 +24,7 @@ from zonegc.errors import (
     IndexRangeError,
     SignalConflictError,
 )
-from zonegc.layout import ZoneId, ZoneLayout
+from zonegc.layout import ZoneLayout
 
 from .oracles import zone_scan_oracle
 
@@ -179,14 +179,18 @@ def test_epoch_sweep_matches_scalar_oracle(data):
     for i, code in enumerate(states):
         table.set_state(i, code)
     flags = data.draw(st.tuples(*[st.booleans()] * 3))
-    zone_active = dict(zip((ZoneId.RED, ZoneId.GREEN, ZoneId.BLUE), flags))
-    report = table.epoch_sweep(zone_active)
+    report = table.epoch_sweep()
     expect_reclaim, expect_cand = scalar_sweep_oracle(
         states, sizes, {"R": flags[0], "G": flags[1], "B": flags[2]}
     )
     assert report.evaluated == layout.total
     assert report.reclaimed == expect_reclaim
     assert report.candidates == expect_cand
+    # the oracle's answer does not depend on zone activation, which is why
+    # the sweep takes none
+    for mask in itertools.product((False, True), repeat=3):
+        assert scalar_sweep_oracle(states, sizes, dict(zip("RGB", mask))) == (
+            report.reclaimed, report.candidates)
     # the sweep reports; it does not mutate states
     assert [int(s) for s in table.states()] == states
 
@@ -196,7 +200,7 @@ def test_epoch_counter_and_default_activation():
     table.set_state(0, StateCode.ACTIVE)
     table.set_state(5, StateCode.EXPIRED)
     assert table.epoch == 0
-    report = table.epoch_sweep()  # all zones active by default
+    report = table.epoch_sweep()
     assert table.epoch == 1
     assert report.reclaimed == [5]
     table.epoch_sweep()
@@ -204,12 +208,11 @@ def test_epoch_counter_and_default_activation():
 
 
 def test_expired_in_active_zone_is_reclaimable():
-    # liveness comes from the state bits, not from zone activation alone:
-    # an expired entry never self-asserts, so it reads dead even in an
-    # active zone
+    # reclaimability comes from the state bits alone: an expired entry is
+    # reported whatever its zone
     table = CheckpointTable(ZoneLayout(2, 2, 2))
     table.set_state(2, StateCode.EXPIRED)
-    report = table.epoch_sweep({z: True for z in ZoneId})
+    report = table.epoch_sweep()
     assert report.reclaimed == [2]
 
 
@@ -217,8 +220,21 @@ def test_deferred_survives_inactive_zone():
     table = CheckpointTable(ZoneLayout(2, 2, 2))
     table.set_state(0, StateCode.DEFERRED)
     table.set_state(1, StateCode.EXPIRED)
-    report = table.epoch_sweep({z: False for z in ZoneId})
+    report = table.epoch_sweep()
     assert report.reclaimed == [1]
+
+
+@pytest.mark.parametrize("code, field", [
+    (StateCode.EXPIRED, "reclaimed"),
+    (StateCode.PROMOTE_CANDIDATE, "candidates"),
+])
+def test_sweep_reads_the_final_index_of_a_partly_filled_word(code, field):
+    table = CheckpointTable(ZoneLayout(8, 8, 9))  # 25 entries: last word holds 4
+    last = table.capacity - 1
+    table.set_state(last, code)
+    report = table.epoch_sweep()
+    assert getattr(report, field) == [last]
+    assert report.reclaimed + report.candidates == [last]
 
 
 def test_dump_snapshot_lists_non_idle_entries():

@@ -9,7 +9,7 @@ import pytest
 from zonegc.cli import main
 from zonegc.config import RuntimeConfig, load_config, parse_config
 from zonegc.errors import ConfigError
-from zonegc.layout import ZoneId
+from zonegc.layout import MAX_ZONE_SLOTS, ZoneId
 
 
 def test_defaults_assemble_a_runtime():
@@ -17,8 +17,6 @@ def test_defaults_assemble_a_runtime():
     arena = cfg.build_arena()
     assert arena.layout.total == 3072
     assert arena.policy == "simple"
-    layout = cfg.layout()
-    assert layout.partitions[ZoneId.GREEN] == 1
 
 
 def test_parse_overrides_and_comments():
@@ -66,7 +64,7 @@ def test_every_documented_key_maps_to_a_real_field():
         """
         zones.red = 7
         gen.fraction0 = 0.3
-        partitions.blue = 2
+        zones.blue = 2
         rate_window = 2.0
         simple.mutation_green = 200
         predicate.size_red = 128
@@ -75,7 +73,7 @@ def test_every_documented_key_maps_to_a_real_field():
         max_recursion_depth = 100
         """
     )
-    assert (cfg.zone_red, cfg.gen_fraction0, cfg.partitions_blue) == (7, 0.3, 2)
+    assert (cfg.zone_red, cfg.gen_fraction0, cfg.zone_blue) == (7, 0.3, 2)
     assert (cfg.rate_window, cfg.simple_mutation_green) == (2.0, 200.0)
     assert (cfg.predicate_size_red, cfg.cost_red_mark) == (128.0, 1.2)
     assert (cfg.cost_mark_tolerance, cfg.max_recursion_depth) == (0.5, 100)
@@ -83,7 +81,7 @@ def test_every_documented_key_maps_to_a_real_field():
     # only the documented spelling of a key is accepted
     for alias in ("zone.red", "zones_red", "cost_red_mark", "cost.red_mark",
                   "cost.mark.tolerance", "rate.window", "gen_fraction0",
-                  "simple.access.red", "partitions_red"):
+                  "simple.access.red", "zone_red"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{alias} = 1")
 
@@ -93,10 +91,20 @@ def test_every_documented_key_maps_to_a_real_field():
     "delta.red", "delta.green", "delta.blue", "rebalance.factor",
     "rebalance.normalize", "cores", "scratch.slots", "scratch.bytes",
     "chi.loop", "chi.recursion", "chi.matrix",
+    "partitions.red", "partitions.green", "partitions.blue",
 ])
 def test_deleted_keys_fail_at_their_line(key):
     with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
         parse_config(f"zones.red = 8\n{key} = 1\n")
+
+
+def test_zone_size_is_bounded_at_parse_time():
+    # builds only the config, never an arena
+    assert parse_config(f"zones.red = {MAX_ZONE_SLOTS}").zone_red == MAX_ZONE_SLOTS
+    with pytest.raises(ConfigError, match=rf"^line 2: zone B has {MAX_ZONE_SLOTS + 1} "):
+        parse_config(f"zones.red = 8\nzones.blue = {MAX_ZONE_SLOTS + 1}\n")
+    with pytest.raises(ConfigError, match="^line 1: zone R "):
+        parse_config("zones.red = 1000000000000")
 
 
 def test_config_rules_are_checked_at_construction():

@@ -1,4 +1,4 @@
-"""Index geometry: regions, generations, partitions."""
+"""Index geometry: regions and generations."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from zonegc.errors import IndexRangeError
 from zonegc.layout import SLOT_BYTES, Generation, ZoneId, ZoneLayout
 
 from .oracles import (
-    check_partition_properties,
     generation_scan_oracle,
     zone_scan_oracle,
 )
@@ -46,12 +45,6 @@ def test_layout_validation():
         ZoneLayout(4, 4, 4, gen0_fraction=0.75, gen1_fraction=0.25)
     with pytest.raises(ValueError):
         ZoneLayout(4, 4, 4, gen0_fraction=0.0)
-    with pytest.raises(ValueError):
-        ZoneLayout(4, 4, 4, partitions={ZoneId.RED: 5, ZoneId.GREEN: 1,
-                                        ZoneId.BLUE: 1})  # P > N
-    with pytest.raises(ValueError):
-        ZoneLayout(4, 4, 4, partitions={ZoneId.RED: 0, ZoneId.GREEN: 1,
-                                        ZoneId.BLUE: 1})
 
 
 def test_zone_of_index_bounds():
@@ -89,32 +82,6 @@ def test_generation_default_fractions_quartiles():
     layout = ZoneLayout(8, 8, 8)  # cuts at 2 and 6 inside each zone
     gens = [int(layout.generation_of(i)) for i in range(8)]
     assert gens == [0, 0, 1, 1, 1, 1, 2, 2]
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    sizes=st.tuples(*[st.integers(1, 64)] * 3),
-    parts=st.tuples(*[st.integers(1, 8)] * 3),
-)
-def test_partition_ranges_tile_each_zone(sizes, parts):
-    caps = tuple(min(p, n) for p, n in zip(parts, sizes))
-    layout = ZoneLayout(*sizes, partitions={ZoneId.RED: caps[0],
-                                            ZoneId.GREEN: caps[1],
-                                            ZoneId.BLUE: caps[2]})
-    for zone, cap in zip(ZoneId, caps):
-        ranges = layout.partition_ranges(zone)
-        lo, hi = layout.span(zone)
-        assert len(ranges) == cap
-        rebased = [(a - lo, b - lo) for a, b in ranges]
-        check_partition_properties(hi - lo, rebased)
-
-
-def test_partition_ranges_explicit_case():
-    layout = ZoneLayout(10, 4, 4, partitions={ZoneId.RED: 3, ZoneId.GREEN: 1,
-                                              ZoneId.BLUE: 2})
-    assert layout.partition_ranges(ZoneId.RED) == [(0, 3), (3, 6), (6, 10)]
-    assert layout.partition_ranges(ZoneId.GREEN) == [(10, 14)]
-    assert layout.partition_ranges(ZoneId.BLUE) == [(14, 16), (16, 18)]
 
 
 def test_generation_enum_values():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +21,7 @@ from zonegc.ppe import (
     ThreadAllocation,
     allocate_threads,
     make_partitions,
-    map_threads_to_cores,
     optimize_thread_allocation,
-    partition_ratio,
     probe_cores,
     rebalance_targets,
     run_parallel,
@@ -60,24 +57,6 @@ def test_make_partitions_validation():
         make_partitions(-1, 2)
     with pytest.raises(PartitionPlanError):
         make_partitions(10, 2, affinity=[0])
-
-
-def test_partition_ratio_is_exact():
-    assert partition_ratio(3, 2) == Fraction(3, 2)
-    assert partition_ratio(0, 4) == 0
-    assert partition_ratio(8, 8) == 1
-    with pytest.raises(TopologyError):
-        partition_ratio(4, 0)
-    with pytest.raises(ValueError):
-        partition_ratio(-1, 2)
-
-
-def test_map_threads_round_robin():
-    assert map_threads_to_cores(5, 2) == [0, 1, 0, 1, 0]
-    assert map_threads_to_cores(2, 4) == [0, 1]
-    assert map_threads_to_cores(0, 3) == []
-    with pytest.raises(TopologyError):
-        map_threads_to_cores(4, 0)
 
 
 def test_probe_cores_override_and_floor():
