@@ -1,9 +1,10 @@
-"""Packed 3-bit checkpoint table and its state machine.
+"""3-bit checkpoint table and its state machine.
 
 Every tracked object owns one 3-bit entry in a global table laid out as
-[red | green | blue] regions. Entry state encodes the lifecycle phase; the
-sweep reads 21 entries' states per 63-bit word and decides from those bits
-alone, so per-entry work is constant and no object graph is traversed.
+[red | green | blue] regions, one byte per entry. Entry state encodes the
+lifecycle phase; the sweep scans the bytes with numpy and decides from the
+state bits alone, so per-entry work is constant and no object graph is
+traversed.
 """
 
 from __future__ import annotations
@@ -12,15 +13,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .errors import AlignmentError, IndexRangeError, SignalConflictError
 from .gates import eval_liveness_gate  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .layout import SLOT_BYTES, ZoneLayout
-
-ENTRIES_PER_WORD = 21  # 21 entries * 3 bits = 63 bits, 1 pad bit per word
-STATE_BITS = 3
-
-# Lane helper masks: one bit per entry at stride 3 within a word.
-_LANE_LSB = sum(1 << (STATE_BITS * k) for k in range(ENTRIES_PER_WORD))
 
 
 class StateCode(enum.IntEnum):
@@ -123,15 +120,14 @@ class SweepReport:
 
 
 class CheckpointTable:
-    """Word-packed array of 3-bit states covering all three zone regions."""
+    """One byte per entry, each holding a 3-bit state, over all three zones."""
 
     def __init__(self, layout: ZoneLayout, base: int = 0) -> None:
         self.layout = layout
         self.base = base
         self.capacity = layout.total
         self.epoch = 0
-        nwords = (self.capacity + ENTRIES_PER_WORD - 1) // ENTRIES_PER_WORD
-        self._words = [0] * nwords
+        self._states = bytearray(self.capacity)
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.capacity:
@@ -139,21 +135,16 @@ class CheckpointTable:
 
     def get_state(self, i: int) -> StateCode:
         self._check_index(i)
-        w, lane = divmod(i, ENTRIES_PER_WORD)
-        return StateCode((self._words[w] >> (STATE_BITS * lane)) & 0b111)
+        return StateCode(self._states[i])
 
     def set_state(self, i: int, code: int) -> None:
         self._check_index(i)
         if not 0 <= code <= 0b111:
             raise ValueError(f"state code {code} outside 3 bits")
-        w, lane = divmod(i, ENTRIES_PER_WORD)
-        shift = STATE_BITS * lane
-        words = self._words
-        words[w] = (words[w] & ~(0b111 << shift)) | (code << shift)
+        self._states[i] = code
 
     def states(self) -> Iterator[StateCode]:
-        for i in range(self.capacity):
-            yield self.get_state(i)
+        return map(StateCode, self._states)
 
     def index_of(self, address: int) -> int:
         return index_of(address, self.base, self.capacity)
@@ -165,33 +156,14 @@ class CheckpointTable:
     def epoch_sweep(self) -> SweepReport:
         """Report reclaimable entries and candidates, without mutating.
 
-        The decision reads only the state bits, 21 entries per 63-bit word:
-        an expired entry (111) is reclaimable, and promotion and demotion
-        candidates (010, 011) are reported for re-classification. Pad lanes
-        and lanes past capacity are never written, so they read idle (000).
-        Reclamation itself is the slot owner's job, so pool accounting stays
-        in one place.
+        The decision reads only the state bits: an expired entry (111) is
+        reclaimable, and promotion and demotion candidates (010, 011) are
+        reported for re-classification. Reclamation itself is the slot
+        owner's job, so pool accounting stays in one place.
         """
-        reclaimed: list[int] = []
-        candidates: list[int] = []
-        lane_lsb = _LANE_LSB
-        for w, word in enumerate(self._words):
-            if not word:
-                continue
-            s0 = word & lane_lsb
-            s1 = (word >> 1) & lane_lsb
-            s2 = (word >> 2) & lane_lsb
-            reclaim_lanes = s0 & s1 & s2  # state 111
-            candidate_lanes = s1 & ~s2  # states 010 and 011
-            base_index = w * ENTRIES_PER_WORD
-            while reclaim_lanes:
-                low = reclaim_lanes & -reclaim_lanes
-                reclaimed.append(base_index + low.bit_length() // STATE_BITS)
-                reclaim_lanes ^= low
-            while candidate_lanes:
-                low = candidate_lanes & -candidate_lanes
-                candidates.append(base_index + low.bit_length() // STATE_BITS)
-                candidate_lanes ^= low
+        s = np.frombuffer(self._states, np.uint8)
+        reclaimed = np.flatnonzero(s == 0b111).tolist()
+        candidates = np.flatnonzero((s & 0b110) == 0b010).tolist()
         self.epoch += 1
         return SweepReport(self.capacity, reclaimed, candidates)
 

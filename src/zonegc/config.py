@@ -13,15 +13,15 @@ example:
 
 Key groups: zones.* (red, green, blue); gen.fraction0 and gen.fraction1;
 simple.* and predicate.* policy thresholds; cost.<zone>.mark|scan|stage and
-cost.mark_tolerance; and the plain keys policy, pool_discipline, rate_window,
-ema_weight, seconds_per_op, sweep_interval and max_recursion_depth.
+cost.mark_tolerance; and the plain keys policy, rate_window, ema_weight,
+seconds_per_op, sweep_interval and max_recursion_depth.
 
 A config is checked as a whole when it is built. The pieces it assembles
 (ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
-apply their own rules; RuntimeConfig adds the rules no piece owns: policy and
-pool_discipline take one of their allowed values, sweep_interval and
-max_recursion_depth are >= 1, rate_window and seconds_per_op are finite and
-> 0. parse_config reports a broken rule as ConfigError naming a line.
+apply their own rules; RuntimeConfig adds the rules no piece owns: policy
+takes one of its allowed values, sweep_interval and max_recursion_depth are
+>= 1, rate_window and seconds_per_op are finite and > 0. parse_config reports
+a broken rule as ConfigError naming a line.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .layout import ZoneId, ZoneLayout
 from .objects import EmaConfig, LogicalClock
 from .zones import (
     POLICIES,
-    POOL_DISCIPLINES,
     CostParams,
     PredicateThresholds,
     RateThresholds,
@@ -54,7 +53,6 @@ class RuntimeConfig:
     gen_fraction1: float = 0.75
     # metrics and lifecycle
     policy: str = "simple"
-    pool_discipline: str = "lifo"
     rate_window: float = 1.0
     ema_weight: float = 0.5
     seconds_per_op: float = 1e-6
@@ -90,8 +88,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         own_rules = (
             (self.policy in POLICIES, f"policy must be one of {POLICIES}"),
-            (self.pool_discipline in POOL_DISCIPLINES,
-             f"pool_discipline must be one of {POOL_DISCIPLINES}"),
             (self.sweep_interval >= 1, "sweep_interval must be >= 1"),
             (self.max_recursion_depth >= 1, "max_recursion_depth must be >= 1"),
             (0 < self.rate_window < math.inf, "rate_window must be finite and > 0"),
@@ -170,7 +166,6 @@ class RuntimeConfig:
             predicate_thresholds=self.predicate_thresholds(),
             costs=self.cost_params(),
             policy=self.policy,
-            pool_discipline=self.pool_discipline,
         )
 
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import LifecycleError
-from .layout import Generation, ZoneId
+from .layout import ZoneId
 
 
 class EventKind(enum.Enum):
@@ -127,17 +127,19 @@ class ObjectHeader:
 
     handle: ObjectHandle
     zone: ZoneId
-    generation: Generation
-    checkpoint_index: int
     site_tag: str
     allocated_at: float = 0.0
     last_event_at: float = 0.0
-    lifetime: float = 0.0
     size: float = 0.0
     fan_out: float = 0.0
     complexity_weight: float = 0.0
     alive: bool = True
     trackers: dict[EventKind, RateTracker] = field(default_factory=dict)
+
+    @property
+    def lifetime(self) -> float:
+        """Seconds from allocation to the last recorded event."""
+        return self.last_event_at - self.allocated_at
 
     def tracker(self, kind: EventKind) -> RateTracker:
         return self.trackers[kind]
@@ -158,7 +160,7 @@ def make_trackers(window: float, cfg: EmaConfig, start: float,
 
 
 def record_event(header: ObjectHeader, kind: EventKind, now: float) -> ObjectHeader:
-    """Count one event on a live header and refresh its lifetime."""
+    """Count one event on a live header; its lifetime now ends at `now`."""
     if not header.alive:
         raise LifecycleError(
             f"event on dead header at slot {header.handle.slot_index}"
@@ -168,7 +170,6 @@ def record_event(header: ObjectHeader, kind: EventKind, now: float) -> ObjectHea
             f"event time {now} precedes previous event at {header.last_event_at}"
         )
     header.trackers[kind].record(now)
-    header.lifetime = now - header.allocated_at
     header.last_event_at = now
     return header
 

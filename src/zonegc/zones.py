@@ -2,15 +2,16 @@
 
 Objects live in one of three zones for their whole life. Re-zoning never
 moves a slot: the object expires in place and a fresh request claims a slot
-in the target zone. Per-zone free pools absorb repeat requests, which is what
-keeps real allocations bounded by the peak concurrent live count.
+in the target zone. Per-zone LIFO free pools absorb repeat requests, which is
+what keeps real allocations bounded by the peak concurrent live count. The
+arena writes ACTIVE and IDLE straight into the checkpoint table's bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checkpoint import ENTRIES_PER_WORD, STATE_BITS, CheckpointTable, SweepReport
+from .checkpoint import CheckpointTable, StateCode, SweepReport
 from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
@@ -28,8 +29,12 @@ from .objects import (
 # Argmin preference when zone costs tie: green, then blue, then red.
 _TIE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
 
+# Plain-int state codes for the inlined table writes; storing a StateCode
+# member in the bytearray costs several times more per write.
+_ACTIVE = int(StateCode.ACTIVE)
+_IDLE = int(StateCode.IDLE)
+
 POLICIES = ("simple", "predicates")
-POOL_DISCIPLINES = ("lifo", "fifo")
 
 
 @dataclass(frozen=True)
@@ -233,12 +238,9 @@ class ZoneArena:
         predicate_thresholds: PredicateThresholds | None = None,
         costs: CostParams | None = None,
         policy: str = "simple",
-        pool_discipline: str = "lifo",
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        if pool_discipline not in POOL_DISCIPLINES:
-            raise ValueError(f"unknown pool discipline {pool_discipline!r}")
         self.layout = layout or ZoneLayout(1024, 1024, 1024)
         self.table = CheckpointTable(self.layout, base)
         self.clock = clock or LogicalClock()
@@ -248,7 +250,6 @@ class ZoneArena:
         self.predicate_thresholds = predicate_thresholds or PredicateThresholds()
         self.costs = costs or CostParams()
         self.policy = policy
-        self.pool_discipline = pool_discipline
         # Indexed by ZoneId.ordinal; hot paths avoid enum-keyed dicts.
         self._pools: list[list[int]] = [[] for _ in ZONE_ORDER]
         self._fresh_next: list[int] = [self.layout.start(z) for z in ZONE_ORDER]
@@ -258,8 +259,7 @@ class ZoneArena:
         self._expired: list[int] = [0, 0, 0]
         self._headers: dict[int, ObjectHeader] = {}
         self._site_trackers: dict[str, RateTracker] = {}
-        self._words = self.table._words  # shared storage for inlined writes
-        self._lifo = pool_discipline == "lifo"
+        self._states = self.table._states  # shared storage for inlined writes
 
     # -- allocation ---------------------------------------------------------
 
@@ -286,7 +286,7 @@ class ZoneArena:
         zi = zone.ordinal
         pool = self._pools[zi]
         if pool:
-            idx = pool.pop() if self._lifo else pool.pop(0)
+            idx = pool.pop()
             self._reused[zi] += 1
         else:
             idx = self._fresh_next[zi]
@@ -306,8 +306,6 @@ class ZoneArena:
             header = ObjectHeader(
                 handle=handle,
                 zone=zone,
-                generation=self.layout.generation_of(idx),
-                checkpoint_index=idx,
                 site_tag=site_tag,
                 allocated_at=now,
                 last_event_at=now,
@@ -324,7 +322,6 @@ class ZoneArena:
             header.site_tag = site_tag
             header.allocated_at = now
             header.last_event_at = now
-            header.lifetime = 0.0
             header.size = size
             header.fan_out = fan_out
             header.complexity_weight = complexity_weight
@@ -334,10 +331,7 @@ class ZoneArena:
             trackers[EventKind.ACCESS].reset(now)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.
-        words = self._words
-        word, lane = divmod(idx, ENTRIES_PER_WORD)
-        shift = lane * STATE_BITS
-        words[word] = (words[word] & ~(7 << shift)) | (1 << shift)
+        self._states[idx] = _ACTIVE
         return header.handle
 
     def _live_header(self, handle: ObjectHandle) -> ObjectHeader:
@@ -351,11 +345,8 @@ class ZoneArena:
         header = self._live_header(handle)
         self.clock.ops += 1
         header.alive = False
-        idx = header.checkpoint_index
-        # set_state(idx, IDLE) inlined
-        words = self._words
-        word, lane = divmod(idx, ENTRIES_PER_WORD)
-        words[word] &= ~(7 << lane * STATE_BITS)
+        idx = handle.slot_index
+        self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
         self._pools[header.zone.ordinal].append(idx)
 
     def expire(self, handle: ObjectHandle) -> None:

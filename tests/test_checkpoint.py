@@ -1,8 +1,9 @@
-"""Checkpoint state machine, packed table, and word-parallel sweep."""
+"""Checkpoint state machine, byte-per-entry table, and vectorized sweep."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -97,11 +98,11 @@ def test_index_of_rejects_misaligned_and_out_of_range():
     assert index_of(16 * 9, 0, capacity=10) == 9
 
 
-# -- packed table -----------------------------------------------------------
+# -- state table ------------------------------------------------------------
 
 
 def test_set_state_isolates_neighbors():
-    layout = ZoneLayout(15, 15, 15)  # spans a word boundary at 21
+    layout = ZoneLayout(15, 15, 15)  # 45 entries; 20, 21 and 22 are neighbours
     table = CheckpointTable(layout)
     table.set_state(20, StateCode.EXPIRED)
     table.set_state(21, StateCode.ACTIVE)
@@ -123,8 +124,13 @@ def test_set_state_validates():
         table.set_state(6, StateCode.ACTIVE)
     with pytest.raises(IndexRangeError):
         table.get_state(-1)
+    with pytest.raises(IndexRangeError):
+        table.set_state(-1, 1)  # a bytearray alone would write the last entry
     with pytest.raises(ValueError):
         table.set_state(0, 8)
+    with pytest.raises(ValueError):
+        table.set_state(0, 255)  # fits a byte, not 3 bits
+    assert [int(s) for s in table.states()] == [0] * 6
 
 
 @settings(max_examples=60, deadline=None)
@@ -186,12 +192,49 @@ def test_epoch_sweep_matches_scalar_oracle(data):
     assert report.evaluated == layout.total
     assert report.reclaimed == expect_reclaim
     assert report.candidates == expect_cand
+    assert all(type(i) is int for i in report.reclaimed + report.candidates)
     # the oracle's answer does not depend on zone activation, which is why
     # the sweep takes none
     for mask in itertools.product((False, True), repeat=3):
         assert scalar_sweep_oracle(states, sizes, dict(zip("RGB", mask))) == (
             report.reclaimed, report.candidates)
     # the sweep reports; it does not mutate states
+    assert [int(s) for s in table.states()] == states
+
+
+def windowed_sweep_oracle(states, window=250):
+    """scalar_sweep_oracle over a long table, one window at a time.
+
+    The oracle finds each entry's zone by walking the table from index 0, so
+    a single call over n entries takes O(n^2) steps. The zone reaches the
+    answer only through its activation flag, and the answer is the same for
+    every activation mask (checked above), so each window is passed as a
+    one-zone table and its indices are shifted back.
+    """
+    reclaimed, candidates = [], []
+    for lo in range(0, len(states), window):
+        chunk = states[lo:lo + window]
+        r, c = scalar_sweep_oracle(chunk, (len(chunk), 0, 0), {"R": True})
+        reclaimed += [lo + i for i in r]
+        candidates += [lo + i for i in c]
+    return reclaimed, candidates
+
+
+def test_epoch_sweep_matches_scalar_oracle_at_60k_entries():
+    layout = ZoneLayout(20_000, 20_001, 19_999)
+    table = CheckpointTable(layout)
+    rng = random.Random(2008)
+    states = [rng.randrange(8) if rng.random() < 0.3 else 0
+              for _ in range(layout.total)]
+    states[-1] = 0b111
+    for i, code in enumerate(states):
+        table.set_state(i, code)
+    report = table.epoch_sweep()
+    expect_reclaim, expect_cand = windowed_sweep_oracle(states)
+    assert report.evaluated == layout.total == 60_000
+    assert report.reclaimed == expect_reclaim
+    assert report.candidates == expect_cand
+    assert all(type(i) is int for i in report.reclaimed + report.candidates)
     assert [int(s) for s in table.states()] == states
 
 
@@ -229,7 +272,7 @@ def test_deferred_survives_inactive_zone():
     (StateCode.PROMOTE_CANDIDATE, "candidates"),
 ])
 def test_sweep_reads_the_final_index_of_a_partly_filled_word(code, field):
-    table = CheckpointTable(ZoneLayout(8, 8, 9))  # 25 entries: last word holds 4
+    table = CheckpointTable(ZoneLayout(8, 8, 9))  # 25 entries, the last one set
     last = table.capacity - 1
     table.set_state(last, code)
     report = table.epoch_sweep()

@@ -26,7 +26,7 @@ def test_parse_overrides_and_comments():
         zones.green = 64   # trailing comment
         policy = predicates
         ema_weight = 0.25
-        pool_discipline = fifo
+        seconds_per_op = 0.002
         cost.red.mark = 1.1
         sweep_interval = 100
         """
@@ -35,7 +35,7 @@ def test_parse_overrides_and_comments():
     assert cfg.zone_red == 1024  # untouched default
     assert cfg.policy == "predicates"
     assert cfg.ema_weight == 0.25
-    assert cfg.pool_discipline == "fifo"
+    assert cfg.seconds_per_op == 0.002
     assert cfg.cost_red_mark == 1.1
     assert cfg.sweep_interval == 100
 
@@ -91,7 +91,7 @@ def test_every_documented_key_maps_to_a_real_field():
     "delta.red", "delta.green", "delta.blue", "rebalance.factor",
     "rebalance.normalize", "cores", "scratch.slots", "scratch.bytes",
     "chi.loop", "chi.recursion", "chi.matrix",
-    "partitions.red", "partitions.green", "partitions.blue",
+    "partitions.red", "partitions.green", "partitions.blue", "pool_discipline",
 ])
 def test_deleted_keys_fail_at_their_line(key):
     with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):

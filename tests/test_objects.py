@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonegc.errors import LifecycleError
-from zonegc.layout import Generation, ZoneId
+from zonegc.layout import ZoneId
 from zonegc.objects import (
     EmaConfig,
     EventKind,
@@ -36,8 +36,6 @@ def make_header(now: float = 0.0, window: float = 1.0,
     return ObjectHeader(
         handle=ObjectHandle(3, 48),
         zone=ZoneId.GREEN,
-        generation=Generation.GEN0,
-        checkpoint_index=3,
         site_tag=site,
         allocated_at=now,
         last_event_at=now,
@@ -195,11 +193,11 @@ def test_record_event_rejects_dead_header_and_time_regression():
 
 def test_record_event_never_touches_placement():
     header = make_header(now=0.0)
-    placement = (header.zone, header.generation, header.checkpoint_index)
+    placement = (header.zone, header.handle)
     for t in (0.2, 0.9, 1.4, 3.0):
         record_event(header, EventKind.ACCESS, t)
         record_event(header, EventKind.MUTATION, t)
-    assert (header.zone, header.generation, header.checkpoint_index) == placement
+    assert (header.zone, header.handle) == placement
 
 
 def test_feature_snapshot_is_pure():
