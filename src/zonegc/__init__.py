@@ -73,7 +73,6 @@ from .objects import (
     FeatureVector,
     LogicalClock,
     ObjectHandle,
-    ObjectHeader,
     RateTracker,
     ema_update,
     feature_snapshot,

@@ -321,10 +321,11 @@ def _schedule_expiration(arena: ZoneArena, per_zone: int) -> None:
     expire = arena.expire
     header_of = arena.header_of
     clock = arena.clock
+    access = EventKind.ACCESS  # an enum member lookup costs ~150 ns per request
     for zone, site, ttl in plans:
         for k in range(1, per_zone + 1):
             handle = allocate(zone, site)
-            record_event(header_of(handle), EventKind.ACCESS, clock.now)
+            record_event(header_of(handle), access, clock.now)
             if (ttl and k % ttl == 0) or (not ttl and k == per_zone):
                 expire(handle)
             else:
@@ -338,25 +339,28 @@ def _schedule_checkpoint_lifecycle(arena: ZoneArena, per_zone: int,
     release = arena.release
     expire = arena.expire
     set_state = arena.table.set_state
+    # Enum members looked up once, not per request.
+    green, blue, red = ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED
+    expired = StateCode.EXPIRED
     # Pin transition computed once; the signal set is identical per request.
     pinned, _ = step_state(StateCode.ACTIVE, Signals(persistent=True))
     for k in range(per_zone):
-        handle = allocate(ZoneId.GREEN, "pinned_green")
+        handle = allocate(green, "pinned_green")
         set_state(handle.slot_index, pinned)
         release(handle)
     for k in range(1, per_zone + 1):
-        handle = allocate(ZoneId.BLUE, "swept_blue")
+        handle = allocate(blue, "swept_blue")
         if k % interval == 0:
             # Blue dies at the boundary: marked expired, it is reclaimed
             # because the sweep reports it.
-            set_state(handle.slot_index, StateCode.EXPIRED)
+            set_state(handle.slot_index, expired)
             live = {handle.slot_index: handle}
             for idx in arena.run_sweep().reclaimed:
                 expire(live[idx])
         else:
             release(handle)
     for k in range(per_zone):
-        handle = allocate(ZoneId.RED, "per_use_red")
+        handle = allocate(red, "per_use_red")
         expire(handle)
 
 

@@ -1,25 +1,51 @@
-"""Simulated object arena substrate: headers, rate metrics, EMA smoothing.
+"""Simulated object metadata: side tables, rate metrics, EMA smoothing.
 
-Objects here are bookkeeping records, not real heap storage. Each header
-carries windowed event-rate trackers (allocation, mutation, access) plus
-static features (size, fan-out, complexity weight). Rates are counted over a
-fixed logical-time window and smoothed with an exponential moving average;
-the smoothed view is what classification consumes.
+Objects here are bookkeeping records, not real heap storage. Their metadata
+lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
+the way the checkpoint table keeps one byte of state per slot: liveness,
+allocation and last-event times, static features (size, fan-out, complexity
+weight), the allocation site and windowed mutation and access rates.
+Allocation rate belongs to the site, so each site keeps one RateTracker.
+Rates are counted over a fixed logical-time window and smoothed with an
+exponential moving average; the smoothed view is what classification
+consumes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from .errors import LifecycleError
-from .layout import ZoneId
+from .layout import ZONE_ORDER, ZoneId, ZoneLayout
+
+NAN = float("nan")  # an EMA no window has closed into yet
+
+# A roll over more windows than this advances the window start in one
+# multiplication; up to it, one addition per window, which puts the window
+# boundaries exactly where closing windows one at a time puts them.
+STEPPED_WINDOWS = 256
 
 
 class EventKind(enum.Enum):
-    ACCESS = "access"
-    MUTATION = "mutation"
-    ALLOCATION = "allocation"
+    ACCESS = ("access", 0)
+    MUTATION = ("mutation", 1)
+    ALLOCATION = ("allocation", 2)
+
+    # ordinal gives hot paths an attribute read instead of Enum.__hash__, as
+    # on ZoneId. ACCESS and MUTATION ordinals are also the offset of their
+    # entry in a slot's pair of rate-tracker entries.
+    def __new__(cls, value: str, ordinal: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.ordinal = ordinal
+        return member
+
+
+_ACCESS = EventKind.ACCESS.ordinal
+_MUTATION = EventKind.MUTATION.ordinal
+_ALLOCATION = EventKind.ALLOCATION.ordinal
 
 
 @dataclass(frozen=True)
@@ -36,6 +62,31 @@ class EmaConfig:
 def ema_update(prev: float, sample: float, cfg: EmaConfig) -> float:
     """One smoothing step: weight * sample + (1 - weight) * prev."""
     return cfg.weight * sample + (1.0 - cfg.weight) * prev
+
+
+def roll(ema: float, start: float, count: int, now: float, window: float,
+         cfg: EmaConfig) -> tuple[float, float]:
+    """Close every window that ended at or before `now`.
+
+    Callers call this only when now >= start + window, and then reset the
+    open count. The first closed window holds `count` events; its rate seeds
+    a NaN ema and is smoothed into any other. The windows after it saw no
+    events, and k zero samples compose to ema * (1 - weight) ** k, so the
+    cost does not grow with the idle run. Returns the new ema and window
+    start.
+    """
+    closed = 0
+    if now - start > STEPPED_WINDOWS * window:
+        closed = int((now - start) // window) - 1
+        start += closed * window
+    while now >= start + window:
+        start += window
+        closed += 1
+    sample = count / window
+    ema = sample if ema != ema else ema_update(ema, sample, cfg)
+    if closed > 1:
+        ema *= (1.0 - cfg.weight) ** (closed - 1)
+    return ema, start
 
 
 @dataclass(frozen=True)
@@ -69,8 +120,9 @@ class RateTracker:
 
     Every completed window contributes exactly one sample (possibly zero) to
     the EMA chain. The first completed window seeds the EMA directly; before
-    any window completes, the smoothed view falls back to the rate observed
-    in the current partial window so a cold object is not misread as idle.
+    any window completes (ema is NaN), the smoothed view falls back to the
+    rate observed in the current partial window so a cold site is not misread
+    as idle.
     """
 
     __slots__ = ("window", "cfg", "window_start", "count", "total", "ema")
@@ -81,27 +133,20 @@ class RateTracker:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
         self.cfg = cfg or EmaConfig()
-        self.window_start = start
-        self.count = 0
-        self.total = 0
-        self.ema: float | None = None
+        self.reset(start)
 
     def reset(self, start: float) -> None:
         self.window_start = start
         self.count = 0
         self.total = 0
-        self.ema = None
-
-    def _roll(self, now: float) -> None:
-        # Close out every window that ended at or before `now`.
-        while now >= self.window_start + self.window:
-            sample = self.count / self.window
-            self.ema = sample if self.ema is None else ema_update(self.ema, sample, self.cfg)
-            self.count = 0
-            self.window_start += self.window
+        self.ema = NAN
 
     def record(self, now: float) -> None:
-        self._roll(now)
+        if now >= self.window_start + self.window:
+            self.ema, self.window_start = roll(
+                self.ema, self.window_start, self.count, now, self.window, self.cfg
+            )
+            self.count = 0
         self.count += 1
         self.total += 1
 
@@ -112,79 +157,161 @@ class RateTracker:
 
     @property
     def smoothed(self) -> float:
-        return self.ema if self.ema is not None else self.raw_rate
+        ema = self.ema
+        return ema if ema == ema else self.raw_rate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectHandle:
     slot_index: int
     address: int
 
 
-@dataclass
-class ObjectHeader:
-    """Lifecycle record of one arena slot's current occupant."""
+def _doubles(n: int, fill: float = 0.0) -> memoryview:
+    """n float64 entries. Item stores through a memoryview skip the argument
+    parsing that array.array's own stores do, which is about a third of the
+    cost of claiming a slot."""
+    return memoryview(array("d", [fill]) * n)
 
-    handle: ObjectHandle
-    zone: ZoneId
-    site_tag: str
-    allocated_at: float = 0.0
-    last_event_at: float = 0.0
-    size: float = 0.0
-    fan_out: float = 0.0
-    complexity_weight: float = 0.0
-    alive: bool = True
-    trackers: dict[EventKind, RateTracker] = field(default_factory=dict)
+
+class SlotTable:
+    """Metadata of every slot's occupant, one array entry per table slot.
+
+    The arrays are sized at table capacity, like the checkpoint table. A
+    slot's entries describe its current object while alive[i] is set, and
+    its last one after release. Mutation and access rates keep a window
+    start, an open count and an EMA (NaN until a window closes) at entry
+    2 * i + kind.ordinal. The zone is not stored: it is the slot's region.
+    """
+
+    def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
+        n = layout.total
+        self.alive = bytearray(n)
+        self.allocated_at = _doubles(n)
+        self.last_event_at = _doubles(n)
+        self.size = _doubles(n)
+        self.fan_out = _doubles(n)
+        self.complexity_weight = _doubles(n)
+        self.site_tag: list[str | None] = [None] * n
+        # One handle per slot, made the first time the slot is claimed.
+        self.handles: list[ObjectHandle | None] = [None] * n
+        self.window_start = _doubles(2 * n)
+        self.count = [0] * (2 * n)
+        self.ema = _doubles(2 * n, NAN)
+        self.window = window
+        self.cfg = cfg
+        self.sites: dict[str, RateTracker] = {}
+        self.green_start = layout.n_red
+        self.blue_start = layout.n_red + layout.n_green
+
+    def zone_of(self, i: int) -> ZoneId:
+        return ZONE_ORDER[0 if i < self.green_start else 1 if i < self.blue_start else 2]
+
+    def claim(self, i: int, site_tag: str, now: float, size: float,
+              fan_out: float, complexity_weight: float) -> None:
+        """Bind slot i to a new object allocated at `now` with fresh rates,
+        and count the allocation at its site."""
+        site = self.sites.get(site_tag)
+        if site is None:
+            site = self.sites[site_tag] = RateTracker(self.window, self.cfg, now)
+        site.record(now)
+        self.alive[i] = 1
+        self.site_tag[i] = site_tag
+        self.allocated_at[i] = now
+        self.last_event_at[i] = now
+        self.size[i] = size
+        self.fan_out[i] = fan_out
+        self.complexity_weight[i] = complexity_weight
+        j = 2 * i
+        start = self.window_start
+        start[j] = start[j + 1] = now
+        count = self.count
+        count[j] = count[j + 1] = 0
+        ema = self.ema
+        ema[j] = ema[j + 1] = NAN
+
+    def rate(self, j: int) -> float:
+        """Smoothed rate of tracker entry j: the EMA, or the open window's
+        rate before a window closes."""
+        ema = self.ema[j]
+        return ema if ema == ema else self.count[j] / self.window
+
+
+def _column(name: str) -> property:
+    return property(lambda view: getattr(view.slots, name)[view.index],
+                    doc=f"The slot's {name} entry.")
+
+
+class ObjectView:
+    """Read-only view of one slot's object, made on demand by header_of."""
+
+    __slots__ = ("slots", "index")
+
+    def __init__(self, slots: SlotTable, index: int) -> None:
+        self.slots = slots
+        self.index = index
+
+    handle = _column("handles")
+    site_tag = _column("site_tag")
+    allocated_at = _column("allocated_at")
+    last_event_at = _column("last_event_at")
+    size = _column("size")
+    fan_out = _column("fan_out")
+    complexity_weight = _column("complexity_weight")
+
+    @property
+    def alive(self) -> bool:
+        return bool(self.slots.alive[self.index])
+
+    @property
+    def zone(self) -> ZoneId:
+        return self.slots.zone_of(self.index)
 
     @property
     def lifetime(self) -> float:
         """Seconds from allocation to the last recorded event."""
         return self.last_event_at - self.allocated_at
 
-    def tracker(self, kind: EventKind) -> RateTracker:
-        return self.trackers[kind]
 
-
-def make_trackers(window: float, cfg: EmaConfig, start: float,
-                  alloc_tracker: RateTracker | None = None) -> dict[EventKind, RateTracker]:
-    """Tracker set for a header; the allocation tracker may be shared.
-
-    Allocation rate is a property of the allocation site, not of one object,
-    so headers from the same site can share that tracker.
-    """
-    return {
-        EventKind.ALLOCATION: alloc_tracker or RateTracker(window, cfg, start),
-        EventKind.MUTATION: RateTracker(window, cfg, start),
-        EventKind.ACCESS: RateTracker(window, cfg, start),
-    }
-
-
-def record_event(header: ObjectHeader, kind: EventKind, now: float) -> ObjectHeader:
-    """Count one event on a live header; its lifetime now ends at `now`."""
-    if not header.alive:
-        raise LifecycleError(
-            f"event on dead header at slot {header.handle.slot_index}"
-        )
-    if now < header.last_event_at:
-        raise ValueError(
-            f"event time {now} precedes previous event at {header.last_event_at}"
-        )
-    header.trackers[kind].record(now)
-    header.last_event_at = now
+def record_event(header: ObjectView, kind: EventKind, now: float) -> ObjectView:
+    """Count one event on a live object; its lifetime now ends at `now`."""
+    slots = header.slots
+    i = header.index
+    if not slots.alive[i]:
+        raise LifecycleError(f"event on dead object at slot {i}")
+    last = slots.last_event_at
+    if now < last[i]:
+        raise ValueError(f"event time {now} precedes previous event at {last[i]}")
+    k = kind.ordinal
+    if k == _ALLOCATION:
+        slots.sites[slots.site_tag[i]].record(now)
+    else:
+        j = 2 * i + k
+        start = slots.window_start
+        if now >= start[j] + slots.window:
+            ema = slots.ema
+            ema[j], start[j] = roll(ema[j], start[j], slots.count[j], now,
+                                    slots.window, slots.cfg)
+            slots.count[j] = 1
+        else:
+            slots.count[j] += 1
+    last[i] = now
     return header
 
 
-def feature_snapshot(header: ObjectHeader) -> FeatureVector:
+def feature_snapshot(header: ObjectView) -> FeatureVector:
     """Smoothed feature view for classification. Pure read."""
-    t = header.trackers
+    slots = header.slots
+    i = header.index
+    j = 2 * i
     return FeatureVector(
-        alloc_rate=t[EventKind.ALLOCATION].smoothed,
-        lifetime=header.lifetime,
-        mutation_rate=t[EventKind.MUTATION].smoothed,
-        access_rate=t[EventKind.ACCESS].smoothed,
-        size=header.size,
-        fan_out=header.fan_out,
-        complexity_weight=header.complexity_weight,
+        alloc_rate=slots.sites[slots.site_tag[i]].smoothed,
+        lifetime=slots.last_event_at[i] - slots.allocated_at[i],
+        mutation_rate=slots.rate(j + _MUTATION),
+        access_rate=slots.rate(j + _ACCESS),
+        size=slots.size[i],
+        fan_out=slots.fan_out[i],
+        complexity_weight=slots.complexity_weight[i],
     )
 
 

@@ -9,7 +9,7 @@ under one of the two long-lived state codes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .checkpoint import StateCode
@@ -64,7 +64,7 @@ class YieldScope:
     capacity_bytes: int = 4096 * SLOT_BYTES
     slots_in_use: int = 0
     bytes_in_use: int = 0
-    promoted: list[tuple[Any, EphemeralState]] = field(default_factory=list)
+    promoted: int = 0  # values promoted so far; the scope keeps none of them
     open: bool = True
 
     def __enter__(self) -> "YieldScope":
@@ -103,7 +103,9 @@ class YieldScope:
 
         Persistent values go to green; deferred values are classified on the
         spot with a green verdict clamped to blue, so the outcome stays in
-        red-or-blue. The new entry carries the ephemeral state code.
+        red-or-blue. The new entry carries the ephemeral state code. The
+        arena keeps the entry's metadata, not the value, and the scope only
+        counts the promotion.
         """
         if not self.open:
             raise LifecycleError(f"scope {self.scope_id} is closed")
@@ -129,5 +131,5 @@ class YieldScope:
             complexity_weight=f.complexity_weight,
         )
         self.arena.table.set_state(handle.slot_index, StateCode(state))
-        self.promoted.append((value, EphemeralState(state)))
+        self.promoted += 1
         return handle

@@ -4,7 +4,9 @@ Objects live in one of three zones for their whole life. Re-zoning never
 moves a slot: the object expires in place and a fresh request claims a slot
 in the target zone. Per-zone LIFO free pools absorb repeat requests, which is
 what keeps real allocations bounded by the peak concurrent live count. The
-arena writes ACTIVE and IDLE straight into the checkpoint table's bytes.
+arena writes ACTIVE and IDLE straight into the checkpoint table's bytes, and
+each object's metadata into the SlotTable's arrays at the same index; a
+slot's zone is its region, found by two compares against the boundaries.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
     EmaConfig,
-    EventKind,
     FeatureVector,
     LogicalClock,
     ObjectHandle,
-    ObjectHeader,
-    RateTracker,
+    ObjectView,
+    SlotTable,
     feature_snapshot,
-    make_trackers,
 )
 
 # Argmin preference when zone costs tie: green, then blue, then red.
@@ -221,6 +221,7 @@ class PoolStats:
 class ZoneArena:
     """Slot allocator over the checkpoint table with per-zone reuse pools.
 
+    Object metadata lives in `slots`, a SlotTable indexed like the table.
     Ownership contract: one worker drives a given zone partition at a time;
     there is no internal locking. Counters are monotone and aggregated by
     readers at quiescent points.
@@ -250,6 +251,7 @@ class ZoneArena:
         self.predicate_thresholds = predicate_thresholds or PredicateThresholds()
         self.costs = costs or CostParams()
         self.policy = policy
+        self.slots = SlotTable(self.layout, rate_window, self.ema)
         # Indexed by ZoneId.ordinal; hot paths avoid enum-keyed dicts.
         self._pools: list[list[int]] = [[] for _ in ZONE_ORDER]
         self._fresh_next: list[int] = [self.layout.start(z) for z in ZONE_ORDER]
@@ -257,18 +259,9 @@ class ZoneArena:
         self._real: list[int] = [0, 0, 0]
         self._reused: list[int] = [0, 0, 0]
         self._expired: list[int] = [0, 0, 0]
-        self._headers: dict[int, ObjectHeader] = {}
-        self._site_trackers: dict[str, RateTracker] = {}
         self._states = self.table._states  # shared storage for inlined writes
 
     # -- allocation ---------------------------------------------------------
-
-    def site_tracker(self, site_tag: str) -> RateTracker:
-        tracker = self._site_trackers.get(site_tag)
-        if tracker is None:
-            tracker = RateTracker(self.rate_window, self.ema, self.clock.now)
-            self._site_trackers[site_tag] = tracker
-        return tracker
 
     def allocate(
         self,
@@ -285,6 +278,7 @@ class ZoneArena:
         now = clock.ops * clock.seconds_per_op
         zi = zone.ordinal
         pool = self._pools[zi]
+        slots = self.slots
         if pool:
             idx = pool.pop()
             self._reused[zi] += 1
@@ -296,63 +290,34 @@ class ZoneArena:
                 )
             self._fresh_next[zi] = idx + 1
             self._real[zi] += 1
-        site = self._site_trackers.get(site_tag)
-        if site is None:
-            site = self.site_tracker(site_tag)
-        site.record(now)
-        header = self._headers.get(idx)
-        if header is None:
-            handle = ObjectHandle(idx, self.table.address_of(idx))
-            header = ObjectHeader(
-                handle=handle,
-                zone=zone,
-                site_tag=site_tag,
-                allocated_at=now,
-                last_event_at=now,
-                size=size,
-                fan_out=fan_out,
-                complexity_weight=complexity_weight,
-                trackers=make_trackers(self.rate_window, self.ema, now, site),
-            )
-            self._headers[idx] = header
-        else:
-            # Reuse the pooled slot for a brand-new object: same placement,
-            # fresh counters.
-            header.alive = True
-            header.site_tag = site_tag
-            header.allocated_at = now
-            header.last_event_at = now
-            header.size = size
-            header.fan_out = fan_out
-            header.complexity_weight = complexity_weight
-            trackers = header.trackers
-            trackers[EventKind.ALLOCATION] = site
-            trackers[EventKind.MUTATION].reset(now)
-            trackers[EventKind.ACCESS].reset(now)
+            slots.handles[idx] = ObjectHandle(idx, self.table.address_of(idx))
+        slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.
         self._states[idx] = _ACTIVE
-        return header.handle
+        return slots.handles[idx]
 
-    def _live_header(self, handle: ObjectHandle) -> ObjectHeader:
-        header = self._headers.get(handle.slot_index)
-        if header is None or not header.alive:
-            raise LifecycleError(f"slot {handle.slot_index} holds no live object")
-        return header
+    def _free(self, handle: ObjectHandle) -> int:
+        """Return a live slot to its zone's pool; returns the zone's ordinal."""
+        idx = handle.slot_index
+        slots = self.slots
+        if not (0 <= idx < len(slots.alive) and slots.alive[idx]):
+            raise LifecycleError(f"slot {idx} holds no live object")
+        self.clock.ops += 1
+        slots.alive[idx] = 0
+        self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
+        # The zone is the slot's region.
+        zi = 0 if idx < slots.green_start else 1 if idx < slots.blue_start else 2
+        self._pools[zi].append(idx)
+        return zi
 
     def release(self, handle: ObjectHandle) -> None:
         """Return a live slot to its zone's pool."""
-        header = self._live_header(handle)
-        self.clock.ops += 1
-        header.alive = False
-        idx = handle.slot_index
-        self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
-        self._pools[header.zone.ordinal].append(idx)
+        self._free(handle)
 
     def expire(self, handle: ObjectHandle) -> None:
         """Terminal expiry: reclaim the slot into its pool and count it."""
-        self.release(handle)
-        self._expired[self._headers[handle.slot_index].zone.ordinal] += 1
+        self._expired[self._free(handle)] += 1
 
     def expire_and_reallocate(self, handle: ObjectHandle, new_zone: ZoneId) -> ObjectHandle:
         """Re-zone by expiry plus fresh request; same-zone calls are no-ops.
@@ -360,7 +325,9 @@ class ZoneArena:
         The old index returns to its own zone's pool and is never rebound to
         the new zone.
         """
-        header = self._live_header(handle)
+        header = self.header_of(handle)
+        if not header.alive:
+            raise LifecycleError(f"slot {handle.slot_index} holds no live object")
         if new_zone is header.zone:
             return handle
         site = header.site_tag
@@ -374,11 +341,13 @@ class ZoneArena:
 
     # -- queries ------------------------------------------------------------
 
-    def header_of(self, handle: ObjectHandle) -> ObjectHeader:
-        header = self._headers.get(handle.slot_index)
-        if header is None:
-            raise LifecycleError(f"slot {handle.slot_index} was never allocated")
-        return header
+    def header_of(self, handle: ObjectHandle) -> ObjectView:
+        """View of the slot's current object, or of its last one once freed."""
+        idx = handle.slot_index
+        slots = self.slots
+        if not 0 <= idx < len(slots.handles) or slots.handles[idx] is None:
+            raise LifecycleError(f"slot {idx} was never allocated")
+        return ObjectView(slots, idx)
 
     def pool_stats(self, zone: ZoneId) -> PoolStats:
         zi = zone.ordinal
@@ -410,10 +379,11 @@ class ZoneArena:
         handle) pairs for the moved objects.
         """
         moved = []
+        slots = self.slots
         for idx in report.candidates:
-            header = self._headers.get(idx)
-            if header is None or not header.alive:
+            if not slots.alive[idx]:
                 continue
+            header = ObjectView(slots, idx)
             target = self.classify(feature_snapshot(header))
             if target is not header.zone:
                 new_handle = self.expire_and_reallocate(header.handle, target)

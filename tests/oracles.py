@@ -236,3 +236,164 @@ def rate_replay_oracle(event_times, window: float, omega: float, start: float):
         count += 1
     raw = count / window
     return raw, (ema if ema is not None else raw)
+
+
+# -- per-object header arena model -------------------------------------------
+
+
+class Refused(Exception):
+    """A request the arena model turns down; kind is "lifecycle" (no live
+    object there), "capacity" (zone full) or "time" (event before the last)."""
+
+    def __init__(self, kind: str) -> None:
+        super().__init__(kind)
+        self.kind = kind
+
+
+class TrackerModel:
+    """Windowed event counter that closes windows one at a time, the rule of
+    rate_replay_oracle kept incrementally."""
+
+    def __init__(self, window: float, omega: float, start: float) -> None:
+        self.window = window
+        self.omega = omega
+        self.start = start
+        self.count = 0
+        self.ema = None
+
+    def record(self, now: float) -> None:
+        while now >= self.start + self.window:
+            sample = self.count / self.window
+            self.ema = (sample if self.ema is None
+                        else self.omega * sample + (1 - self.omega) * self.ema)
+            self.count = 0
+            self.start += self.window
+        self.count += 1
+
+    def smoothed(self) -> float:
+        return self.ema if self.ema is not None else self.count / self.window
+
+
+class HeaderModel:
+    """The record of one object: placement, times, static features and one
+    tracker per event kind, the allocation tracker shared by its site."""
+
+    def __init__(self, slot, zone, site_tag, now, size, fan_out, chi,
+                 site_tracker, window, omega) -> None:
+        self.slot = slot
+        self.zone = zone
+        self.site_tag = site_tag
+        self.allocated_at = now
+        self.last_event_at = now
+        self.size = size
+        self.fan_out = fan_out
+        self.complexity_weight = chi
+        self.alive = True
+        self.trackers = {
+            "allocation": site_tracker,
+            "mutation": TrackerModel(window, omega, now),
+            "access": TrackerModel(window, omega, now),
+        }
+
+
+class ArenaModel:
+    """Scalar model of the pooled arena with one header per object.
+
+    Zones are "R", "G", "B", laid out in that order. A request takes the last
+    slot its zone's pool got back, else the zone's next fresh slot. Each
+    allocation and each release ticks a logical clock of seconds_per_op per
+    tick. States are 1 (active) for a live slot and 0 (idle) otherwise.
+    """
+
+    ZONES = ("R", "G", "B")
+
+    def __init__(self, sizes, window: float, omega: float,
+                 seconds_per_op: float) -> None:
+        self.window = window
+        self.omega = omega
+        self.seconds_per_op = seconds_per_op
+        self.ops = 0
+        starts = (0, sizes[0], sizes[0] + sizes[1])
+        self.start = dict(zip(self.ZONES, starts))
+        self.stop = {z: lo + n for z, lo, n in zip(self.ZONES, starts, sizes)}
+        self.fresh = dict(self.start)
+        self.pools = {z: [] for z in self.ZONES}
+        self.real = {z: 0 for z in self.ZONES}
+        self.reused = {z: 0 for z in self.ZONES}
+        self.expired = {z: 0 for z in self.ZONES}
+        self.headers: dict[int, HeaderModel] = {}
+        self.sites: dict[str, TrackerModel] = {}
+        self.states = [0] * sum(sizes)
+
+    def now(self) -> float:
+        return self.ops * self.seconds_per_op
+
+    def allocate(self, zone, site_tag, size=0.0, fan_out=0.0, chi=0.0) -> int:
+        self.ops += 1
+        now = self.now()
+        if self.pools[zone]:
+            slot = self.pools[zone].pop()
+            self.reused[zone] += 1
+        else:
+            slot = self.fresh[zone]
+            if slot >= self.stop[zone]:
+                raise Refused("capacity")
+            self.fresh[zone] += 1
+            self.real[zone] += 1
+        site = self.sites.get(site_tag)
+        if site is None:
+            site = self.sites[site_tag] = TrackerModel(self.window, self.omega, now)
+        site.record(now)
+        self.headers[slot] = HeaderModel(slot, zone, site_tag, now, size, fan_out,
+                                         chi, site, self.window, self.omega)
+        self.states[slot] = 1
+        return slot
+
+    def live(self, slot: int) -> HeaderModel:
+        header = self.headers.get(slot)
+        if header is None or not header.alive:
+            raise Refused("lifecycle")
+        return header
+
+    def release(self, slot: int) -> str:
+        header = self.live(slot)
+        self.ops += 1
+        header.alive = False
+        self.states[slot] = 0
+        self.pools[header.zone].append(slot)
+        return header.zone
+
+    def expire(self, slot: int) -> None:
+        self.expired[self.release(slot)] += 1
+
+    def expire_and_reallocate(self, slot: int, zone: str) -> int:
+        header = self.live(slot)
+        if zone == header.zone:
+            return slot
+        self.expire(slot)
+        return self.allocate(zone, header.site_tag, header.size, header.fan_out,
+                             header.complexity_weight)
+
+    def record_event(self, slot: int, kind: str, now: float) -> None:
+        header = self.live(slot)
+        if now < header.last_event_at:
+            raise Refused("time")
+        header.trackers[kind].record(now)
+        header.last_event_at = now
+
+    def features(self, slot: int) -> dict:
+        h = self.headers[slot]
+        return {
+            "alloc_rate": h.trackers["allocation"].smoothed(),
+            "lifetime": h.last_event_at - h.allocated_at,
+            "mutation_rate": h.trackers["mutation"].smoothed(),
+            "access_rate": h.trackers["access"].smoothed(),
+            "size": h.size,
+            "fan_out": h.fan_out,
+            "complexity_weight": h.complexity_weight,
+        }
+
+    def pool_stats(self, zone: str) -> tuple:
+        """(total, real, reused, expired, pool size) of a zone."""
+        real, reused = self.real[zone], self.reused[zone]
+        return real + reused, real, reused, self.expired[zone], len(self.pools[zone])

@@ -9,20 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonegc.errors import LifecycleError
-from zonegc.layout import ZoneId
+from zonegc.layout import ZoneId, ZoneLayout
 from zonegc.objects import (
     EmaConfig,
     EventKind,
     FeatureVector,
     LogicalClock,
-    ObjectHandle,
-    ObjectHeader,
     RateTracker,
     ema_update,
     feature_snapshot,
-    make_trackers,
     record_event,
 )
+from zonegc.zones import ZoneArena
 
 from .oracles import ema_chain_oracle, rate_replay_oracle
 
@@ -30,17 +28,16 @@ FINITE = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 OMEGA = st.floats(min_value=0.01, max_value=0.99)
 
 
-def make_header(now: float = 0.0, window: float = 1.0,
-                site: str = "t") -> ObjectHeader:
-    trackers = make_trackers(window, EmaConfig(0.5), now)
-    return ObjectHeader(
-        handle=ObjectHandle(3, 48),
-        zone=ZoneId.GREEN,
-        site_tag=site,
-        allocated_at=now,
-        last_event_at=now,
-        trackers=trackers,
-    )
+def make_header(window: float = 1.0, site: str = "t"):
+    """A live object allocated at time 0 in a small arena, and its view.
+
+    The clock stands still (0 seconds per op), so the object is allocated at
+    time 0 and its events carry their own times.
+    """
+    arena = ZoneArena(ZoneLayout(4, 4, 4), clock=LogicalClock(seconds_per_op=0.0),
+                      rate_window=window, ema=EmaConfig(0.5))
+    handle = arena.allocate(ZoneId.GREEN, site)
+    return arena, arena.header_of(handle)
 
 
 # -- EMA --------------------------------------------------------------------
@@ -90,7 +87,7 @@ def test_rate_before_first_window_completes():
     tracker.record(0.2)
     assert tracker.raw_rate == 2.0
     assert tracker.smoothed == 2.0  # partial-window fallback
-    assert tracker.ema is None
+    assert math.isnan(tracker.ema)  # no window has closed
 
 
 def test_first_completed_window_seeds_ema():
@@ -141,13 +138,36 @@ def test_tracker_matches_replay_oracle(times, window, omega):
     assert tracker.total == len(ordered)
 
 
+@pytest.mark.parametrize("window, omega, idle", [
+    (1.0, 1e-6, 1_000_000),  # decay (1 - 1e-6) ** 1e6 ~ 1/e stays visible
+    (0.3, 0.01, 1_000),
+])
+def test_long_idle_roll_matches_replay_oracle(window, omega, idle):
+    # three events, `idle` empty windows, then two events mid-window; the
+    # idle run is closed in one step, by both the tracker and the slot path
+    times = [0.1 * window, 0.4 * window, 0.7 * window,
+             (idle + 1.5) * window, (idle + 1.75) * window]
+    raw, smoothed = rate_replay_oracle(times, window, omega, 0.0)
+    tracker = RateTracker(window=window, cfg=EmaConfig(omega), start=0.0)
+    arena = ZoneArena(ZoneLayout(4, 4, 4), clock=LogicalClock(seconds_per_op=0.0),
+                      rate_window=window, ema=EmaConfig(omega))
+    header = arena.header_of(arena.allocate(ZoneId.BLUE, "idle"))
+    for t in times:
+        tracker.record(t)
+        record_event(header, EventKind.MUTATION, t)
+    assert tracker.raw_rate == raw == 2 / window
+    for got in (tracker.smoothed, feature_snapshot(header).mutation_rate):
+        assert math.isclose(got, smoothed, rel_tol=1e-9, abs_tol=1e-12)
+    assert smoothed > 0.0
+
+
 def test_tracker_reset_clears_history():
     tracker = RateTracker(window=1.0, cfg=EmaConfig(0.5), start=0.0)
     for t in (0.5, 1.5, 2.5):
         tracker.record(t)
-    assert tracker.ema is not None
+    assert not math.isnan(tracker.ema)
     tracker.reset(10.0)
-    assert tracker.ema is None
+    assert math.isnan(tracker.ema)
     assert tracker.count == 0
     assert tracker.total == 0
     assert tracker.window_start == 10.0
@@ -164,35 +184,35 @@ def test_tracker_rejects_bad_window():
 def test_record_event_updates_lifetime_and_counts():
     # 0.5 keeps the event inside the first window; at exactly 1.0 the
     # tracker would roll an empty window first and smooth toward zero
-    header = make_header(now=0.0)
+    _, header = make_header()
     record_event(header, EventKind.ACCESS, 0.5)
     assert header.lifetime == 0.5
     assert header.last_event_at == 0.5
-    assert header.trackers[EventKind.ACCESS].total == 1
     f = feature_snapshot(header)
     assert f.access_rate == 1.0  # partial-window fallback, 1 event / window
     assert f.mutation_rate == 0.0
 
 
 def test_record_event_two_mutations_in_window():
-    header = make_header(now=0.0)
+    _, header = make_header()
     record_event(header, EventKind.MUTATION, 0.3)
     record_event(header, EventKind.MUTATION, 0.6)
     assert feature_snapshot(header).mutation_rate == 2.0
 
 
 def test_record_event_rejects_dead_header_and_time_regression():
-    header = make_header(now=0.0)
+    arena, header = make_header()
     record_event(header, EventKind.ACCESS, 1.0)
     with pytest.raises(ValueError):
         record_event(header, EventKind.ACCESS, 0.5)
-    header.alive = False
+    arena.release(header.handle)
+    assert not header.alive
     with pytest.raises(LifecycleError):
         record_event(header, EventKind.ACCESS, 2.0)
 
 
 def test_record_event_never_touches_placement():
-    header = make_header(now=0.0)
+    _, header = make_header()
     placement = (header.zone, header.handle)
     for t in (0.2, 0.9, 1.4, 3.0):
         record_event(header, EventKind.ACCESS, t)
@@ -201,7 +221,7 @@ def test_record_event_never_touches_placement():
 
 
 def test_feature_snapshot_is_pure():
-    header = make_header(now=0.0)
+    _, header = make_header()
     for t in (0.2, 0.4, 1.1):
         record_event(header, EventKind.ACCESS, t)
     first = feature_snapshot(header)
@@ -216,10 +236,18 @@ def test_feature_vector_rejects_negative_fields():
 
 
 def test_shared_allocation_tracker():
-    site = RateTracker(1.0, EmaConfig(0.5), 0.0)
-    trackers = make_trackers(1.0, EmaConfig(0.5), 0.0, alloc_tracker=site)
-    assert trackers[EventKind.ALLOCATION] is site
-    assert trackers[EventKind.ACCESS] is not site
+    # allocation rate belongs to the site: an allocation event on one object
+    # moves the rate every object of the site reads, and nothing else
+    arena, first = make_header(site="s")
+    second = arena.header_of(arena.allocate(ZoneId.RED, "s"))
+    other = arena.header_of(arena.allocate(ZoneId.RED, "u"))
+    assert feature_snapshot(first).alloc_rate == 2.0  # two allocations at "s"
+    record_event(first, EventKind.ALLOCATION, 0.5)
+    record_event(first, EventKind.ACCESS, 0.5)
+    assert feature_snapshot(second).alloc_rate == 3.0
+    assert feature_snapshot(first).alloc_rate == 3.0
+    assert feature_snapshot(other).alloc_rate == 1.0
+    assert feature_snapshot(second).access_rate == 0.0
 
 
 # -- logical clock ----------------------------------------------------------

@@ -100,7 +100,9 @@ def test_promote_persistent_lands_in_green_with_state_code():
         assert lo <= handle.slot_index < hi
         assert arena.table.get_state(handle.slot_index) is StateCode.PERSISTENT
         assert arena.header_of(handle).site_tag == "sc"
-        assert scope.promoted == [("kept", EphemeralState.PERSISTENT)]
+        assert scope.promoted == 1
+        assert arena.pool_stats(ZoneId.GREEN).total_requests == 1
+        assert arena.header_of(handle).alive
 
 
 def test_promote_deferred_never_lands_in_green():

@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonegc.checkpoint import StateCode
 from zonegc.errors import LifecycleError, ZoneCapacityError
 from zonegc.layout import ZoneId, ZoneLayout
-from zonegc.objects import FeatureVector
+from zonegc.objects import (
+    EmaConfig,
+    EventKind,
+    FeatureVector,
+    LogicalClock,
+    ObjectHandle,
+    feature_snapshot,
+    record_event,
+)
 from zonegc.zones import (
     CostParams,
     PoolStats,
@@ -23,6 +33,8 @@ from zonegc.zones import (
     eligibility,
     zone_cost,
 )
+
+from .oracles import ArenaModel, Refused
 
 RATES = st.floats(min_value=0.0, max_value=500.0)
 
@@ -406,3 +418,113 @@ def test_arena_counters_match_free_list_model(ops):
         assert stats.reused_objects == m["reused"]
         assert stats.expired_objects == m["expired"]
         assert stats.pool_size == len(m["pool"])
+
+
+# -- flat arena against the per-object header model -------------------------
+
+LETTER = {ZoneId.RED: "R", ZoneId.GREEN: "G", ZoneId.BLUE: "B"}
+KINDS = {EventKind.ACCESS: "access", EventKind.MUTATION: "mutation",
+         EventKind.ALLOCATION: "allocation"}
+REFUSAL = {LifecycleError: "lifecycle", ZoneCapacityError: "capacity",
+           ValueError: "time"}
+# Dyadic window lengths, clock steps and event offsets put every window
+# boundary on an exact float, so closing windows one at a time (the model)
+# and in one step (the arena) must assign each event to the same window.
+# Offsets up to 1,200 windows take the one-step path.
+ZONE_PICK = st.sampled_from([ZoneId.RED, ZoneId.GREEN, ZoneId.BLUE])
+ARENA_OPS = st.one_of(
+    st.tuples(st.just("alloc"), ZONE_PICK, st.sampled_from(["a", "b"]),
+              st.sampled_from([0.0, 64.0, 4096.0])),
+    st.tuples(st.sampled_from(["release", "expire"]), st.integers(0, 63)),
+    st.tuples(st.just("move"), st.integers(0, 63), ZONE_PICK),
+    st.tuples(st.just("event"), st.integers(0, 63), st.sampled_from(list(KINDS)),
+              st.sampled_from([0.0, 0.125, 0.75, 3.0, -0.5, 600.0])),
+)
+
+
+def _outcome(call):
+    """The call's result, or the kind of refusal it raised."""
+    try:
+        return call()
+    except (LifecycleError, ZoneCapacityError, ValueError) as exc:
+        return next(kind for cls, kind in REFUSAL.items() if isinstance(exc, cls))
+    except Refused as exc:
+        return exc.kind
+
+
+@settings(max_examples=150, deadline=None)
+@example(ops=[  # a reused slot starts with fresh rates, not its last object's
+    ("alloc", ZoneId.GREEN, "a", 0.0), ("event", 2, EventKind.ACCESS, 0.0),
+    ("event", 2, EventKind.ACCESS, 3.0), ("release", 2),
+    ("alloc", ZoneId.GREEN, "a", 0.0)], window=1.0, omega=0.5, step=0.125)
+@given(ops=st.lists(ARENA_OPS, max_size=80),
+       window=st.sampled_from([0.5, 1.0, 2.0]),
+       omega=st.sampled_from([0.25, 0.5, 0.875]),
+       step=st.sampled_from([0.125, 0.25]))
+def test_flat_arena_matches_header_model(ops, window, omega, step):
+    sizes = (4, 4, 4)
+    arena = ZoneArena(ZoneLayout(*sizes), clock=LogicalClock(seconds_per_op=step),
+                      rate_window=window, ema=EmaConfig(omega))
+    model = ArenaModel(sizes, window, omega, step)
+    # every handle ever issued, plus two that name no slot of the table
+    handles = [ObjectHandle(-1, 0), ObjectHandle(12, 0)]
+    by_slot: dict[int, ObjectHandle] = {}
+
+    def issued(handle):
+        if isinstance(handle, ObjectHandle):
+            # one handle object per slot, made on the slot's first claim
+            assert by_slot.setdefault(handle.slot_index, handle) is handle
+            handles.append(handle)
+            return handle.slot_index
+        return handle
+
+    for op in ops:
+        if op[0] == "alloc":
+            _, zone, site, size = op
+            got = issued(_outcome(lambda: arena.allocate(zone, site, size=size,
+                                                         fan_out=size / 64)))
+            want = _outcome(lambda: model.allocate(LETTER[zone], site, size, size / 64))
+        else:
+            handle = handles[op[1] % len(handles)]
+            slot = handle.slot_index
+            if op[0] == "release":
+                got = _outcome(lambda: arena.release(handle))
+                want = _outcome(lambda: model.release(slot) and None)
+            elif op[0] == "expire":
+                got = _outcome(lambda: arena.expire(handle))
+                want = _outcome(lambda: model.expire(slot))
+            elif op[0] == "move":
+                zone = op[2]
+                got = issued(_outcome(lambda: arena.expire_and_reallocate(handle, zone)))
+                want = _outcome(lambda: model.expire_and_reallocate(slot, LETTER[zone]))
+            else:
+                _, _, kind, offset = op
+                now = arena.clock.now + offset * window
+                got = _outcome(lambda: record_event(arena.header_of(handle), kind, now)
+                               and None)
+                want = _outcome(lambda: model.record_event(slot, KINDS[kind], now))
+        assert got == want, op
+
+        for zone in ZoneId:
+            s = arena.pool_stats(zone)
+            assert (s.total_requests, s.real_allocations, s.reused_objects,
+                    s.expired_objects, s.pool_size) == model.pool_stats(LETTER[zone])
+        assert [int(s) for s in arena.table.states()] == model.states
+        for slot in range(sum(sizes)):
+            if slot not in model.headers:
+                with pytest.raises(LifecycleError):
+                    arena.header_of(ObjectHandle(slot, 0))
+                continue
+            h = model.headers[slot]
+            view = arena.header_of(by_slot[slot])
+            assert view.handle is by_slot[slot]
+            assert (LETTER[view.zone], view.site_tag, view.alive, view.allocated_at,
+                    view.last_event_at, view.lifetime, view.size, view.fan_out,
+                    view.complexity_weight) == (
+                h.zone, h.site_tag, h.alive, h.allocated_at, h.last_event_at,
+                h.last_event_at - h.allocated_at, h.size, h.fan_out,
+                h.complexity_weight)
+            f = feature_snapshot(view)
+            for name, value in model.features(slot).items():
+                assert math.isclose(getattr(f, name), value, rel_tol=1e-9,
+                                    abs_tol=1e-12), name
