@@ -8,7 +8,8 @@ weight), the allocation site and windowed mutation and access rates.
 Allocation rate belongs to the site, so each site keeps one RateTracker.
 Rates are counted over a fixed logical-time window and smoothed with an
 exponential moving average; the smoothed view is what classification
-consumes.
+consumes, one object at a time (feature_snapshot) or as columns
+(feature_columns).
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import LifecycleError
 from .layout import ZONE_ORDER, ZoneId, ZoneLayout
@@ -102,17 +106,13 @@ class FeatureVector:
     complexity_weight: float = 0.0  # dimensionless workload factor
 
     def __post_init__(self) -> None:
-        for name in (
-            "alloc_rate",
-            "lifetime",
-            "mutation_rate",
-            "access_rate",
-            "size",
-            "fan_out",
-            "complexity_weight",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # One chained test: a loop of getattr calls costs more than the rest
+        # of the construction. min() would not do, as min(nan, -1.0) is nan.
+        if (self.alloc_rate < 0 or self.lifetime < 0 or self.mutation_rate < 0
+                or self.access_rate < 0 or self.size < 0 or self.fan_out < 0
+                or self.complexity_weight < 0):
+            name = next(n for n in self.__dataclass_fields__ if getattr(self, n) < 0)
+            raise ValueError(f"{name} must be non-negative")
 
 
 class RateTracker:
@@ -236,6 +236,17 @@ class SlotTable:
         ema = self.ema[j]
         return ema if ema == ema else self.count[j] / self.window
 
+    def rates(self, j: np.ndarray) -> np.ndarray:
+        """rate of each tracker entry in j. Only the entries whose EMA is
+        still NaN read the open count."""
+        r = np.frombuffer(self.ema)[j]
+        cold = np.flatnonzero(r != r)
+        if cold.size:
+            count = self.count
+            r[cold] = np.array([count[k] for k in j[cold].tolist()],
+                               dtype=np.float64) / self.window
+        return r
+
 
 def _column(name: str) -> property:
     return property(lambda view: getattr(view.slots, name)[view.index],
@@ -313,6 +324,43 @@ def feature_snapshot(header: ObjectView) -> FeatureVector:
         fan_out=slots.fan_out[i],
         complexity_weight=slots.complexity_weight[i],
     )
+
+
+class FeatureColumns(NamedTuple):
+    """The features the policies read, for many objects at once: one float64
+    array per FeatureVector field. alloc_rate is left out; no policy reads it."""
+
+    lifetime: np.ndarray
+    mutation_rate: np.ndarray
+    access_rate: np.ndarray
+    size: np.ndarray
+    fan_out: np.ndarray
+    complexity_weight: np.ndarray
+
+
+def feature_columns(slots: SlotTable, idx: np.ndarray) -> FeatureColumns:
+    """feature_snapshot of every slot in idx, one fancy index per column.
+
+    Pure read. Raises ValueError on a negative entry, as FeatureVector does,
+    before the caller acts on any of the slots.
+    """
+
+    def column(name: str) -> np.ndarray:
+        return np.frombuffer(getattr(slots, name))[idx]
+
+    j = 2 * idx
+    f = FeatureColumns(
+        lifetime=column("last_event_at") - column("allocated_at"),
+        mutation_rate=slots.rates(j + _MUTATION),
+        access_rate=slots.rates(j + _ACCESS),
+        size=column("size"),
+        fan_out=column("fan_out"),
+        complexity_weight=column("complexity_weight"),
+    )
+    for name, values in zip(FeatureColumns._fields, f):
+        if (values < 0).any():
+            raise ValueError(f"{name} must be non-negative")
+    return f
 
 
 @dataclass

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .checkpoint import StateCode
 from .errors import EphemeralStateError, LifecycleError, PromotionError, YieldOverflowError
 from .layout import SLOT_BYTES, ZoneId
 from .objects import FeatureVector
@@ -34,19 +33,27 @@ class PromotionTarget(enum.Enum):
     RED_OR_BLUE = "red-or-blue"
 
 
+# IntEnum keys hash and compare as their codes, so a plain int finds them;
+# the lookup costs a fraction of EphemeralState(state).
+_TARGETS = {
+    EphemeralState.DISCARD: PromotionTarget.NO_ZONE,
+    EphemeralState.SCOPED: PromotionTarget.NO_ZONE,
+    EphemeralState.PERSISTENT: PromotionTarget.GREEN,
+    EphemeralState.DEFERRED: PromotionTarget.RED_OR_BLUE,
+}
+
+# What promote reads when it is given no features; frozen, so one serves all.
+_NO_FEATURES = FeatureVector()
+
+
 def promotion_target(state: int) -> PromotionTarget:
     """Where a given ephemeral state code routes on scope exit."""
-    try:
-        state = EphemeralState(state)
-    except ValueError:
+    target = _TARGETS.get(state)
+    if target is None:
         raise EphemeralStateError(
             f"state {state:#05b} is not an ephemeral-value code"
-        ) from None
-    if state in (EphemeralState.DISCARD, EphemeralState.SCOPED):
-        return PromotionTarget.NO_ZONE
-    if state is EphemeralState.PERSISTENT:
-        return PromotionTarget.GREEN
-    return PromotionTarget.RED_OR_BLUE
+        )
+    return target
 
 
 @dataclass
@@ -116,7 +123,7 @@ class YieldScope:
             )
         if self.arena is None:
             raise LifecycleError("scope has no arena to promote into")
-        f = features or FeatureVector()
+        f = _NO_FEATURES if features is None else features
         if target is PromotionTarget.GREEN:
             zone = ZoneId.GREEN
         else:
@@ -130,6 +137,6 @@ class YieldScope:
             fan_out=f.fan_out,
             complexity_weight=f.complexity_weight,
         )
-        self.arena.table.set_state(handle.slot_index, StateCode(state))
+        self.arena.table.set_state(handle.slot_index, int(state))
         self.promoted += 1
         return handle

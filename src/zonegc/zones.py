@@ -7,27 +7,35 @@ what keeps real allocations bounded by the peak concurrent live count. The
 arena writes ACTIVE and IDLE straight into the checkpoint table's bytes, and
 each object's metadata into the SlotTable's arrays at the same index; a
 slot's zone is its region, found by two compares against the boundaries.
+Each policy has a scalar classifier, for one object, and a batched one that
+a sweep pause runs over all its candidates' feature columns at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .checkpoint import CheckpointTable, StateCode, SweepReport
 from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
     EmaConfig,
+    FeatureColumns,
     FeatureVector,
     LogicalClock,
     ObjectHandle,
     ObjectView,
     SlotTable,
-    feature_snapshot,
+    feature_columns,
+    feature_snapshot,  # noqa: F401  perfbench's tracer wraps zones.feature_snapshot
 )
 
 # Argmin preference when zone costs tie: green, then blue, then red.
 _TIE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
+
+_RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
 
 # Plain-int state codes for the inlined table writes; storing a StateCode
 # member in the bytearray costs several times more per write.
@@ -128,8 +136,9 @@ class CostParams:
             raise ValueError("scan weights must be non-increasing red >= green >= blue")
 
 
-def zone_cost(zone: ZoneId, f: FeatureVector, costs: CostParams) -> float:
-    """Expected per-object work of hosting f in zone: mark, scan, staging."""
+def zone_cost(zone: ZoneId, f: FeatureVector | FeatureColumns, costs: CostParams):
+    """Expected per-object work of hosting f in zone: mark, scan, staging.
+    A float for a FeatureVector, an array for FeatureColumns."""
     w = costs.weights[zone]
     return w.mark * f.complexity_weight + w.scan * f.fan_out + w.stage * f.size
 
@@ -141,6 +150,24 @@ def argmin_cost(f: FeatureVector, costs: CostParams) -> ZoneId:
         c = zone_cost(zone, f, costs)
         if best_cost is None or c < best_cost:
             best, best_cost = zone, c
+    return best
+
+
+def argmin_cost_batch(f: FeatureColumns, costs: CostParams) -> np.ndarray:
+    """argmin_cost of each object, as zone ordinals.
+
+    Built as argmin_cost's chain, not np.argmin: a cost is taken only when
+    strictly below the best so far, so a NaN cost (inf size times a zero
+    weight) never wins, where np.argmin would return it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        best_cost = zone_cost(_TIE_ORDER[0], f, costs)
+        best = np.full(best_cost.shape, _TIE_ORDER[0].ordinal)
+        for zone in _TIE_ORDER[1:]:
+            c = zone_cost(zone, f, costs)
+            take = c < best_cost
+            best[take] = zone.ordinal
+            best_cost = np.where(take, c, best_cost)
     return best
 
 
@@ -162,6 +189,20 @@ def classify_simple(f: FeatureVector, th: RateThresholds, costs: CostParams) -> 
         # both rates inside [red, green): ambiguous, take the cheapest zone
         return argmin_cost(f, costs)
     return ZoneId.BLUE
+
+
+def classify_simple_batch(f: FeatureColumns, th: RateThresholds,
+                          costs: CostParams) -> np.ndarray:
+    """classify_simple of each object, as zone ordinals."""
+    a = f.access_rate
+    mu = f.mutation_rate
+    return np.select(
+        [(a < th.access_red) & (mu < th.mutation_red),
+         (a >= th.access_green) | (mu >= th.mutation_green),
+         (th.access_red <= a) & (th.mutation_red <= mu)],
+        [_RED, _GREEN, argmin_cost_batch(f, costs)],
+        _BLUE,
+    )
 
 
 def eligibility(f: FeatureVector, th: PredicateThresholds) -> dict[ZoneId, bool]:
@@ -199,6 +240,26 @@ def classify_predicates(f: FeatureVector, th: PredicateThresholds,
     if len(applicable) == 1:
         return applicable[0]
     return argmin_cost(f, costs)
+
+
+def classify_predicates_batch(f: FeatureColumns, th: PredicateThresholds,
+                              costs: CostParams) -> np.ndarray:
+    """classify_predicates of each object, as zone ordinals."""
+    lt, mu, a, size = f.lifetime, f.mutation_rate, f.access_rate, f.size
+    e_r = ((lt <= th.lifetime_red) & (mu >= th.mutation_red)
+           & (a >= th.access_red) & (size <= th.size_red))
+    e_g = ((th.lifetime_red < lt) & (lt <= th.lifetime_green)
+           & (th.mutation_green <= mu) & (mu < th.mutation_red)
+           & (th.access_green <= a) & (a < th.access_red)
+           & (th.size_red < size) & (size <= th.size_green))
+    e_b = ((lt > th.lifetime_green) | (mu < th.mutation_green)
+           | (a < th.access_green) | (size > th.size_green))
+    n_eligible = e_r.astype(np.int8) + e_g + e_b
+    return np.select(
+        [n_eligible != 1, e_r, e_g],
+        [argmin_cost_batch(f, costs), _RED, _GREEN],
+        _BLUE,
+    )
 
 
 @dataclass(frozen=True)
@@ -323,20 +384,26 @@ class ZoneArena:
         """Re-zone by expiry plus fresh request; same-zone calls are no-ops.
 
         The old index returns to its own zone's pool and is never rebound to
-        the new zone.
+        the new zone. The new object takes the old one's site and static
+        features, which a freed slot keeps.
         """
-        header = self.header_of(handle)
-        if not header.alive:
-            raise LifecycleError(f"slot {handle.slot_index} holds no live object")
-        if new_zone is header.zone:
+        idx = handle.slot_index
+        slots = self.slots
+        if not (0 <= idx < len(slots.alive) and slots.alive[idx]):
+            raise LifecycleError(f"slot {idx} holds no live object")
+        zi = 0 if idx < slots.green_start else 1 if idx < slots.blue_start else 2
+        if new_zone.ordinal == zi:
             return handle
-        site = header.site_tag
-        size = header.size
-        fan_out = header.fan_out
-        chi = header.complexity_weight
-        self.expire(handle)
+        # expire(handle) inlined, its checks done above: a pause makes one
+        # call per moved object.
+        self.clock.ops += 1
+        slots.alive[idx] = 0
+        self._states[idx] = _IDLE
+        self._pools[zi].append(idx)
+        self._expired[zi] += 1
         return self.allocate(
-            new_zone, site, size=size, fan_out=fan_out, complexity_weight=chi
+            new_zone, slots.site_tag[idx], size=slots.size[idx],
+            fan_out=slots.fan_out[idx], complexity_weight=slots.complexity_weight[idx],
         )
 
     # -- queries ------------------------------------------------------------
@@ -374,18 +441,27 @@ class ZoneArena:
     def reclassify_candidates(self, report: SweepReport) -> list[tuple[int, ObjectHandle]]:
         """Re-run the active policy on promotion/demotion candidates.
 
-        Candidates whose classification moved expire and reallocate into the
-        new zone; the rest are left as they are. Returns (old index, new
-        handle) pairs for the moved objects.
+        The pause is a snapshot: the candidates alive when it starts are
+        classified at once, from their features at that moment, and a slot
+        that a move claims during the pause is not examined again. Then each
+        candidate whose zone differs from its target expires and reallocates
+        into the target, in ascending index order; the rest are left as they
+        are. Returns (old index, new handle) pairs for the moved objects. A
+        negative feature raises ValueError before any move is made.
         """
-        moved = []
         slots = self.slots
-        for idx in report.candidates:
-            if not slots.alive[idx]:
-                continue
-            header = ObjectView(slots, idx)
-            target = self.classify(feature_snapshot(header))
-            if target is not header.zone:
-                new_handle = self.expire_and_reallocate(header.handle, target)
-                moved.append((idx, new_handle))
-        return moved
+        idx = np.array(report.candidates, dtype=np.intp)
+        idx = idx[np.frombuffer(slots.alive, dtype=np.uint8)[idx] != 0]
+        f = feature_columns(slots, idx)
+        if self.policy == "simple":
+            target = classify_simple_batch(f, self.rate_thresholds, self.costs)
+        else:
+            target = classify_predicates_batch(f, self.predicate_thresholds, self.costs)
+        # The zone is the slot's region.
+        zone = (idx >= slots.green_start).astype(np.int8) + (idx >= slots.blue_start)
+        movers = target != zone
+        handles = slots.handles
+        return [
+            (i, self.expire_and_reallocate(handles[i], ZONE_ORDER[t]))
+            for i, t in zip(idx[movers].tolist(), target[movers].tolist())
+        ]

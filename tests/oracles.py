@@ -381,6 +381,20 @@ class ArenaModel:
         header.trackers[kind].record(now)
         header.last_event_at = now
 
+    def mark(self, slot: int, code: int) -> None:
+        self.states[slot] = code
+
+    def reclassify(self, candidates, classify) -> list[tuple[int, int]]:
+        """One pause over the candidate slots; classify maps a features dict
+        to a zone letter. The pause is a snapshot: every candidate alive when
+        it starts is classified first, then the ones whose zone differs move
+        in ascending slot order. A slot a move claims is not examined again.
+        Returns (old slot, new slot) pairs."""
+        targets = [(slot, classify(self.features(slot))) for slot in sorted(candidates)
+                   if slot in self.headers and self.headers[slot].alive]
+        return [(slot, self.expire_and_reallocate(slot, zone))
+                for slot, zone in targets if zone != self.headers[slot].zone]
+
     def features(self, slot: int) -> dict:
         h = self.headers[slot]
         return {

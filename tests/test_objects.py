@@ -233,6 +233,9 @@ def test_feature_vector_rejects_negative_fields():
     with pytest.raises(ValueError):
         FeatureVector(alloc_rate=-1.0, lifetime=0, mutation_rate=0,
                       access_rate=0, size=0, fan_out=0, complexity_weight=0)
+    # a NaN before the negative field does not hide it
+    with pytest.raises(ValueError, match="^fan_out must be non-negative$"):
+        FeatureVector(lifetime=float("nan"), size=float("nan"), fan_out=-1.0)
 
 
 def test_shared_allocation_tracker():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from zonegc.layout import ZoneId, ZoneLayout
 from zonegc.objects import (
     EmaConfig,
     EventKind,
+    FeatureColumns,
     FeatureVector,
     LogicalClock,
     ObjectHandle,
@@ -21,6 +24,7 @@ from zonegc.objects import (
     record_event,
 )
 from zonegc.zones import (
+    POLICIES,
     CostParams,
     PoolStats,
     PredicateThresholds,
@@ -29,7 +33,9 @@ from zonegc.zones import (
     ZoneWeights,
     argmin_cost,
     classify_predicates,
+    classify_predicates_batch,
     classify_simple,
+    classify_simple_batch,
     eligibility,
     zone_cost,
 )
@@ -203,6 +209,109 @@ def test_predicate_policy_matches_oracle(a, mu, lifetime, size, fan_out, chi):
     assert classify_predicates(f, th, costs) is predicate_oracle(f, th, costs)
 
 
+# -- batched classifiers against the scalar ones ---------------------------
+
+INF = math.inf
+CUTS = st.sampled_from([0.0, 0.125, 1.0, 10.0, 50.0, 100.0, 256.0, 4096.0])
+
+
+def _cut_pair(draw) -> tuple[float, float]:
+    lo, hi = draw(st.lists(CUTS, min_size=2, max_size=2, unique=True))
+    return min(lo, hi), max(lo, hi)
+
+
+def _weights(draw) -> CostParams:
+    """Valid weights drawn from a few dyadic steps, so partial ties and a zero
+    blue stage (or mark, or scan) weight all occur."""
+    def ladder(base, up1, up2):
+        b = draw(st.sampled_from(base))
+        g = b + draw(st.sampled_from(up1))
+        return b, g, g + draw(st.sampled_from(up2))
+
+    mark = ladder([0.0, 0.5], [0.25, 0.5], [0.0, 0.25])
+    scan = ladder([0.0, 0.5], [0.0, 0.25], [0.0, 0.5])
+    stage = ladder([0.0, 1.0], [0.5, 1.0], [1.0, 2.0])
+    return CostParams(weights={
+        zone: ZoneWeights(mark[k], scan[k], stage[k])
+        for k, zone in enumerate((ZoneId.BLUE, ZoneId.GREEN, ZoneId.RED))})
+
+
+def _band(lo: float, hi: float) -> list[float]:
+    """Zero, each cut, the midpoint between them, and above both."""
+    return [0.0, lo, (lo + hi) / 2, hi, 2 * hi + 1]
+
+
+@st.composite
+def classifier_cases(draw):
+    """Thresholds (default or drawn), weights, and feature vectors.
+
+    The vectors are every combination of each classified feature's band
+    points, for each policy, so every cut is met exactly with the other
+    features on either side of theirs; plus drawn vectors whose values sit
+    on any cut, between them, at zero, inf or NaN.
+    """
+    if draw(st.booleans()):
+        rth, pth = RateThresholds(), PredicateThresholds()
+    else:
+        (ar, ag), (mr, mg) = _cut_pair(draw), _cut_pair(draw)
+        rth = RateThresholds(access_red=ar, access_green=ag,
+                             mutation_red=mr, mutation_green=mg)
+        (lr, lg), (pmg, pmr), (pag, par), (sr, sg) = (_cut_pair(draw) for _ in range(4))
+        pth = PredicateThresholds(lifetime_red=lr, lifetime_green=lg,
+                                  mutation_red=pmr, mutation_green=pmg,
+                                  access_red=par, access_green=pag,
+                                  size_red=sr, size_green=sg)
+    costs = _weights(draw) if draw(st.booleans()) else CostParams()
+    cuts = sorted({0.0, *vars(rth).values(), *vars(pth).values()})
+    wild = st.one_of(st.sampled_from(cuts), st.floats(0.0, 5000.0),
+                     st.sampled_from([INF, math.nan]))
+    fan_out, chi = draw(wild), draw(wild)
+    grid = [fv(access=a, mutation=mu, lifetime=lifetime, size=size,
+               fan_out=fan_out, chi=chi)
+            for a, mu, lifetime, size in itertools.product(
+                _band(pth.access_green, pth.access_red),
+                _band(pth.mutation_green, pth.mutation_red),
+                _band(pth.lifetime_red, pth.lifetime_green),
+                _band(pth.size_red, pth.size_green))]
+    grid += [fv(access=a, mutation=mu, size=size, fan_out=fan_out, chi=chi)
+             for a, mu, size in itertools.product(
+                 _band(rth.access_red, rth.access_green),
+                 _band(rth.mutation_red, rth.mutation_green), (0.0, 1.0, INF, math.nan))]
+    drawn = st.builds(fv, access=wild, mutation=wild, lifetime=wild, size=wild,
+                      fan_out=wild, chi=wild)
+    return rth, pth, costs, grid + draw(st.lists(drawn, max_size=16))
+
+
+def columns(fs: list[FeatureVector]) -> FeatureColumns:
+    return FeatureColumns(*(np.array([getattr(f, name) for f in fs], dtype=np.float64)
+                            for name in FeatureColumns._fields))
+
+
+# Blue's mark and stage weights are 0, so an inf size or complexity weight
+# makes blue's cost inf * 0 = NaN while green's and red's are inf.
+ZERO_BLUE_WEIGHTS = CostParams(weights={ZoneId.RED: ZoneWeights(1.0, 1.0, 4.0),
+                                        ZoneId.GREEN: ZoneWeights(1.0, 0.8, 2.0),
+                                        ZoneId.BLUE: ZoneWeights(0.0, 0.5, 0.0)})
+
+
+@settings(max_examples=100, deadline=None)
+@example(case=(RateThresholds(), PredicateThresholds(), ZERO_BLUE_WEIGHTS, [
+    # costs inf, NaN, inf reach the argmin under each policy: green keeps it
+    fv(access=50.0, mutation=50.0, size=INF),
+    fv(access=50.0, mutation=50.0, lifetime=1.0, chi=INF),
+    fv(),  # every cost 0: green
+    fv(fan_out=2.0),  # blue strictly cheapest
+]))
+@given(case=classifier_cases())
+def test_batched_classifiers_match_scalar(case):
+    rth, pth, costs, fs = case
+    cols = columns(fs)
+    assert classify_simple_batch(cols, rth, costs).tolist() == [
+        classify_simple(f, rth, costs).ordinal for f in fs]
+    assert classify_predicates_batch(cols, pth, costs).tolist() == [
+        classify_predicates(f, pth, costs).ordinal for f in fs]
+
+
 # -- pool stats -------------------------------------------------------------
 
 
@@ -356,6 +465,42 @@ def test_reclassify_skips_satisfied_candidates():
     assert arena.header_of(handle).zone is ZoneId.BLUE
 
 
+def test_reclassify_rejects_a_negative_feature_before_any_move():
+    arena = small_arena()
+    mover = arena.allocate(ZoneId.GREEN, "s")  # zero rates: simple wants red
+    bad = arena.allocate(ZoneId.GREEN, "s", size=-1.0)  # allocate accepts it
+    for handle in (mover, bad):
+        arena.table.set_state(handle.slot_index, StateCode.PROMOTE_CANDIDATE)
+    report = arena.run_sweep()
+    stats = [arena.pool_stats(zone) for zone in ZoneId]
+    states = list(arena.table.states())
+    with pytest.raises(ValueError, match="size"):
+        arena.reclassify_candidates(report)
+    assert [arena.pool_stats(zone) for zone in ZoneId] == stats
+    assert list(arena.table.states()) == states
+    assert arena.header_of(mover).alive
+
+
+def test_reclassify_skips_a_freed_candidate():
+    arena = small_arena()
+    handle = arena.allocate(ZoneId.GREEN, "s")
+    arena.release(handle)
+    arena.table.set_state(handle.slot_index, StateCode.PROMOTE_CANDIDATE)
+    report = arena.run_sweep()
+    assert report.candidates == [handle.slot_index]
+    stats = [arena.pool_stats(zone) for zone in ZoneId]
+    assert arena.reclassify_candidates(report) == []
+    assert [arena.pool_stats(zone) for zone in ZoneId] == stats
+
+
+def test_reclassify_of_an_empty_report_moves_nothing():
+    arena = small_arena()
+    arena.allocate(ZoneId.GREEN, "s")
+    report = arena.run_sweep()
+    assert report.candidates == []
+    assert arena.reclassify_candidates(report) == []
+
+
 # -- randomized replay against a free-list model ---------------------------
 
 
@@ -439,7 +584,17 @@ ARENA_OPS = st.one_of(
     st.tuples(st.just("move"), st.integers(0, 63), ZONE_PICK),
     st.tuples(st.just("event"), st.integers(0, 63), st.sampled_from(list(KINDS)),
               st.sampled_from([0.0, 0.125, 0.75, 3.0, -0.5, 600.0])),
+    # mark the slots of issued handles (freed ones included) 010/011, then pause
+    st.tuples(st.just("pause"), st.lists(st.integers(0, 63), max_size=4),
+              st.sampled_from([StateCode.PROMOTE_CANDIDATE, StateCode.DEMOTE_CANDIDATE])),
 )
+# Cuts the drawn rates, lifetimes and sizes reach, so pauses move objects.
+MODEL_RATES = RateThresholds(access_red=1.0, access_green=4.0,
+                             mutation_red=1.0, mutation_green=4.0)
+MODEL_PREDICATES = PredicateThresholds(lifetime_red=0.5, lifetime_green=4.0,
+                                       mutation_red=4.0, mutation_green=1.0,
+                                       access_red=4.0, access_green=1.0,
+                                       size_red=64.0, size_green=4096.0)
 
 
 def _outcome(call):
@@ -456,15 +611,27 @@ def _outcome(call):
 @example(ops=[  # a reused slot starts with fresh rates, not its last object's
     ("alloc", ZoneId.GREEN, "a", 0.0), ("event", 2, EventKind.ACCESS, 0.0),
     ("event", 2, EventKind.ACCESS, 3.0), ("release", 2),
-    ("alloc", ZoneId.GREEN, "a", 0.0)], window=1.0, omega=0.5, step=0.125)
+    ("alloc", ZoneId.GREEN, "a", 0.0)], window=1.0, omega=0.5, step=0.125,
+    policy="simple")
+@example(ops=[  # a pause is a snapshot: the slot a move claims is not re-examined
+    ("alloc", ZoneId.GREEN, "a", 0.0), ("alloc", ZoneId.RED, "a", 0.0),
+    ("release", 2),  # green slot 4 goes back to its pool
+    *[("event", 3, EventKind.ACCESS, 0.0)] * 4,  # red slot 0 reaches the green cut
+    # slot 0 moves to green and claims slot 4, whose fresh object the
+    # policy would send to red
+    ("pause", [3, 2], StateCode.PROMOTE_CANDIDATE)],
+    window=1.0, omega=0.5, step=0.125, policy="simple")
 @given(ops=st.lists(ARENA_OPS, max_size=80),
        window=st.sampled_from([0.5, 1.0, 2.0]),
        omega=st.sampled_from([0.25, 0.5, 0.875]),
-       step=st.sampled_from([0.125, 0.25]))
-def test_flat_arena_matches_header_model(ops, window, omega, step):
+       step=st.sampled_from([0.125, 0.25]),
+       policy=st.sampled_from(POLICIES))
+def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
     sizes = (4, 4, 4)
     arena = ZoneArena(ZoneLayout(*sizes), clock=LogicalClock(seconds_per_op=step),
-                      rate_window=window, ema=EmaConfig(omega))
+                      rate_window=window, ema=EmaConfig(omega), policy=policy,
+                      rate_thresholds=MODEL_RATES,
+                      predicate_thresholds=MODEL_PREDICATES)
     model = ArenaModel(sizes, window, omega, step)
     # every handle ever issued, plus two that name no slot of the table
     handles = [ObjectHandle(-1, 0), ObjectHandle(12, 0)]
@@ -478,12 +645,33 @@ def test_flat_arena_matches_header_model(ops, window, omega, step):
             return handle.slot_index
         return handle
 
+    def classify(features):
+        return LETTER[arena.classify(FeatureVector(**features))]
+
     for op in ops:
         if op[0] == "alloc":
             _, zone, site, size = op
             got = issued(_outcome(lambda: arena.allocate(zone, site, size=size,
                                                          fan_out=size / 64)))
             want = _outcome(lambda: model.allocate(LETTER[zone], site, size, size / 64))
+        elif op[0] == "pause":
+            _, picks, code = op
+            # a forged handle's pick marks a slot no object has used yet
+            for k in picks:
+                slot = handles[k % len(handles)].slot_index
+                slot = slot if 0 <= slot < sum(sizes) else k % sum(sizes)
+                arena.table.set_state(slot, code)
+                model.mark(slot, int(code))
+            report = arena.run_sweep()
+            candidates = [i for i, s in enumerate(model.states) if s in (0b010, 0b011)]
+            assert report.candidates == candidates
+            got = _outcome(lambda: arena.reclassify_candidates(report))
+            want = _outcome(lambda: model.reclassify(candidates, classify))
+            if isinstance(got, list):
+                got = [(old, issued(new)) for old, new in got]
+            else:  # a move found its zone full; the moves before it stand
+                for slot in sorted(model.headers.keys() - by_slot.keys()):
+                    issued(arena.slots.handles[slot])
         else:
             handle = handles[op[1] % len(handles)]
             slot = handle.slot_index
