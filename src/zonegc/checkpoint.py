@@ -167,16 +167,3 @@ class CheckpointTable:
         self.epoch += 1
         return SweepReport(self.capacity, reclaimed, candidates)
 
-
-def dump_snapshot(table: CheckpointTable) -> str:
-    """Debug dump: one `index state zone generation` line per non-idle entry."""
-    layout = table.layout
-    lines = []
-    for i in range(table.capacity):
-        state = table.get_state(i)
-        if state is StateCode.IDLE:
-            continue
-        zone = layout.zone_of_index(i)
-        gen = layout.generation_of(i)
-        lines.append(f"{i} {state:03b} {zone} Gen{int(gen)}")
-    return "\n".join(lines)

@@ -41,10 +41,6 @@ class PromotionError(ZonegcError):
     """Promotion attempted with a non-promotable ephemeral state."""
 
 
-class TopologyError(ZonegcError):
-    """Invalid core topology (for example zero cores)."""
-
-
 class PartitionPlanError(ZonegcError):
     """Partition plan request is malformed (for example zero partitions)."""
 

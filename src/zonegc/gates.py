@@ -1,9 +1,9 @@
-"""Bitwise logic primitives for liveness evaluation.
+"""The retention gate and the zone-mask update, lanewise.
 
 Operands are plain ints treated as bit vectors of an explicit width; a value
-needing more bits than the declared width is a shape violation. NOT, NAND and
-NOR complement within the width, so every result stays inside the declared
-lane count.
+needing more bits than the declared width is a shape violation. Complements
+are taken within the width, so every result stays inside the declared lane
+count.
 """
 
 from __future__ import annotations
@@ -23,37 +23,6 @@ def _check(width: int, *operands: int) -> int:
         if value < 0 or value > m:
             raise ShapeError(f"operand {value:#x} does not fit in {width} bit(s)")
     return m
-
-
-def gate_and(a: int, b: int, width: int = 1) -> int:
-    _check(width, a, b)
-    return a & b
-
-
-def gate_or(a: int, b: int, width: int = 1) -> int:
-    _check(width, a, b)
-    return a | b
-
-
-def gate_not(a: int, width: int = 1) -> int:
-    return _check(width, a) & ~a
-
-
-def gate_xor(a: int, b: int, width: int = 1) -> int:
-    _check(width, a, b)
-    return a ^ b
-
-
-def gate_xnor(a: int, b: int, width: int = 1) -> int:
-    return _check(width, a, b) & ~(a ^ b)
-
-
-def gate_nand(a: int, b: int, width: int = 1) -> int:
-    return _check(width, a, b) & ~(a & b)
-
-
-def gate_nor(a: int, b: int, width: int = 1) -> int:
-    return _check(width, a, b) & ~(a | b)
 
 
 def eval_liveness_gate(state: int, zone_mask: int, pending: int, width: int = 1) -> int:
@@ -82,13 +51,3 @@ def zone_mask_update(r: int, g: int, b: int, width: int = 1) -> tuple[int, int, 
     b_next = b & (m & ~g)
     return r_next, g_next, b_next
 
-
-def transition_detect(prev: int, cur: int, width: int = 3) -> tuple[int, int]:
-    """(changed, stable) single-bit pair for two state words.
-
-    changed reduces the lanewise XOR to any-bit-set; stable is its complement
-    (the all-lanes XNOR).
-    """
-    _check(width, prev, cur)
-    changed = 1 if prev ^ cur else 0
-    return changed, 1 - changed

@@ -164,7 +164,6 @@ class RateTracker:
 @dataclass(frozen=True, slots=True)
 class ObjectHandle:
     slot_index: int
-    address: int
 
 
 def _doubles(n: int, fill: float = 0.0) -> memoryview:
@@ -374,7 +373,3 @@ class LogicalClock:
     @property
     def now(self) -> float:
         return self.ops * self.seconds_per_op
-
-    def tick(self, n: int = 1) -> float:
-        self.ops += n
-        return self.now

@@ -1,5 +1,5 @@
-"""Partitioned parallel execution: range decomposition, worker threads,
-zone-aware thread budgeting, and load rebalancing arithmetic.
+"""Partitioned parallel execution: range decomposition, worker threads and
+zone-aware thread budgeting.
 
 Work is split into disjoint contiguous ranges, one worker per range, partial
 results merged in range order so the reduced value never depends on thread
@@ -12,26 +12,17 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-from .errors import (
-    ObjectiveUndefinedError,
-    PartitionFaultError,
-    PartitionPlanError,
-    TopologyError,
-)
+from .errors import ObjectiveUndefinedError, PartitionFaultError, PartitionPlanError
 from .gates import eval_liveness_gate
-from .layout import ZoneId, ZONE_ORDER
+from .layout import ZONE_ORDER
 
 Triple = tuple[float, float, float]  # per-zone values in red, green, blue order
 
 
-def probe_cores(override: int | None = None) -> int:
-    """Usable core count, config override first, then the OS."""
-    if override is not None:
-        if override < 1:
-            raise TopologyError(f"core override must be >= 1, got {override}")
-        return override
+def probe_cores() -> int:
+    """Usable core count of this process."""
     try:
         return len(os.sched_getaffinity(0))
     except (AttributeError, OSError):
@@ -44,26 +35,20 @@ class PartitionPlan:
 
     total_work: int
     ranges: tuple[tuple[int, int], ...]
-    affinity: tuple[int, ...] | None = None
 
     @property
     def workers(self) -> int:
         return len(self.ranges)
 
 
-def make_partitions(n: int, p: int, affinity: Sequence[int] | None = None) -> PartitionPlan:
+def make_partitions(n: int, p: int) -> PartitionPlan:
     """Split [0, n) into p contiguous ranges differing in size by at most 1."""
     if p < 1:
         raise PartitionPlanError(f"partition count must be >= 1, got {p}")
     if n < 0:
         raise PartitionPlanError(f"work count must be >= 0, got {n}")
     ranges = tuple(((i * n) // p, ((i + 1) * n) // p) for i in range(p))
-    aff = None
-    if affinity is not None:
-        if len(affinity) != p:
-            raise PartitionPlanError("affinity list must match partition count")
-        aff = tuple(affinity)
-    return PartitionPlan(n, ranges, aff)
+    return PartitionPlan(n, ranges)
 
 
 def sync_checkpoint(states: int, zone_mask: int, pending: int, width: int) -> int:
@@ -89,10 +74,6 @@ class ThreadAllocation:
     @property
     def total(self) -> int:
         return self.red + self.green + self.blue
-
-    def of(self, zone: ZoneId) -> int:
-        return {ZoneId.RED: self.red, ZoneId.GREEN: self.green,
-                ZoneId.BLUE: self.blue}[zone]
 
 
 def _validate_eta(eta: Triple) -> None:
@@ -184,56 +165,6 @@ def optimize_thread_allocation(pauses: Triple, k: int, pi: Triple,
     return best
 
 
-@dataclass(frozen=True)
-class RebalanceSample:
-    """One partition's observed thread time (s), memory (KB), active count."""
-
-    thread_time: float
-    mem_usage: float
-    partitions_active: int
-
-    def __post_init__(self) -> None:
-        if self.partitions_active < 1:
-            raise ValueError("partitions_active must be >= 1")
-
-
-def load_target(sample: RebalanceSample) -> float:
-    """Per-sample load value (thread_time + mem_usage) / partitions_active."""
-    return (sample.thread_time + sample.mem_usage) / sample.partitions_active
-
-
-@dataclass(frozen=True)
-class RebalancePlan:
-    loads: tuple[float, ...]
-    target: float
-    flagged: tuple[int, ...]
-
-
-def rebalance_targets(samples: Sequence[RebalanceSample], *, factor: float = 1.5,
-                      normalize: bool = True) -> RebalancePlan:
-    """Load per sample plus the set of partitions worth splitting.
-
-    Normalized mode rescales time and memory by their sample means before
-    summing, since the two carry different units; raw mode adds them as-is.
-    A partition is flagged when its load exceeds factor times the mean load.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    if normalize:
-        mean_t = sum(s.thread_time for s in samples) / len(samples)
-        mean_m = sum(s.mem_usage for s in samples) / len(samples)
-        loads = tuple(
-            ((s.thread_time / mean_t if mean_t else 0.0)
-             + (s.mem_usage / mean_m if mean_m else 0.0)) / s.partitions_active
-            for s in samples
-        )
-    else:
-        loads = tuple(load_target(s) for s in samples)
-    target = sum(loads) / len(loads)
-    flagged = tuple(i for i, load in enumerate(loads) if load > factor * target)
-    return RebalancePlan(loads, target, flagged)
-
-
 def run_parallel(
     plan: PartitionPlan,
     kernel: Callable[[int, int], Any],
@@ -244,21 +175,15 @@ def run_parallel(
 ) -> Any:
     """Run the kernel over every range on its own thread and reduce in order.
 
-    kernel(lo, hi) must be a pure function of its range. Affinity pinning is
-    best effort; boxes without it run unpinned. A failing worker does not
-    stop the others: after the join, their partials are delivered inside the
-    fault error.
+    kernel(lo, hi) must be a pure function of its range. A failing worker
+    does not stop the others: after the join, their partials are delivered
+    inside the fault error.
     """
     workers = plan.workers
     results: list[Any] = [None] * workers
     failures: list[tuple[tuple[int, int], BaseException] | None] = [None] * workers
 
-    def body(i: int, lo: int, hi: int, core: int | None) -> None:
-        if core is not None:
-            try:
-                os.sched_setaffinity(0, {core})
-            except (AttributeError, OSError):
-                pass  # unpinned is acceptable
+    def body(i: int, lo: int, hi: int) -> None:
         try:
             results[i] = kernel(lo, hi)
         except BaseException as exc:  # noqa: BLE001  (isolated per partition)
@@ -270,10 +195,7 @@ def run_parallel(
     try:
         threads = []
         for i, (lo, hi) in enumerate(plan.ranges):
-            core = plan.affinity[i] if plan.affinity else None
-            t = threading.Thread(
-                target=body, args=(i, lo, hi, core), name=f"ppe-worker-{i}"
-            )
+            t = threading.Thread(target=body, args=(i, lo, hi), name=f"ppe-worker-{i}")
             t.start()
             threads.append(t)
     finally:

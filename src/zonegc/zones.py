@@ -351,7 +351,7 @@ class ZoneArena:
                 )
             self._fresh_next[zi] = idx + 1
             self._real[zi] += 1
-            slots.handles[idx] = ObjectHandle(idx, self.table.address_of(idx))
+            slots.handles[idx] = ObjectHandle(idx)
         slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.

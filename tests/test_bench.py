@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import statistics
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -323,3 +325,21 @@ def test_lifecycle_schedule_note_carries_interval():
     from zonegc.config import RuntimeConfig
     note = schedule_note("checkpoint_lifecycle", RuntimeConfig())
     assert "500" in note
+
+
+def test_perfbench_tracer_wraps_existing_names_and_restores_them(monkeypatch):
+    # perfbench/tracer.py wraps program names from outside, so deleting one
+    # of them from src/ breaks the traced benchmark run: install() raises.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        wrapped = list(tracer._saved)
+        assert wrapped
+        for owner, attr, orig in wrapped:
+            assert getattr(owner, attr) is not orig
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracer", None)
+    for owner, attr, orig in wrapped:
+        assert getattr(owner, attr) is orig, f"{owner!r}.{attr} not restored"

@@ -16,7 +16,6 @@ from zonegc.checkpoint import (
     Signals,
     StateCode,
     address_of,
-    dump_snapshot,
     index_of,
     step_state,
 )
@@ -279,11 +278,3 @@ def test_sweep_reads_the_final_index_of_a_partly_filled_word(code, field):
     assert getattr(report, field) == [last]
     assert report.reclaimed + report.candidates == [last]
 
-
-def test_dump_snapshot_lists_non_idle_entries():
-    layout = ZoneLayout(4, 4, 4, gen0_fraction=0.25, gen1_fraction=0.75)
-    table = CheckpointTable(layout)
-    table.set_state(0, StateCode.ACTIVE)
-    table.set_state(5, StateCode.MARKED)
-    lines = dump_snapshot(table).splitlines()
-    assert lines == ["0 001 R Gen0", "5 110 G Gen1"]

@@ -155,7 +155,7 @@ def test_factories_honor_overrides():
     costs = cfg.cost_params()
     assert costs.weights[ZoneId.BLUE].stage == 0.5
     clock = cfg.clock()
-    clock.tick(10)
+    clock.ops += 10
     assert clock.now == pytest.approx(0.01)
 
 

@@ -1,4 +1,5 @@
-"""Gate primitives against truth tables and per-bit scalar oracles."""
+"""The retention gate and zone-mask update against truth tables and per-bit
+scalar oracles."""
 
 from __future__ import annotations
 
@@ -7,67 +8,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zonegc.errors import ShapeError
-from zonegc.gates import (
-    eval_liveness_gate,
-    gate_and,
-    gate_nand,
-    gate_nor,
-    gate_not,
-    gate_or,
-    gate_xnor,
-    gate_xor,
-    transition_detect,
-    zone_mask_update,
-)
+from zonegc.gates import eval_liveness_gate, zone_mask_update
 
-from .oracles import (
-    bits_of,
-    bitwise_oracle,
-    liveness_oracle,
-    zone_mask_bit,
-)
-
-BINARY_GATES = [
-    (gate_and, lambda a, b: a & b),
-    (gate_or, lambda a, b: a | b),
-    (gate_xor, lambda a, b: a ^ b),
-    (gate_xnor, lambda a, b: 1 - (a ^ b)),
-    (gate_nand, lambda a, b: 1 - (a & b)),
-    (gate_nor, lambda a, b: 1 - (a | b)),
-]
+from .oracles import liveness_oracle, zone_mask_bit
 
 WORDS = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
-@pytest.mark.parametrize("gate,scalar", BINARY_GATES)
-def test_truth_tables_width1(gate, scalar):
-    for a in (0, 1):
-        for b in (0, 1):
-            assert gate(a, b) == scalar(a, b)
-
-
-def test_not_truth_table():
-    assert gate_not(0) == 1
-    assert gate_not(1) == 0
-
-
-@pytest.mark.parametrize("gate,scalar", BINARY_GATES)
-@given(a=WORDS, b=WORDS)
-def test_wide_gates_match_scalar(gate, scalar, a, b):
-    assert gate(a, b, width=64) == bitwise_oracle(scalar, a, b, 64)
-
-
-@given(a=WORDS)
-def test_wide_not(a):
-    expected = sum((1 - bit) << i for i, bit in enumerate(bits_of(a, 64)))
-    assert gate_not(a, width=64) == expected
-
-
 def test_operand_wider_than_declared_rejected():
     with pytest.raises(ShapeError):
-        gate_and(2, 1)
+        eval_liveness_gate(2, 1, 1)
     with pytest.raises(ShapeError):
-        gate_not(1 << 8, width=8)
+        zone_mask_update(1 << 8, 0, 0, width=8)
 
 
 def test_liveness_gate_exhaustive_width1():
@@ -112,17 +64,3 @@ def test_zone_mask_update_never_leaves_red_and_blue_set():
                 r2, g2, b2 = zone_mask_update(r, g, b)
                 assert not (r2 and b2)
 
-
-def test_transition_detect_exhaustive_3bit():
-    for prev in range(8):
-        for cur in range(8):
-            changed, stable = transition_detect(prev, cur)
-            assert changed == (1 if prev != cur else 0)
-            assert stable == (0 if prev != cur else 1)
-
-
-@given(prev=WORDS, cur=WORDS)
-def test_transition_detect_wide_is_xor_based(prev, cur):
-    changed, stable = transition_detect(prev, cur, width=64)
-    assert changed == (1 if prev != cur else 0)
-    assert stable == 1 - changed

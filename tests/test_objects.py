@@ -259,13 +259,13 @@ def test_shared_allocation_tracker():
 def test_logical_clock_scale():
     clock = LogicalClock()
     assert clock.now == 0.0
-    clock.tick()
+    clock.ops += 1
     assert clock.now == 1e-6
-    clock.tick(999_999)
+    clock.ops += 999_999
     assert clock.now == pytest.approx(1.0)
 
 
 def test_logical_clock_custom_scale():
     clock = LogicalClock(seconds_per_op=0.5)
-    clock.tick(4)
+    clock.ops += 4
     assert clock.now == 2.0

@@ -335,7 +335,6 @@ def test_allocate_claims_fresh_slot_in_zone_span():
     handle = arena.allocate(ZoneId.GREEN, "site_a")
     lo, hi = arena.layout.span(ZoneId.GREEN)
     assert lo <= handle.slot_index < hi
-    assert handle.address == arena.table.address_of(handle.slot_index)
     header = arena.header_of(handle)
     assert header.zone is ZoneId.GREEN
     assert arena.table.get_state(handle.slot_index) is StateCode.ACTIVE
@@ -634,7 +633,7 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
                       predicate_thresholds=MODEL_PREDICATES)
     model = ArenaModel(sizes, window, omega, step)
     # every handle ever issued, plus two that name no slot of the table
-    handles = [ObjectHandle(-1, 0), ObjectHandle(12, 0)]
+    handles = [ObjectHandle(-1), ObjectHandle(12)]
     by_slot: dict[int, ObjectHandle] = {}
 
     def issued(handle):
@@ -701,7 +700,7 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
         for slot in range(sum(sizes)):
             if slot not in model.headers:
                 with pytest.raises(LifecycleError):
-                    arena.header_of(ObjectHandle(slot, 0))
+                    arena.header_of(ObjectHandle(slot))
                 continue
             h = model.headers[slot]
             view = arena.header_of(by_slot[slot])
