@@ -41,6 +41,9 @@ ALLOC_KINDS = (
 KINDS = TIMED_KINDS + ALLOC_KINDS
 
 DEFAULT_CHUNK = {"recursion": 1000, "deep_recursion": 4000}
+# run_parallel starts one thread per partition, with a large stack for the
+# recursion kinds, so the count is bounded before any thread starts.
+MAX_PARTITIONS = 64
 _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
 
 ZONE_LABELS = {ZoneId.RED: "Red", ZoneId.GREEN: "Green", ZoneId.BLUE: "Blue"}
@@ -94,8 +97,8 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if self.size < 0:
             raise ValueError("size must be >= 0")
-        if self.partitions < 1:
-            raise ValueError("partitions must be >= 1")
+        if not 1 <= self.partitions <= MAX_PARTITIONS:
+            raise ValueError(f"partitions must be in 1..{MAX_PARTITIONS}")
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
         if self.chunk is not None and self.chunk < 1:
@@ -319,13 +322,12 @@ def _schedule_expiration(arena: ZoneArena, per_zone: int) -> None:
     allocate = arena.allocate
     release = arena.release
     expire = arena.expire
-    header_of = arena.header_of
     clock = arena.clock
     access = EventKind.ACCESS  # an enum member lookup costs ~150 ns per request
     for zone, site, ttl in plans:
         for k in range(1, per_zone + 1):
             handle = allocate(zone, site)
-            record_event(header_of(handle), access, clock.now)
+            record_event(handle, access, clock.now)
             if (ttl and k % ttl == 0) or (not ttl and k == per_zone):
                 expire(handle)
             else:

@@ -16,6 +16,7 @@ import sys
 from .bench import (
     ALLOC_KINDS,
     KINDS,
+    MAX_PARTITIONS,
     TIMED_KINDS,
     WorkloadSpec,
     emit_pool_stats,
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chunk", type=int, default=None,
                         help="recursion depth per chain (recursion kinds)")
     parser.add_argument("--partitions", type=int, default=1,
-                        help="parallel partitions for timed kinds")
+                        help=f"parallel partitions for timed kinds, at most {MAX_PARTITIONS}")
     parser.add_argument("--attempts", type=int, default=5,
                         help="recorded attempts after the discarded warmup")
     parser.add_argument("--seed", type=int, default=42,

@@ -4,19 +4,19 @@ Objects here are bookkeeping records, not real heap storage. Their metadata
 lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
 the way the checkpoint table keeps one byte of state per slot: liveness,
 allocation and last-event times, static features (size, fan-out, complexity
-weight), the allocation site and windowed mutation and access rates.
-Allocation rate belongs to the site, so each site keeps one RateTracker.
+weight), the allocation site tag and windowed mutation and access rates.
+A slot's one Python object is its ObjectHandle, which reads those arrays.
 Rates are counted over a fixed logical-time window and smoothed with an
 exponential moving average; the smoothed view is what classification
-consumes, one object at a time (feature_snapshot) or as columns
-(feature_columns).
+consumes, as columns (feature_columns) or as the one-row case of them
+(feature_snapshot).
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,11 +35,10 @@ STEPPED_WINDOWS = 256
 class EventKind(enum.Enum):
     ACCESS = ("access", 0)
     MUTATION = ("mutation", 1)
-    ALLOCATION = ("allocation", 2)
 
     # ordinal gives hot paths an attribute read instead of Enum.__hash__, as
-    # on ZoneId. ACCESS and MUTATION ordinals are also the offset of their
-    # entry in a slot's pair of rate-tracker entries.
+    # on ZoneId. It is also the offset of the kind's entry in a slot's pair
+    # of rate-tracker entries.
     def __new__(cls, value: str, ordinal: int):
         member = object.__new__(cls)
         member._value_ = value
@@ -49,7 +48,6 @@ class EventKind(enum.Enum):
 
 _ACCESS = EventKind.ACCESS.ordinal
 _MUTATION = EventKind.MUTATION.ordinal
-_ALLOCATION = EventKind.ALLOCATION.ordinal
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,6 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
 class FeatureVector:
     """Per-object metrics consumed by classification and the cost model."""
 
-    alloc_rate: float = 0.0  # allocations/second at this object's site
     lifetime: float = 0.0  # seconds since allocation
     mutation_rate: float = 0.0  # writes/second
     access_rate: float = 0.0  # reads/second
@@ -108,9 +105,8 @@ class FeatureVector:
     def __post_init__(self) -> None:
         # One chained test: a loop of getattr calls costs more than the rest
         # of the construction. min() would not do, as min(nan, -1.0) is nan.
-        if (self.alloc_rate < 0 or self.lifetime < 0 or self.mutation_rate < 0
-                or self.access_rate < 0 or self.size < 0 or self.fan_out < 0
-                or self.complexity_weight < 0):
+        if (self.lifetime < 0 or self.mutation_rate < 0 or self.access_rate < 0
+                or self.size < 0 or self.fan_out < 0 or self.complexity_weight < 0):
             name = next(n for n in self.__dataclass_fields__ if getattr(self, n) < 0)
             raise ValueError(f"{name} must be non-negative")
 
@@ -121,8 +117,11 @@ class RateTracker:
     Every completed window contributes exactly one sample (possibly zero) to
     the EMA chain. The first completed window seeds the EMA directly; before
     any window completes (ema is NaN), the smoothed view falls back to the
-    rate observed in the current partial window so a cold site is not misread
-    as idle.
+    rate observed in the current partial window so a cold stream is not
+    misread as idle. The arena does not use it: a slot's rates are SlotTable
+    entries that record_event closes with the same roll(). It stays as the
+    reference the one-step roll is tested against, and for perfbench's
+    tracer, which wraps record.
     """
 
     __slots__ = ("window", "cfg", "window_start", "count", "total", "ema")
@@ -161,11 +160,6 @@ class RateTracker:
         return ema if ema == ema else self.raw_rate
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectHandle:
-    slot_index: int
-
-
 def _doubles(n: int, fill: float = 0.0) -> memoryview:
     """n float64 entries. Item stores through a memoryview skip the argument
     parsing that array.array's own stores do, which is about a third of the
@@ -192,14 +186,11 @@ class SlotTable:
         self.fan_out = _doubles(n)
         self.complexity_weight = _doubles(n)
         self.site_tag: list[str | None] = [None] * n
-        # One handle per slot, made the first time the slot is claimed.
-        self.handles: list[ObjectHandle | None] = [None] * n
         self.window_start = _doubles(2 * n)
         self.count = [0] * (2 * n)
         self.ema = _doubles(2 * n, NAN)
         self.window = window
         self.cfg = cfg
-        self.sites: dict[str, RateTracker] = {}
         self.green_start = layout.n_red
         self.blue_start = layout.n_red + layout.n_green
 
@@ -208,12 +199,7 @@ class SlotTable:
 
     def claim(self, i: int, site_tag: str, now: float, size: float,
               fan_out: float, complexity_weight: float) -> None:
-        """Bind slot i to a new object allocated at `now` with fresh rates,
-        and count the allocation at its site."""
-        site = self.sites.get(site_tag)
-        if site is None:
-            site = self.sites[site_tag] = RateTracker(self.window, self.cfg, now)
-        site.record(now)
+        """Bind slot i to a new object allocated at `now` with fresh rates."""
         self.alive[i] = 1
         self.site_tag[i] = site_tag
         self.allocated_at[i] = now
@@ -229,14 +215,9 @@ class SlotTable:
         ema = self.ema
         ema[j] = ema[j + 1] = NAN
 
-    def rate(self, j: int) -> float:
-        """Smoothed rate of tracker entry j: the EMA, or the open window's
-        rate before a window closes."""
-        ema = self.ema[j]
-        return ema if ema == ema else self.count[j] / self.window
-
     def rates(self, j: np.ndarray) -> np.ndarray:
-        """rate of each tracker entry in j. Only the entries whose EMA is
+        """Smoothed rate of each tracker entry in j: the EMA, or the open
+        window's rate before a window closes. Only the entries whose EMA is
         still NaN read the open count."""
         r = np.frombuffer(self.ema)[j]
         cold = np.flatnonzero(r != r)
@@ -248,20 +229,22 @@ class SlotTable:
 
 
 def _column(name: str) -> property:
-    return property(lambda view: getattr(view.slots, name)[view.index],
+    return property(lambda handle: getattr(handle.slots, name)[handle.slot_index],
                     doc=f"The slot's {name} entry.")
 
 
-class ObjectView:
-    """Read-only view of one slot's object, made on demand by header_of."""
+@dataclass(frozen=True, slots=True)
+class ObjectHandle:
+    """A slot's object: read-only properties over its SlotTable entries,
+    which describe the slot's current object, or its last one once freed.
 
-    __slots__ = ("slots", "index")
+    The arena makes one per slot, on the slot's first claim, and hands out
+    that same object for every later claim. Handles compare by slot index.
+    """
 
-    def __init__(self, slots: SlotTable, index: int) -> None:
-        self.slots = slots
-        self.index = index
+    slot_index: int
+    slots: SlotTable = field(compare=False, repr=False)
 
-    handle = _column("handles")
     site_tag = _column("site_tag")
     allocated_at = _column("allocated_at")
     last_event_at = _column("last_event_at")
@@ -271,11 +254,11 @@ class ObjectView:
 
     @property
     def alive(self) -> bool:
-        return bool(self.slots.alive[self.index])
+        return bool(self.slots.alive[self.slot_index])
 
     @property
     def zone(self) -> ZoneId:
-        return self.slots.zone_of(self.index)
+        return self.slots.zone_of(self.slot_index)
 
     @property
     def lifetime(self) -> float:
@@ -283,51 +266,37 @@ class ObjectView:
         return self.last_event_at - self.allocated_at
 
 
-def record_event(header: ObjectView, kind: EventKind, now: float) -> ObjectView:
+def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHandle:
     """Count one event on a live object; its lifetime now ends at `now`."""
     slots = header.slots
-    i = header.index
+    i = header.slot_index
     if not slots.alive[i]:
         raise LifecycleError(f"event on dead object at slot {i}")
     last = slots.last_event_at
     if now < last[i]:
         raise ValueError(f"event time {now} precedes previous event at {last[i]}")
-    k = kind.ordinal
-    if k == _ALLOCATION:
-        slots.sites[slots.site_tag[i]].record(now)
+    j = 2 * i + kind.ordinal
+    start = slots.window_start
+    if now >= start[j] + slots.window:
+        ema = slots.ema
+        ema[j], start[j] = roll(ema[j], start[j], slots.count[j], now,
+                                slots.window, slots.cfg)
+        slots.count[j] = 1
     else:
-        j = 2 * i + k
-        start = slots.window_start
-        if now >= start[j] + slots.window:
-            ema = slots.ema
-            ema[j], start[j] = roll(ema[j], start[j], slots.count[j], now,
-                                    slots.window, slots.cfg)
-            slots.count[j] = 1
-        else:
-            slots.count[j] += 1
+        slots.count[j] += 1
     last[i] = now
     return header
 
 
-def feature_snapshot(header: ObjectView) -> FeatureVector:
-    """Smoothed feature view for classification. Pure read."""
-    slots = header.slots
-    i = header.index
-    j = 2 * i
-    return FeatureVector(
-        alloc_rate=slots.sites[slots.site_tag[i]].smoothed,
-        lifetime=slots.last_event_at[i] - slots.allocated_at[i],
-        mutation_rate=slots.rate(j + _MUTATION),
-        access_rate=slots.rate(j + _ACCESS),
-        size=slots.size[i],
-        fan_out=slots.fan_out[i],
-        complexity_weight=slots.complexity_weight[i],
-    )
+def feature_snapshot(header: ObjectHandle) -> FeatureVector:
+    """feature_columns of one object, as a FeatureVector. Pure read."""
+    f = feature_columns(header.slots, np.array([header.slot_index], dtype=np.intp))
+    return FeatureVector(**{name: float(values[0]) for name, values in f._asdict().items()})
 
 
 class FeatureColumns(NamedTuple):
     """The features the policies read, for many objects at once: one float64
-    array per FeatureVector field. alloc_rate is left out; no policy reads it."""
+    array per FeatureVector field."""
 
     lifetime: np.ndarray
     mutation_rate: np.ndarray
@@ -338,7 +307,7 @@ class FeatureColumns(NamedTuple):
 
 
 def feature_columns(slots: SlotTable, idx: np.ndarray) -> FeatureColumns:
-    """feature_snapshot of every slot in idx, one fancy index per column.
+    """The features of every slot in idx, one fancy index per column.
 
     Pure read. Raises ValueError on a negative entry, as FeatureVector does,
     before the caller acts on any of the slots.

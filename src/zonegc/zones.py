@@ -26,7 +26,6 @@ from .objects import (
     FeatureVector,
     LogicalClock,
     ObjectHandle,
-    ObjectView,
     SlotTable,
     feature_columns,
     feature_snapshot,  # noqa: F401  perfbench's tracer wraps zones.feature_snapshot
@@ -282,7 +281,10 @@ class PoolStats:
 class ZoneArena:
     """Slot allocator over the checkpoint table with per-zone reuse pools.
 
-    Object metadata lives in `slots`, a SlotTable indexed like the table.
+    Object metadata lives in `slots`, a SlotTable indexed like the table,
+    and `handles` keeps each slot's ObjectHandle once the slot is first
+    claimed. The list sits here, not on the SlotTable, so that the handles'
+    references to the table make no reference cycle.
     Ownership contract: one worker drives a given zone partition at a time;
     there is no internal locking. Counters are monotone and aggregated by
     readers at quiescent points.
@@ -306,13 +308,12 @@ class ZoneArena:
         self.layout = layout or ZoneLayout(1024, 1024, 1024)
         self.table = CheckpointTable(self.layout, base)
         self.clock = clock or LogicalClock()
-        self.rate_window = rate_window
-        self.ema = ema or EmaConfig()
         self.rate_thresholds = rate_thresholds or RateThresholds()
         self.predicate_thresholds = predicate_thresholds or PredicateThresholds()
         self.costs = costs or CostParams()
         self.policy = policy
-        self.slots = SlotTable(self.layout, rate_window, self.ema)
+        self.slots = SlotTable(self.layout, rate_window, ema or EmaConfig())
+        self.handles: list[ObjectHandle | None] = [None] * self.layout.total
         # Indexed by ZoneId.ordinal; hot paths avoid enum-keyed dicts.
         self._pools: list[list[int]] = [[] for _ in ZONE_ORDER]
         self._fresh_next: list[int] = [self.layout.start(z) for z in ZONE_ORDER]
@@ -351,12 +352,12 @@ class ZoneArena:
                 )
             self._fresh_next[zi] = idx + 1
             self._real[zi] += 1
-            slots.handles[idx] = ObjectHandle(idx)
+            self.handles[idx] = ObjectHandle(idx, slots)
         slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.
         self._states[idx] = _ACTIVE
-        return slots.handles[idx]
+        return self.handles[idx]
 
     def _free(self, handle: ObjectHandle) -> int:
         """Return a live slot to its zone's pool; returns the zone's ordinal."""
@@ -408,13 +409,14 @@ class ZoneArena:
 
     # -- queries ------------------------------------------------------------
 
-    def header_of(self, handle: ObjectHandle) -> ObjectView:
-        """View of the slot's current object, or of its last one once freed."""
+    def header_of(self, handle: ObjectHandle) -> ObjectHandle:
+        """The arena's handle of the slot, which reads its current object, or
+        its last one once freed."""
         idx = handle.slot_index
-        slots = self.slots
-        if not 0 <= idx < len(slots.handles) or slots.handles[idx] is None:
+        handles = self.handles
+        if not 0 <= idx < len(handles) or handles[idx] is None:
             raise LifecycleError(f"slot {idx} was never allocated")
-        return ObjectView(slots, idx)
+        return handles[idx]
 
     def pool_stats(self, zone: ZoneId) -> PoolStats:
         zi = zone.ordinal
@@ -460,7 +462,7 @@ class ZoneArena:
         # The zone is the slot's region.
         zone = (idx >= slots.green_start).astype(np.int8) + (idx >= slots.blue_start)
         movers = target != zone
-        handles = slots.handles
+        handles = self.handles
         return [
             (i, self.expire_and_reallocate(handles[i], ZONE_ORDER[t]))
             for i, t in zip(idx[movers].tolist(), target[movers].tolist())

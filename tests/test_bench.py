@@ -6,12 +6,14 @@ import importlib
 import math
 import statistics
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonegc import cli
 from zonegc.bench import (
     AttemptRecord,
     BenchReport,
@@ -125,6 +127,16 @@ def test_workload_spec_validation():
         WorkloadSpec("recursion", 10_500)  # default chunk 1000 must divide
     assert WorkloadSpec("recursion", 10_000).effective_chunk == 1000
     assert WorkloadSpec("deep_recursion", 8000, chunk=4000).effective_chunk == 4000
+
+
+def test_partitions_bounded_before_any_thread_starts(monkeypatch, capsys):
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("a thread was started"))
+    assert WorkloadSpec("loop", 10, partitions=64).partitions == 64
+    with pytest.raises(ValueError, match="partitions"):
+        WorkloadSpec("loop", 10, partitions=65)
+    assert cli.main(["loop", "--size", "10", "--partitions", "65"]) == 1
+    assert capsys.readouterr().err == "error: partitions must be in 1..64\n"
 
 
 def test_kind_dispatch_guards():

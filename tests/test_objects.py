@@ -205,7 +205,7 @@ def test_record_event_rejects_dead_header_and_time_regression():
     record_event(header, EventKind.ACCESS, 1.0)
     with pytest.raises(ValueError):
         record_event(header, EventKind.ACCESS, 0.5)
-    arena.release(header.handle)
+    arena.release(header)
     assert not header.alive
     with pytest.raises(LifecycleError):
         record_event(header, EventKind.ACCESS, 2.0)
@@ -213,11 +213,11 @@ def test_record_event_rejects_dead_header_and_time_regression():
 
 def test_record_event_never_touches_placement():
     _, header = make_header()
-    placement = (header.zone, header.handle)
+    placement = (header.zone, header)
     for t in (0.2, 0.9, 1.4, 3.0):
         record_event(header, EventKind.ACCESS, t)
         record_event(header, EventKind.MUTATION, t)
-    assert (header.zone, header.handle) == placement
+    assert (header.zone, header) == placement
 
 
 def test_feature_snapshot_is_pure():
@@ -231,26 +231,24 @@ def test_feature_snapshot_is_pure():
 
 def test_feature_vector_rejects_negative_fields():
     with pytest.raises(ValueError):
-        FeatureVector(alloc_rate=-1.0, lifetime=0, mutation_rate=0,
+        FeatureVector(lifetime=-1.0, mutation_rate=0,
                       access_rate=0, size=0, fan_out=0, complexity_weight=0)
     # a NaN before the negative field does not hide it
     with pytest.raises(ValueError, match="^fan_out must be non-negative$"):
         FeatureVector(lifetime=float("nan"), size=float("nan"), fan_out=-1.0)
 
 
-def test_shared_allocation_tracker():
-    # allocation rate belongs to the site: an allocation event on one object
-    # moves the rate every object of the site reads, and nothing else
+def test_events_stay_with_their_object():
+    # rates belong to the object, not to its site: events on one object move
+    # nothing that another object of the same site reads
     arena, first = make_header(site="s")
     second = arena.header_of(arena.allocate(ZoneId.RED, "s"))
-    other = arena.header_of(arena.allocate(ZoneId.RED, "u"))
-    assert feature_snapshot(first).alloc_rate == 2.0  # two allocations at "s"
-    record_event(first, EventKind.ALLOCATION, 0.5)
     record_event(first, EventKind.ACCESS, 0.5)
-    assert feature_snapshot(second).alloc_rate == 3.0
-    assert feature_snapshot(first).alloc_rate == 3.0
-    assert feature_snapshot(other).alloc_rate == 1.0
-    assert feature_snapshot(second).access_rate == 0.0
+    record_event(first, EventKind.MUTATION, 0.5)
+    f, g = feature_snapshot(first), feature_snapshot(second)
+    assert (f.access_rate, f.mutation_rate) == (1.0, 1.0)
+    assert g.access_rate == 0.0
+    assert (g.mutation_rate, g.lifetime) == (0.0, 0.0)
 
 
 # -- logical clock ----------------------------------------------------------
