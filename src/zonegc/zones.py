@@ -7,8 +7,11 @@ what keeps real allocations bounded by the peak concurrent live count. The
 arena writes ACTIVE and IDLE straight into the checkpoint table's bytes, and
 each object's metadata into the SlotTable's arrays at the same index; a
 slot's zone is its region, found by two compares against the boundaries.
-Each policy has a scalar classifier, for one object, and a batched one that
-a sweep pause runs over all its candidates' feature columns at once.
+Each policy has one rule, written with & and | so that it reads a
+FeatureVector or FeatureColumns alike, and two pickers over it: a scalar
+classifier for one object, and a batched one that a sweep pause runs over
+all its candidates' feature columns at once. A move whose target zone has no
+slot left changes nothing; in a pause the object stays and the rest move.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ _RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
 # member in the bytearray costs several times more per write.
 _ACTIVE = int(StateCode.ACTIVE)
 _IDLE = int(StateCode.IDLE)
-
-POLICIES = ("simple", "predicates")
 
 
 @dataclass(frozen=True)
@@ -143,13 +144,9 @@ def zone_cost(zone: ZoneId, f: FeatureVector | FeatureColumns, costs: CostParams
 
 
 def argmin_cost(f: FeatureVector, costs: CostParams) -> ZoneId:
-    best = None
-    best_cost = None
-    for zone in _TIE_ORDER:
-        c = zone_cost(zone, f, costs)
-        if best_cost is None or c < best_cost:
-            best, best_cost = zone, c
-    return best
+    """The cheapest zone; the first of _TIE_ORDER on a tie. min() takes a cost
+    only when strictly below the best so far, so a NaN cost never wins."""
+    return min(_TIE_ORDER, key=lambda zone: zone_cost(zone, f, costs))
 
 
 def argmin_cost_batch(f: FeatureColumns, costs: CostParams) -> np.ndarray:
@@ -170,22 +167,27 @@ def argmin_cost_batch(f: FeatureColumns, costs: CostParams) -> np.ndarray:
     return best
 
 
-def classify_simple(f: FeatureVector, th: RateThresholds, costs: CostParams) -> ZoneId:
-    """Rate-based zone choice.
+def _simple_rules(f: FeatureVector | FeatureColumns, th: RateThresholds) -> tuple:
+    """(red, green, band) of the rate-based policy, tried in that order.
 
     Red needs both rates strictly under the red cuts; green takes anything at
-    or over a green cut. The ambiguous middle band, where both rates sit
-    between their cuts, is settled by cheapest zone; every other fall-through
-    goes to blue.
+    or over a green cut. In the ambiguous middle band both rates sit between
+    their cuts; every other fall-through goes to blue.
     """
-    a = f.access_rate
-    mu = f.mutation_rate
-    if a < th.access_red and mu < th.mutation_red:
+    a, mu = f.access_rate, f.mutation_rate
+    return ((a < th.access_red) & (mu < th.mutation_red),
+            (a >= th.access_green) | (mu >= th.mutation_green),
+            (th.access_red <= a) & (th.mutation_red <= mu))
+
+
+def classify_simple(f: FeatureVector, th: RateThresholds, costs: CostParams) -> ZoneId:
+    """Rate-based zone choice; the middle band takes the cheapest zone."""
+    red, green, band = _simple_rules(f, th)
+    if red:
         return ZoneId.RED
-    if a >= th.access_green or mu >= th.mutation_green:
+    if green:
         return ZoneId.GREEN
-    if th.access_red <= a and th.mutation_red <= mu:
-        # both rates inside [red, green): ambiguous, take the cheapest zone
+    if band:
         return argmin_cost(f, costs)
     return ZoneId.BLUE
 
@@ -193,38 +195,26 @@ def classify_simple(f: FeatureVector, th: RateThresholds, costs: CostParams) -> 
 def classify_simple_batch(f: FeatureColumns, th: RateThresholds,
                           costs: CostParams) -> np.ndarray:
     """classify_simple of each object, as zone ordinals."""
-    a = f.access_rate
-    mu = f.mutation_rate
-    return np.select(
-        [(a < th.access_red) & (mu < th.mutation_red),
-         (a >= th.access_green) | (mu >= th.mutation_green),
-         (th.access_red <= a) & (th.mutation_red <= mu)],
-        [_RED, _GREEN, argmin_cost_batch(f, costs)],
-        _BLUE,
-    )
+    return np.select(list(_simple_rules(f, th)),
+                     [_RED, _GREEN, argmin_cost_batch(f, costs)], _BLUE)
+
+
+def _eligible(f: FeatureVector | FeatureColumns, th: PredicateThresholds) -> tuple:
+    """(red, green, blue) eligibility of the predicate policy."""
+    lt, mu, a, size = f.lifetime, f.mutation_rate, f.access_rate, f.size
+    return ((lt <= th.lifetime_red) & (mu >= th.mutation_red)
+            & (a >= th.access_red) & (size <= th.size_red),
+            (th.lifetime_red < lt) & (lt <= th.lifetime_green)
+            & (th.mutation_green <= mu) & (mu < th.mutation_red)
+            & (th.access_green <= a) & (a < th.access_red)
+            & (th.size_red < size) & (size <= th.size_green),
+            (lt > th.lifetime_green) | (mu < th.mutation_green)
+            | (a < th.access_green) | (size > th.size_green))
 
 
 def eligibility(f: FeatureVector, th: PredicateThresholds) -> dict[ZoneId, bool]:
     """The three zone-eligibility predicates of the predicate policy."""
-    e_r = (
-        f.lifetime <= th.lifetime_red
-        and f.mutation_rate >= th.mutation_red
-        and f.access_rate >= th.access_red
-        and f.size <= th.size_red
-    )
-    e_g = (
-        th.lifetime_red < f.lifetime <= th.lifetime_green
-        and th.mutation_green <= f.mutation_rate < th.mutation_red
-        and th.access_green <= f.access_rate < th.access_red
-        and th.size_red < f.size <= th.size_green
-    )
-    e_b = (
-        f.lifetime > th.lifetime_green
-        or f.mutation_rate < th.mutation_green
-        or f.access_rate < th.access_green
-        or f.size > th.size_green
-    )
-    return {ZoneId.RED: e_r, ZoneId.GREEN: e_g, ZoneId.BLUE: e_b}
+    return dict(zip(ZONE_ORDER, _eligible(f, th)))
 
 
 def classify_predicates(f: FeatureVector, th: PredicateThresholds,
@@ -234,31 +224,27 @@ def classify_predicates(f: FeatureVector, th: PredicateThresholds,
     A single eligible zone wins outright; zero or several eligible zones fall
     back to the cheapest of all three.
     """
-    eligible = eligibility(f, th)
-    applicable = [zone for zone in ZONE_ORDER if eligible[zone]]
-    if len(applicable) == 1:
-        return applicable[0]
-    return argmin_cost(f, costs)
+    e_r, e_g, e_b = _eligible(f, th)
+    if e_r + e_g + e_b != 1:
+        return argmin_cost(f, costs)
+    return ZoneId.RED if e_r else ZoneId.GREEN if e_g else ZoneId.BLUE
 
 
 def classify_predicates_batch(f: FeatureColumns, th: PredicateThresholds,
                               costs: CostParams) -> np.ndarray:
     """classify_predicates of each object, as zone ordinals."""
-    lt, mu, a, size = f.lifetime, f.mutation_rate, f.access_rate, f.size
-    e_r = ((lt <= th.lifetime_red) & (mu >= th.mutation_red)
-           & (a >= th.access_red) & (size <= th.size_red))
-    e_g = ((th.lifetime_red < lt) & (lt <= th.lifetime_green)
-           & (th.mutation_green <= mu) & (mu < th.mutation_red)
-           & (th.access_green <= a) & (a < th.access_red)
-           & (th.size_red < size) & (size <= th.size_green))
-    e_b = ((lt > th.lifetime_green) | (mu < th.mutation_green)
-           | (a < th.access_green) | (size > th.size_green))
-    n_eligible = e_r.astype(np.int8) + e_g + e_b
-    return np.select(
-        [n_eligible != 1, e_r, e_g],
-        [argmin_cost_batch(f, costs), _RED, _GREEN],
-        _BLUE,
-    )
+    e_r, e_g, e_b = _eligible(f, th)
+    return np.select([e_r.astype(np.int8) + e_g + e_b != 1, e_r, e_g],
+                     [argmin_cost_batch(f, costs), _RED, _GREEN], _BLUE)
+
+
+# policy -> (scalar classifier, batched classifier, thresholds attribute)
+_POLICY_TABLE = {
+    "simple": (classify_simple, classify_simple_batch, "rate_thresholds"),
+    "predicates": (classify_predicates, classify_predicates_batch,
+                   "predicate_thresholds"),
+}
+POLICIES = tuple(_POLICY_TABLE)
 
 
 @dataclass(frozen=True)
@@ -294,7 +280,6 @@ class ZoneArena:
         self,
         layout: ZoneLayout | None = None,
         *,
-        base: int = 0,
         clock: LogicalClock | None = None,
         rate_window: float = 1.0,
         ema: EmaConfig | None = None,
@@ -306,12 +291,14 @@ class ZoneArena:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.layout = layout or ZoneLayout(1024, 1024, 1024)
-        self.table = CheckpointTable(self.layout, base)
+        self.table = CheckpointTable(self.layout)
         self.clock = clock or LogicalClock()
         self.rate_thresholds = rate_thresholds or RateThresholds()
         self.predicate_thresholds = predicate_thresholds or PredicateThresholds()
         self.costs = costs or CostParams()
         self.policy = policy
+        self._classify, self._classify_batch, thresholds = _POLICY_TABLE[policy]
+        self._thresholds = getattr(self, thresholds)
         self.slots = SlotTable(self.layout, rate_window, ema or EmaConfig())
         self.handles: list[ObjectHandle | None] = [None] * self.layout.total
         # Indexed by ZoneId.ordinal; hot paths avoid enum-keyed dicts.
@@ -386,22 +373,21 @@ class ZoneArena:
 
         The old index returns to its own zone's pool and is never rebound to
         the new zone. The new object takes the old one's site and static
-        features, which a freed slot keeps.
+        features, which a freed slot keeps. When the new zone has neither a
+        pooled nor a fresh slot, raises ZoneCapacityError before anything
+        changes, so the object stays where it is.
         """
         idx = handle.slot_index
         slots = self.slots
         if not (0 <= idx < len(slots.alive) and slots.alive[idx]):
             raise LifecycleError(f"slot {idx} holds no live object")
         zi = 0 if idx < slots.green_start else 1 if idx < slots.blue_start else 2
-        if new_zone.ordinal == zi:
+        ni = new_zone.ordinal
+        if ni == zi:
             return handle
-        # expire(handle) inlined, its checks done above: a pause makes one
-        # call per moved object.
-        self.clock.ops += 1
-        slots.alive[idx] = 0
-        self._states[idx] = _IDLE
-        self._pools[zi].append(idx)
-        self._expired[zi] += 1
+        if not (self._pools[ni] or self._fresh_next[ni] < self._fresh_stop[ni]):
+            raise ZoneCapacityError(f"zone {new_zone} has no slot for slot {idx}")
+        self.expire(handle)
         return self.allocate(
             new_zone, slots.site_tag[idx], size=slots.size[idx],
             fan_out=slots.fan_out[idx], complexity_weight=slots.complexity_weight[idx],
@@ -431,9 +417,7 @@ class ZoneArena:
         )
 
     def classify(self, f: FeatureVector) -> ZoneId:
-        if self.policy == "simple":
-            return classify_simple(f, self.rate_thresholds, self.costs)
-        return classify_predicates(f, self.predicate_thresholds, self.costs)
+        return self._classify(f, self._thresholds, self.costs)
 
     # -- sweep integration --------------------------------------------------
 
@@ -448,22 +432,23 @@ class ZoneArena:
         that a move claims during the pause is not examined again. Then each
         candidate whose zone differs from its target expires and reallocates
         into the target, in ascending index order; the rest are left as they
-        are. Returns (old index, new handle) pairs for the moved objects. A
-        negative feature raises ValueError before any move is made.
+        are, and so is a mover whose target zone has no slot left. Returns
+        (old index, new handle) pairs for the moved objects. A negative
+        feature raises ValueError before any move is made.
         """
         slots = self.slots
         idx = np.array(report.candidates, dtype=np.intp)
         idx = idx[np.frombuffer(slots.alive, dtype=np.uint8)[idx] != 0]
         f = feature_columns(slots, idx)
-        if self.policy == "simple":
-            target = classify_simple_batch(f, self.rate_thresholds, self.costs)
-        else:
-            target = classify_predicates_batch(f, self.predicate_thresholds, self.costs)
+        target = self._classify_batch(f, self._thresholds, self.costs)
         # The zone is the slot's region.
         zone = (idx >= slots.green_start).astype(np.int8) + (idx >= slots.blue_start)
         movers = target != zone
         handles = self.handles
-        return [
-            (i, self.expire_and_reallocate(handles[i], ZONE_ORDER[t]))
-            for i, t in zip(idx[movers].tolist(), target[movers].tolist())
-        ]
+        moved = []
+        for i, t in zip(idx[movers].tolist(), target[movers].tolist()):
+            try:
+                moved.append((i, self.expire_and_reallocate(handles[i], ZONE_ORDER[t])))
+            except ZoneCapacityError:
+                pass  # the target zone is full: the object stays
+        return moved

@@ -395,6 +395,32 @@ class ArenaModel:
         return [(slot, self.expire_and_reallocate(slot, zone))
                 for slot, zone in targets if zone != self.headers[slot].zone]
 
+    # expire_and_reallocate and reclassify above are frozen: a move there
+    # expires its object before it finds the target zone full, and so loses
+    # it. The two methods below lose nothing.
+
+    def move_lossless(self, slot: int, zone: str) -> int:
+        """expire_and_reallocate that refuses a move into a zone with no
+        pooled or fresh slot before it expires the object."""
+        full = not self.pools[zone] and self.fresh[zone] >= self.stop[zone]
+        if zone != self.live(slot).zone and full:
+            raise Refused("capacity")
+        return self.expire_and_reallocate(slot, zone)
+
+    def reclassify_lossless(self, candidates, classify) -> list[tuple[int, int]]:
+        """reclassify with lossless moves: a mover whose target zone is full
+        stays where it is, is left out of the pairs, and the rest move."""
+        targets = [(slot, classify(self.features(slot))) for slot in sorted(candidates)
+                   if slot in self.headers and self.headers[slot].alive]
+        moved = []
+        for slot, zone in targets:
+            if zone != self.headers[slot].zone:
+                try:
+                    moved.append((slot, self.move_lossless(slot, zone)))
+                except Refused:
+                    pass
+        return moved
+
     def features(self, slot: int) -> dict:
         h = self.headers[slot]
         return {
