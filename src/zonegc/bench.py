@@ -18,7 +18,7 @@ import operator
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -406,64 +406,57 @@ def run_bench(spec: WorkloadSpec, config: RuntimeConfig | None = None):
 # -- report emission --------------------------------------------------------
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+def _table(fmt: str, title: str | None, header, rows) -> str:
+    """The one writer of the report syntax: an optional title line, then the
+    header and the rows of cells.
+
+    CSV joins cells with commas. Markdown puts a blank line after the title
+    and writes `| a | b |` rows, with a `| --- |` rule under the header.
+    fmt is checked before `rows` is read, so a generator of rows makes its
+    lookups only for a known format.
+    """
+    if fmt == "csv":
+        lines = [",".join(cells) for cells in (header, *rows)]
+    elif fmt == "markdown":
+        lines = ["", *(f"| {' | '.join(cells)} |"
+                       for cells in (header, ["---"] * len(header), *rows))]
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return "\n".join(lines if title is None else [title, *lines])
 
 
 def emit_report(report: BenchReport, fmt: str = "csv") -> str:
     """Attempt table plus mean/stddev footer.
 
     CSV uses lossless float repr so parse(emit(r)) gives the numbers back
-    exactly; markdown rounds for reading. The stddev row appears only when it
-    is defined (two or more attempts).
+    exactly, and leaves a missing figure empty; markdown rounds for reading
+    and shows n/a. The CSV stddev row appears only when it is defined (two or
+    more attempts).
     """
-    if fmt == "csv":
-        lines = ["attempt,time_ms,checksum,mem_before_kb,mem_after_kb,delta_kb"]
-        for r in report.records:
-            lines.append(
-                ",".join(
-                    _csv_cell(v)
-                    for v in (r.attempt, r.time_ms, r.checksum,
-                              r.mem_before_kb, r.mem_after_kb, r.delta_kb)
-                )
-            )
-        lines.append(
-            f"mean,{_csv_cell(report.mean_time_ms)},,,,"
-            f"{_csv_cell(report.mean_delta_kb)}"
-        )
-        if report.stddev_defined:
-            lines.append(f"stddev,{_csv_cell(report.stddev_time_ms)},,,,")
-        return "\n".join(lines)
-    if fmt == "markdown":
-        def cell(v, num_fmt="{}"):
-            return "n/a" if v is None else num_fmt.format(v)
+    csv = fmt == "csv"
 
-        spec = report.spec
-        title = f"{spec.kind} size={spec.size} partitions={spec.partitions}"
-        if spec.kind in DEFAULT_CHUNK:
-            title += f" chunk={spec.effective_chunk}"
-        lines = [
-            title,
-            "",
-            "| Attempt | Time (ms) | Checksum | MemBefore (KB) | MemAfter (KB) | Delta (KB) |",
-            "| --- | --- | --- | --- | --- | --- |",
-        ]
-        for r in report.records:
-            lines.append(
-                f"| {r.attempt} | {r.time_ms:.6f} | {r.checksum} "
-                f"| {cell(r.mem_before_kb)} | {cell(r.mem_after_kb)} "
-                f"| {cell(r.delta_kb)} |"
-            )
-        lines.append(
-            f"| Mean | {report.mean_time_ms:.6f} |  |  |  "
-            f"| {cell(report.mean_delta_kb, '{:.1f}')} |"
-        )
-        stddev = f"{report.stddev_time_ms:.6f}" if report.stddev_defined else "n/a"
-        lines.append(f"| StdDev | {stddev} |  |  |  |  |")
-        return "\n".join(lines)
-    raise ValueError(f"unknown report format {fmt!r}")
+    def num(value, spec: str = ".6f") -> str:
+        # format(x, "") of a float is its repr.
+        if value is None:
+            return "" if csv else "n/a"
+        return format(value, "" if csv else spec)
+
+    rows = [[str(r.attempt), num(r.time_ms), str(r.checksum), num(r.mem_before_kb, ""),
+             num(r.mem_after_kb, ""), num(r.delta_kb, "")] for r in report.records]
+    rows.append(["mean" if csv else "Mean", num(report.mean_time_ms), "", "", "",
+                 num(report.mean_delta_kb, ".1f")])
+    if report.stddev_defined or not csv:
+        stddev = report.stddev_time_ms if report.stddev_defined else None
+        rows.append(["stddev" if csv else "StdDev", num(stddev), "", "", "", ""])
+    if csv:
+        return _table(fmt, None, ("attempt", "time_ms", "checksum", "mem_before_kb",
+                                  "mem_after_kb", "delta_kb"), rows)
+    spec = report.spec
+    title = f"{spec.kind} size={spec.size} partitions={spec.partitions}"
+    if spec.kind in DEFAULT_CHUNK:
+        title += f" chunk={spec.effective_chunk}"
+    return _table(fmt, title, ("Attempt", "Time (ms)", "Checksum", "MemBefore (KB)",
+                               "MemAfter (KB)", "Delta (KB)"), rows)
 
 
 def parse_report_csv(text: str) -> dict:
@@ -514,35 +507,16 @@ def emit_pool_stats(stats: dict[ZoneId, PoolStats], fmt: str = "csv", *,
     """Per-zone counter table with the driving schedule stated up front."""
     note = schedule_note(kind, config)
     if fmt == "csv":
-        lines = [
-            f"# workload={kind} schedule={note}",
-            "zone,total_requests,real_allocations,reused_objects,"
-            "expired_objects,pool_size",
-        ]
-        for zone in REPORT_ZONE_ORDER:
-            s = stats[zone]
-            lines.append(
-                f"{zone},{s.total_requests},{s.real_allocations},"
-                f"{s.reused_objects},{s.expired_objects},{s.pool_size}"
-            )
-        return "\n".join(lines)
-    if fmt == "markdown":
-        lines = [
-            f"{kind}: {note}",
-            "",
-            "| Zone | Total Requests | Real Allocations | Reused Objects "
-            "| Expired Objects | Pool Size |",
-            "| --- | --- | --- | --- | --- | --- |",
-        ]
-        for zone in REPORT_ZONE_ORDER:
-            s = stats[zone]
-            lines.append(
-                f"| {ZONE_LABELS[zone]} | {s.total_requests:,} "
-                f"| {s.real_allocations:,} | {s.reused_objects:,} "
-                f"| {s.expired_objects:,} | {s.pool_size:,} |"
-            )
-        return "\n".join(lines)
-    raise ValueError(f"unknown report format {fmt!r}")
+        title, label, num = f"# workload={kind} schedule={note}", str, str
+        header = ("zone", "total_requests", "real_allocations", "reused_objects",
+                  "expired_objects", "pool_size")
+    else:
+        title, label, num = f"{kind}: {note}", ZONE_LABELS.get, "{:,}".format
+        header = ("Zone", "Total Requests", "Real Allocations", "Reused Objects",
+                  "Expired Objects", "Pool Size")
+    # PoolStats' fields, in declaration order, are the columns after the zone.
+    rows = ([label(zone), *map(num, astuple(stats[zone]))] for zone in REPORT_ZONE_ORDER)
+    return _table(fmt, title, header, rows)
 
 
 def parse_pool_stats_csv(text: str) -> dict[ZoneId, PoolStats]:

@@ -16,6 +16,9 @@ simple.* and predicate.* policy thresholds; cost.<zone>.mark|scan|stage and
 cost.mark_tolerance; and the plain keys policy, rate_window, ema_weight,
 seconds_per_op, sweep_interval and max_recursion_depth.
 
+The threshold and cost pieces take their fields by name: simple.access_red
+sets RateThresholds.access_red and cost.red.mark the red ZoneWeights.mark.
+
 A config is checked as a whole when it is built. The pieces it assembles
 (ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
 apply their own rules; RuntimeConfig adds the rules no piece owns: policy
@@ -31,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .layout import ZoneId, ZoneLayout
+from .layout import ZONE_ORDER, ZoneLayout
 from .objects import EmaConfig, LogicalClock
 from .zones import (
     POLICIES,
@@ -120,40 +123,22 @@ class RuntimeConfig:
     def clock(self) -> LogicalClock:
         return LogicalClock(self.seconds_per_op)
 
+    def _group(self, group: str) -> dict:
+        """The fields under key prefix `group.`, named by the rest of their key,
+        which is the name of the piece field they set."""
+        return {name: getattr(self, field) for name, field in _GROUP_FIELDS[group].items()}
+
     def rate_thresholds(self) -> RateThresholds:
-        return RateThresholds(
-            self.simple_access_red,
-            self.simple_access_green,
-            self.simple_mutation_red,
-            self.simple_mutation_green,
-        )
+        return RateThresholds(**self._group("simple"))
 
     def predicate_thresholds(self) -> PredicateThresholds:
-        return PredicateThresholds(
-            self.predicate_lifetime_red,
-            self.predicate_lifetime_green,
-            self.predicate_mutation_red,
-            self.predicate_mutation_green,
-            self.predicate_access_red,
-            self.predicate_access_green,
-            self.predicate_size_red,
-            self.predicate_size_green,
-        )
+        return PredicateThresholds(**self._group("predicate"))
 
     def cost_params(self) -> CostParams:
         return CostParams(
-            weights={
-                ZoneId.RED: ZoneWeights(
-                    self.cost_red_mark, self.cost_red_scan, self.cost_red_stage
-                ),
-                ZoneId.GREEN: ZoneWeights(
-                    self.cost_green_mark, self.cost_green_scan, self.cost_green_stage
-                ),
-                ZoneId.BLUE: ZoneWeights(
-                    self.cost_blue_mark, self.cost_blue_scan, self.cost_blue_stage
-                ),
-            },
-            mark_tolerance=self.cost_mark_tolerance,
+            weights={zone: ZoneWeights(**self._group(f"cost.{zone.name.lower()}"))
+                     for zone in ZONE_ORDER},
+            **self._group("cost"),
         )
 
     def build_arena(self) -> ZoneArena:
@@ -187,6 +172,20 @@ def _key_of(name: str) -> str:
 
 
 _FIELDS = {_key_of(f.name): f for f in fields(RuntimeConfig)}
+
+
+def _group_fields() -> dict[str, dict[str, str]]:
+    """Key group -> {last key part: field name}, for example "cost.red" ->
+    {"mark": "cost_red_mark", ...}; plain keys fall in group ""."""
+    groups: dict[str, dict[str, str]] = {}
+    for key, f in _FIELDS.items():
+        group, _, name = key.rpartition(".")
+        groups.setdefault(group, {})[name] = f.name
+    return groups
+
+
+# Built once: scanning fields() on every factory call tripled a config build.
+_GROUP_FIELDS = _group_fields()
 _PARSERS = {"int": int, "float": float, "str": str}
 
 

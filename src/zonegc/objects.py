@@ -187,6 +187,8 @@ class SlotTable:
         self.complexity_weight = _doubles(n)
         self.site_tag: list[str | None] = [None] * n
         self.window_start = _doubles(2 * n)
+        # A list, not a typed column: a list item store is ~3x cheaper than a
+        # memoryview('q') store, and claim and record_event store here.
         self.count = [0] * (2 * n)
         self.ema = _doubles(2 * n, NAN)
         self.window = window

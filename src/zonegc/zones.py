@@ -305,7 +305,6 @@ class ZoneArena:
         self._pools: list[list[int]] = [[] for _ in ZONE_ORDER]
         self._fresh_next: list[int] = [self.layout.start(z) for z in ZONE_ORDER]
         self._fresh_stop: list[int] = [self.layout.span(z)[1] for z in ZONE_ORDER]
-        self._real: list[int] = [0, 0, 0]
         self._reused: list[int] = [0, 0, 0]
         self._expired: list[int] = [0, 0, 0]
         self._states = self.table._states  # shared storage for inlined writes
@@ -338,7 +337,6 @@ class ZoneArena:
                     f"zone {zone} exhausted at {self.layout.size(zone)} slots"
                 )
             self._fresh_next[zi] = idx + 1
-            self._real[zi] += 1
             self.handles[idx] = ObjectHandle(idx, slots)
         slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
@@ -406,7 +404,9 @@ class ZoneArena:
 
     def pool_stats(self, zone: ZoneId) -> PoolStats:
         zi = zone.ordinal
-        real = self._real[zi]
+        # Fresh slots are claimed in order, once each, so the claimed ones
+        # are the real allocations.
+        real = self._fresh_next[zi] - self.layout.start(zone)
         reused = self._reused[zi]
         return PoolStats(
             total_requests=real + reused,

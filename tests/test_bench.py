@@ -308,6 +308,130 @@ def test_unknown_format_rejected():
         emit_pool_stats({}, "yaml", kind="alloc_reuse")
 
 
+# -- golden report texts ------------------------------------------------------
+# Reports built field by field, so these pin the emitters alone: CSV floats as
+# repr and an int mean delta as an int, markdown times as :.6f and the mean
+# delta as :.1f, n/a for a missing probe or stddev, and the chunk in a
+# recursion title.
+
+_TABLE_HEAD = (
+    "| Attempt | Time (ms) | Checksum | MemBefore (KB) | MemAfter (KB) | Delta (KB) |",
+    "| --- | --- | --- | --- | --- | --- |",
+)
+_CSV_HEAD = "attempt,time_ms,checksum,mem_before_kb,mem_after_kb,delta_kb"
+
+GOLDEN_REPORTS = [
+    # 3 attempts with memory figures; the mean delta is a float
+    (BenchReport(WorkloadSpec("loop", 100_000, partitions=2, attempts=3),
+                 (AttemptRecord(1, 0.1753, -1234, 41200, 41212, 12),
+                  AttemptRecord(2, 0.3648, -1234, 41216, 41208, -8),
+                  AttemptRecord(3, 12.5, -1234, 41232, 41205, -27)),
+                 4.3467, 7.122851466013427, -23 / 3, True),
+     (_CSV_HEAD,
+      "1,0.1753,-1234,41200,41212,12",
+      "2,0.3648,-1234,41216,41208,-8",
+      "3,12.5,-1234,41232,41205,-27",
+      "mean,4.3467,,,,-7.666666666666667",
+      "stddev,7.122851466013427,,,,"),
+     ("loop size=100000 partitions=2", "", *_TABLE_HEAD,
+      "| 1 | 0.175300 | -1234 | 41200 | 41212 | 12 |",
+      "| 2 | 0.364800 | -1234 | 41216 | 41208 | -8 |",
+      "| 3 | 12.500000 | -1234 | 41232 | 41205 | -27 |",
+      "| Mean | 4.346700 |  |  |  | -7.7 |",
+      "| StdDev | 7.122851 |  |  |  |  |")),
+    # 1 attempt without memory figures; the title carries the default chunk
+    (BenchReport(WorkloadSpec("recursion", 10_000, attempts=1),
+                 (AttemptRecord(1, 3.0, 9, None, None, None),),
+                 3.0, 0.0, None, False),
+     (_CSV_HEAD,
+      "1,3.0,9,,,",
+      "mean,3.0,,,,"),
+     ("recursion size=10000 partitions=1 chunk=1000", "", *_TABLE_HEAD,
+      "| 1 | 3.000000 | 9 | n/a | n/a | n/a |",
+      "| Mean | 3.000000 |  |  |  | n/a |",
+      "| StdDev | n/a |  |  |  |  |")),
+    # 3 attempts without memory figures, an explicit chunk
+    (BenchReport(WorkloadSpec("deep_recursion", 8000, chunk=4000, partitions=2,
+                              attempts=3),
+                 (AttemptRecord(1, 1.5, 0, None, None, None),
+                  AttemptRecord(2, 2.25, 0, None, None, None),
+                  AttemptRecord(3, 0.1, 0, None, None, None)),
+                 1.2833333333333334, 1.080431703977387, None, True),
+     (_CSV_HEAD,
+      "1,1.5,0,,,",
+      "2,2.25,0,,,",
+      "3,0.1,0,,,",
+      "mean,1.2833333333333334,,,,",
+      "stddev,1.080431703977387,,,,"),
+     ("deep_recursion size=8000 partitions=2 chunk=4000", "", *_TABLE_HEAD,
+      "| 1 | 1.500000 | 0 | n/a | n/a | n/a |",
+      "| 2 | 2.250000 | 0 | n/a | n/a | n/a |",
+      "| 3 | 0.100000 | 0 | n/a | n/a | n/a |",
+      "| Mean | 1.283333 |  |  |  | n/a |",
+      "| StdDev | 1.080432 |  |  |  |  |")),
+    # 1 attempt with memory figures; summarize gives an int mean delta here
+    (BenchReport(WorkloadSpec("matrix", 64, attempts=1),
+                 (AttemptRecord(1, 0.30000000000000004, 32767, 41200, 41212, 12),),
+                 0.30000000000000004, 0.0, 12, False),
+     (_CSV_HEAD,
+      "1,0.30000000000000004,32767,41200,41212,12",
+      "mean,0.30000000000000004,,,,12"),
+     ("matrix size=64 partitions=1", "", *_TABLE_HEAD,
+      "| 1 | 0.300000 | 32767 | 41200 | 41212 | 12 |",
+      "| Mean | 0.300000 |  |  |  | 12.0 |",
+      "| StdDev | n/a |  |  |  |  |")),
+]
+
+
+@pytest.mark.parametrize("report, csv, markdown", GOLDEN_REPORTS,
+                         ids=[r.spec.kind for r, _, _ in GOLDEN_REPORTS])
+def test_report_text_is_pinned(report, csv, markdown):
+    assert emit_report(report, "csv") == "\n".join(csv)
+    assert emit_report(report, "markdown") == "\n".join(markdown)
+
+
+GOLDEN_STATS = {
+    ZoneId.GREEN: PoolStats(1234567, 3, 1234564, 1000, 3),
+    ZoneId.BLUE: PoolStats(20000, 2, 19998, 10000, 2),
+    ZoneId.RED: PoolStats(999, 999, 0, 0, 0),
+}
+
+
+GOLDEN_NOTES = {
+    "alloc_reuse": "sequential acquire/release cycles on one green site",
+    "zone_pressure":
+        "seeded zone draws with probabilities green 0.7, blue 0.2, red 0.1",
+    "zone_imbalance": "repeating request block of 90 green, 9 blue, 1 red",
+    "expiration":
+        "per-use TTL: blue every 2nd use, red every use, green only at teardown",
+    "checkpoint_lifecycle":
+        "sweep every 500 requests; blue expires at sweep boundaries, "
+        "red per use, green pinned persistent",
+}
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN_NOTES))
+def test_pool_stats_text_is_pinned(kind):
+    note = GOLDEN_NOTES[kind]
+    assert emit_pool_stats(GOLDEN_STATS, "csv", kind=kind) == "\n".join((
+        f"# workload={kind} schedule={note}",
+        "zone,total_requests,real_allocations,reused_objects,expired_objects,pool_size",
+        "G,1234567,3,1234564,1000,3",
+        "B,20000,2,19998,10000,2",
+        "R,999,999,0,0,0",
+    ))
+    assert emit_pool_stats(GOLDEN_STATS, "markdown", kind=kind) == "\n".join((
+        f"{kind}: {note}",
+        "",
+        "| Zone | Total Requests | Real Allocations | Reused Objects "
+        "| Expired Objects | Pool Size |",
+        "| --- | --- | --- | --- | --- | --- |",
+        "| Green | 1,234,567 | 3 | 1,234,564 | 1,000 | 3 |",
+        "| Blue | 20,000 | 2 | 19,998 | 10,000 | 2 |",
+        "| Red | 999 | 999 | 0 | 0 | 0 |",
+    ))
+
+
 def test_pool_stats_roundtrip():
     stats = {
         ZoneId.GREEN: PoolStats(1000, 1, 999, 0, 1),

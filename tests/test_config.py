@@ -145,6 +145,38 @@ def test_config_is_frozen():
         cfg.zone_red = 1  # type: ignore[misc]
 
 
+# One distinct valid value per threshold and cost key.
+PIECE_KEYS = {
+    "simple.access_red": 1.0, "simple.access_green": 2.0,
+    "simple.mutation_red": 3.0, "simple.mutation_green": 4.0,
+    "predicate.lifetime_red": 0.5, "predicate.lifetime_green": 5.5,
+    "predicate.mutation_red": 200.0, "predicate.mutation_green": 20.0,
+    "predicate.access_red": 300.0, "predicate.access_green": 30.0,
+    "predicate.size_red": 128.0, "predicate.size_green": 8192.0,
+    "cost.red.mark": 1.3, "cost.red.scan": 1.2, "cost.red.stage": 5.0,
+    "cost.green.mark": 1.1, "cost.green.scan": 0.9, "cost.green.stage": 3.0,
+    "cost.blue.mark": 0.4, "cost.blue.scan": 0.3, "cost.blue.stage": 0.7,
+    "cost.mark_tolerance": 0.35,
+}
+
+
+def test_each_piece_key_reaches_its_piece_field():
+    assert {key.replace(".", "_") for key in PIECE_KEYS} == {
+        f.name for f in dataclasses.fields(RuntimeConfig)
+        if f.name.startswith(("simple_", "predicate_", "cost_"))}
+    cfg = parse_config("\n".join(f"{key} = {v}" for key, v in PIECE_KEYS.items()))
+    costs = cfg.cost_params()
+    pieces = {"simple": cfg.rate_thresholds(), "predicate": cfg.predicate_thresholds(),
+              "cost": costs, **{f"cost.{z.name.lower()}": costs.weights[z] for z in ZoneId}}
+    for prefix, piece in pieces.items():
+        keys = {key.rpartition(".")[2]: v for key, v in PIECE_KEYS.items()
+                if key.rpartition(".")[0] == prefix}
+        # every field of the piece has its key, and holds that key's value
+        assert {f.name for f in dataclasses.fields(piece)} - {"weights"} == set(keys)
+        for name, value in keys.items():
+            assert getattr(piece, name) == value, f"{prefix}.{name}"
+
+
 def test_factories_honor_overrides():
     cfg = parse_config(
         """
