@@ -123,7 +123,6 @@ class CheckpointTable:
     """One byte per entry, each holding a 3-bit state, over all three zones."""
 
     def __init__(self, layout: ZoneLayout, base: int = 0) -> None:
-        self.layout = layout
         self.base = base
         self.capacity = layout.total
         self.epoch = 0

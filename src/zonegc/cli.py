@@ -14,7 +14,6 @@ import argparse
 import sys
 
 from .bench import (
-    ALLOC_KINDS,
     KINDS,
     MAX_PARTITIONS,
     TIMED_KINDS,
@@ -71,14 +70,14 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text = emit_pool_stats(result, args.fmt, kind=args.kind,
                                    config=config)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (ZonegcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0
 
 

@@ -6,18 +6,19 @@ ignored. A key is its field's name with the group prefix dotted off, for
 example:
 
     zones.green = 2048
-    gen.fraction0 = 0.3
     simple.access_red = 10
     cost.blue.stage = 1.0
     policy = simple
 
-Key groups: zones.* (red, green, blue); gen.fraction0 and gen.fraction1;
-simple.* and predicate.* policy thresholds; cost.<zone>.mark|scan|stage and
-cost.mark_tolerance; and the plain keys policy, rate_window, ema_weight,
-seconds_per_op, sweep_interval and max_recursion_depth.
+Key groups: zones.* (red, green, blue); simple.* and predicate.* policy
+thresholds; cost.<zone>.mark|scan|stage and cost.mark_tolerance; and the
+plain keys policy, rate_window, ema_weight, seconds_per_op, sweep_interval
+and max_recursion_depth.
 
 The threshold and cost pieces take their fields by name: simple.access_red
 sets RateThresholds.access_red and cost.red.mark the red ZoneWeights.mark.
+build_arena hands the arena only the active policy's thresholds, whose type
+selects the policy.
 
 A config is checked as a whole when it is built. The pieces it assembles
 (ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
@@ -52,8 +53,6 @@ class RuntimeConfig:
     zone_red: int = 1024
     zone_green: int = 1024
     zone_blue: int = 1024
-    gen_fraction0: float = 0.25
-    gen_fraction1: float = 0.75
     # metrics and lifecycle
     policy: str = "simple"
     rate_window: float = 1.0
@@ -109,13 +108,7 @@ class RuntimeConfig:
     # -- factories ----------------------------------------------------------
 
     def layout(self) -> ZoneLayout:
-        return ZoneLayout(
-            self.zone_red,
-            self.zone_green,
-            self.zone_blue,
-            gen0_fraction=self.gen_fraction0,
-            gen1_fraction=self.gen_fraction1,
-        )
+        return ZoneLayout(self.zone_red, self.zone_green, self.zone_blue)
 
     def ema(self) -> EmaConfig:
         return EmaConfig(self.ema_weight)
@@ -147,18 +140,17 @@ class RuntimeConfig:
             clock=self.clock(),
             rate_window=self.rate_window,
             ema=self.ema(),
-            rate_thresholds=self.rate_thresholds(),
-            predicate_thresholds=self.predicate_thresholds(),
+            thresholds=(self.rate_thresholds() if self.policy == "simple"
+                        else self.predicate_thresholds()),
             costs=self.cost_params(),
-            policy=self.policy,
         )
 
 
 # Groups whose keys are dotted: field cost_red_mark is key cost.red.mark and
 # cost_mark_tolerance is cost.mark_tolerance. zones.* is the one group whose
 # key prefix differs from its fields' prefix (zone_*).
-_GROUPS = {"zone": "zones", "gen": "gen", "simple": "simple",
-           "predicate": "predicate", "cost": "cost"}
+_GROUPS = {"zone": "zones", "simple": "simple", "predicate": "predicate",
+           "cost": "cost"}
 
 
 def _key_of(name: str) -> str:

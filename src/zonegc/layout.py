@@ -1,15 +1,17 @@
 """Index geometry of the checkpoint table: zone regions and generations.
 
 The table is a single flat index space split into three contiguous regions,
-red then green then blue. Each region is subdivided positionally into three
-generations. All of this is pure arithmetic on indices; nothing here touches
-object state.
+red then green then blue. ZoneLayout computes the region edges once, as
+`bounds`; every other module reads a slot's zone from them. Each region is
+subdivided positionally into three generations at the fixed GENERATION_CUTS.
+All of this is pure arithmetic on indices; nothing here touches object
+state.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IndexRangeError
 
@@ -44,28 +46,30 @@ class Generation(enum.IntEnum):
 ZONE_ORDER = (ZoneId.RED, ZoneId.GREEN, ZoneId.BLUE)
 
 
+# Cumulative cut points of the generations inside a zone, its quartiles:
+# generation 0 covers the first quarter, generation 1 up to three quarters,
+# generation 2 the rest. Cut points are floored to whole indices.
+GENERATION_CUTS = (0.25, 0.75)
+
+
 @dataclass(frozen=True)
 class ZoneLayout:
-    """Sizes and subdivisions of the three table regions.
+    """Sizes of the three table regions, each holding 1 to MAX_ZONE_SLOTS
+    entries.
 
-    gen0_fraction and gen1_fraction are cumulative cut points: generation 0
-    covers the first gen0_fraction of a zone, generation 1 up to gen1_fraction,
-    generation 2 the rest. Cut points are floored to whole indices. Each zone
-    holds 1 to MAX_ZONE_SLOTS entries.
+    bounds holds the region edges, indexed by ZoneId.ordinal: zone z spans
+    [bounds[z], bounds[z + 1]), and bounds[3] is the table size.
     """
 
     n_red: int
     n_green: int
     n_blue: int
-    gen0_fraction: float = 0.25
-    gen1_fraction: float = 0.75
+    bounds: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.gen0_fraction < self.gen1_fraction < 1.0):
-            raise ValueError(
-                "generation fractions must satisfy 0 < gen0 < gen1 < 1, got "
-                f"{self.gen0_fraction} and {self.gen1_fraction}"
-            )
+        green = self.n_red
+        blue = green + self.n_green
+        object.__setattr__(self, "bounds", (0, green, blue, blue + self.n_blue))
         for zone in ZONE_ORDER:
             n = self.size(zone)
             if n < 1:
@@ -77,43 +81,32 @@ class ZoneLayout:
 
     @property
     def total(self) -> int:
-        return self.n_red + self.n_green + self.n_blue
+        return self.bounds[3]
 
     def size(self, zone: ZoneId) -> int:
-        if zone is ZoneId.RED:
-            return self.n_red
-        if zone is ZoneId.GREEN:
-            return self.n_green
-        return self.n_blue
+        lo, hi = self.span(zone)
+        return hi - lo
 
     def start(self, zone: ZoneId) -> int:
-        if zone is ZoneId.RED:
-            return 0
-        if zone is ZoneId.GREEN:
-            return self.n_red
-        return self.n_red + self.n_green
+        return self.bounds[zone.ordinal]
 
     def span(self, zone: ZoneId) -> tuple[int, int]:
         """Half-open [start, stop) index range of a zone."""
-        lo = self.start(zone)
-        return lo, lo + self.size(zone)
+        z = zone.ordinal
+        return self.bounds[z], self.bounds[z + 1]
 
     def zone_of_index(self, i: int) -> ZoneId:
-        if not 0 <= i < self.total:
-            raise IndexRangeError(f"index {i} outside table of {self.total} entries")
-        if i < self.n_red:
-            return ZoneId.RED
-        if i < self.n_red + self.n_green:
-            return ZoneId.GREEN
-        return ZoneId.BLUE
+        _, green, blue, total = self.bounds
+        if not 0 <= i < total:
+            raise IndexRangeError(f"index {i} outside table of {total} entries")
+        return ZONE_ORDER[0 if i < green else 1 if i < blue else 2]
 
     def generation_of(self, i: int) -> Generation:
-        zone = self.zone_of_index(i)  # also range-checks i
-        lo = self.start(zone)
-        n = self.size(zone)
+        lo, hi = self.span(self.zone_of_index(i))  # also range-checks i
         offset = i - lo
-        if offset < int(self.gen0_fraction * n):
+        cut0, cut1 = GENERATION_CUTS
+        if offset < int(cut0 * (hi - lo)):
             return Generation.GEN0
-        if offset < int(self.gen1_fraction * n):
+        if offset < int(cut1 * (hi - lo)):
             return Generation.GEN1
         return Generation.GEN2

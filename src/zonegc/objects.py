@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import LifecycleError
-from .layout import ZONE_ORDER, ZoneId, ZoneLayout
+from .layout import ZoneId, ZoneLayout
 
 NAN = float("nan")  # an EMA no window has closed into yet
 
@@ -174,7 +174,8 @@ class SlotTable:
     slot's entries describe its current object while alive[i] is set, and
     its last one after release. Mutation and access rates keep a window
     start, an open count and an EMA (NaN until a window closes) at entry
-    2 * i + kind.ordinal. The zone is not stored: it is the slot's region.
+    2 * i + kind.ordinal. The zone is not stored: it is the slot's region
+    in `layout`.
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
@@ -193,11 +194,7 @@ class SlotTable:
         self.ema = _doubles(2 * n, NAN)
         self.window = window
         self.cfg = cfg
-        self.green_start = layout.n_red
-        self.blue_start = layout.n_red + layout.n_green
-
-    def zone_of(self, i: int) -> ZoneId:
-        return ZONE_ORDER[0 if i < self.green_start else 1 if i < self.blue_start else 2]
+        self.layout = layout
 
     def claim(self, i: int, site_tag: str, now: float, size: float,
               fan_out: float, complexity_weight: float) -> None:
@@ -260,7 +257,7 @@ class ObjectHandle:
 
     @property
     def zone(self) -> ZoneId:
-        return self.slots.zone_of(self.slot_index)
+        return self.slots.layout.zone_of_index(self.slot_index)
 
     @property
     def lifetime(self) -> float:

@@ -6,12 +6,13 @@ in the target zone. Per-zone LIFO free pools absorb repeat requests, which is
 what keeps real allocations bounded by the peak concurrent live count. The
 arena writes ACTIVE and IDLE straight into the checkpoint table's bytes, and
 each object's metadata into the SlotTable's arrays at the same index; a
-slot's zone is its region, found by two compares against the boundaries.
-Each policy has one rule, written with & and | so that it reads a
-FeatureVector or FeatureColumns alike, and two pickers over it: a scalar
-classifier for one object, and a batched one that a sweep pause runs over
-all its candidates' feature columns at once. A move whose target zone has no
-slot left changes nothing; in a pause the object stays and the rest move.
+slot's zone is its region, read from the layout's bounds. Each policy has
+one rule, written with & and | so that it reads a FeatureVector or
+FeatureColumns alike, and two pickers over it: a scalar classifier for one
+object, and a batched one that a sweep pause runs over all its candidates'
+feature columns at once. The type of the thresholds an arena is given
+selects its policy. A move whose target zone has no slot left changes
+nothing; in a pause the object stays and the rest move.
 """
 
 from __future__ import annotations
@@ -238,13 +239,13 @@ def classify_predicates_batch(f: FeatureColumns, th: PredicateThresholds,
                      [argmin_cost_batch(f, costs), _RED, _GREEN], _BLUE)
 
 
-# policy -> (scalar classifier, batched classifier, thresholds attribute)
+# thresholds type -> (policy name, scalar classifier, batched classifier)
 _POLICY_TABLE = {
-    "simple": (classify_simple, classify_simple_batch, "rate_thresholds"),
-    "predicates": (classify_predicates, classify_predicates_batch,
-                   "predicate_thresholds"),
+    RateThresholds: ("simple", classify_simple, classify_simple_batch),
+    PredicateThresholds: ("predicates", classify_predicates,
+                          classify_predicates_batch),
 }
-POLICIES = tuple(_POLICY_TABLE)
+POLICIES = tuple(name for name, _, _ in _POLICY_TABLE.values())
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,8 @@ class ZoneArena:
     Object metadata lives in `slots`, a SlotTable indexed like the table,
     and `handles` keeps each slot's ObjectHandle once the slot is first
     claimed. The list sits here, not on the SlotTable, so that the handles'
-    references to the table make no reference cycle.
+    references to the table make no reference cycle. The thresholds' type
+    selects the policy.
     Ownership contract: one worker drives a given zone partition at a time;
     there is no internal locking. Counters are monotone and aggregated by
     readers at quiescent points.
@@ -283,28 +285,25 @@ class ZoneArena:
         clock: LogicalClock | None = None,
         rate_window: float = 1.0,
         ema: EmaConfig | None = None,
-        rate_thresholds: RateThresholds | None = None,
-        predicate_thresholds: PredicateThresholds | None = None,
+        thresholds: RateThresholds | PredicateThresholds | None = None,
         costs: CostParams | None = None,
-        policy: str = "simple",
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
+        self.thresholds = thresholds or RateThresholds()
+        try:
+            self.policy, self._classify, self._classify_batch = (
+                _POLICY_TABLE[type(self.thresholds)])
+        except KeyError:
+            raise ValueError(
+                f"no policy takes {type(self.thresholds).__name__} thresholds") from None
         self.layout = layout or ZoneLayout(1024, 1024, 1024)
         self.table = CheckpointTable(self.layout)
         self.clock = clock or LogicalClock()
-        self.rate_thresholds = rate_thresholds or RateThresholds()
-        self.predicate_thresholds = predicate_thresholds or PredicateThresholds()
         self.costs = costs or CostParams()
-        self.policy = policy
-        self._classify, self._classify_batch, thresholds = _POLICY_TABLE[policy]
-        self._thresholds = getattr(self, thresholds)
         self.slots = SlotTable(self.layout, rate_window, ema or EmaConfig())
         self.handles: list[ObjectHandle | None] = [None] * self.layout.total
         # Indexed by ZoneId.ordinal; hot paths avoid enum-keyed dicts.
         self._pools: list[list[int]] = [[] for _ in ZONE_ORDER]
-        self._fresh_next: list[int] = [self.layout.start(z) for z in ZONE_ORDER]
-        self._fresh_stop: list[int] = [self.layout.span(z)[1] for z in ZONE_ORDER]
+        self._fresh_next: list[int] = list(self.layout.bounds[:3])
         self._reused: list[int] = [0, 0, 0]
         self._expired: list[int] = [0, 0, 0]
         self._states = self.table._states  # shared storage for inlined writes
@@ -332,7 +331,7 @@ class ZoneArena:
             self._reused[zi] += 1
         else:
             idx = self._fresh_next[zi]
-            if idx >= self._fresh_stop[zi]:
+            if idx >= self.layout.bounds[zi + 1]:
                 raise ZoneCapacityError(
                     f"zone {zone} exhausted at {self.layout.size(zone)} slots"
                 )
@@ -353,8 +352,10 @@ class ZoneArena:
         self.clock.ops += 1
         slots.alive[idx] = 0
         self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
-        # The zone is the slot's region.
-        zi = 0 if idx < slots.green_start else 1 if idx < slots.blue_start else 2
+        # The zone is the slot's region; two compares, as this runs on every
+        # release and expiry.
+        bounds = self.layout.bounds
+        zi = 0 if idx < bounds[1] else 1 if idx < bounds[2] else 2
         self._pools[zi].append(idx)
         return zi
 
@@ -379,11 +380,10 @@ class ZoneArena:
         slots = self.slots
         if not (0 <= idx < len(slots.alive) and slots.alive[idx]):
             raise LifecycleError(f"slot {idx} holds no live object")
-        zi = 0 if idx < slots.green_start else 1 if idx < slots.blue_start else 2
-        ni = new_zone.ordinal
-        if ni == zi:
+        if new_zone is self.layout.zone_of_index(idx):
             return handle
-        if not (self._pools[ni] or self._fresh_next[ni] < self._fresh_stop[ni]):
+        ni = new_zone.ordinal
+        if not (self._pools[ni] or self._fresh_next[ni] < self.layout.bounds[ni + 1]):
             raise ZoneCapacityError(f"zone {new_zone} has no slot for slot {idx}")
         self.expire(handle)
         return self.allocate(
@@ -406,7 +406,7 @@ class ZoneArena:
         zi = zone.ordinal
         # Fresh slots are claimed in order, once each, so the claimed ones
         # are the real allocations.
-        real = self._fresh_next[zi] - self.layout.start(zone)
+        real = self._fresh_next[zi] - self.layout.bounds[zi]
         reused = self._reused[zi]
         return PoolStats(
             total_requests=real + reused,
@@ -417,7 +417,7 @@ class ZoneArena:
         )
 
     def classify(self, f: FeatureVector) -> ZoneId:
-        return self._classify(f, self._thresholds, self.costs)
+        return self._classify(f, self.thresholds, self.costs)
 
     # -- sweep integration --------------------------------------------------
 
@@ -440,9 +440,10 @@ class ZoneArena:
         idx = np.array(report.candidates, dtype=np.intp)
         idx = idx[np.frombuffer(slots.alive, dtype=np.uint8)[idx] != 0]
         f = feature_columns(slots, idx)
-        target = self._classify_batch(f, self._thresholds, self.costs)
-        # The zone is the slot's region.
-        zone = (idx >= slots.green_start).astype(np.int8) + (idx >= slots.blue_start)
+        target = self._classify_batch(f, self.thresholds, self.costs)
+        # The zone is the slot's region: the count of green and blue starts
+        # at or below the slot.
+        zone = np.searchsorted(self.layout.bounds[1:3], idx, side="right")
         movers = target != zone
         handles = self.handles
         moved = []

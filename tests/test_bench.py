@@ -139,6 +139,16 @@ def test_partitions_bounded_before_any_thread_starts(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: partitions must be in 1..64\n"
 
 
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    argv = ["loop", "--size", "10", "--attempts", "1", "--output", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_kind_dispatch_guards():
     with pytest.raises(ValueError):
         run_loop(WorkloadSpec("matrix", 4))

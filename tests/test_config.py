@@ -63,7 +63,7 @@ def test_every_documented_key_maps_to_a_real_field():
     cfg = parse_config(
         """
         zones.red = 7
-        gen.fraction0 = 0.3
+        ema_weight = 0.3
         zones.blue = 2
         rate_window = 2.0
         simple.mutation_green = 200
@@ -73,7 +73,7 @@ def test_every_documented_key_maps_to_a_real_field():
         max_recursion_depth = 100
         """
     )
-    assert (cfg.zone_red, cfg.gen_fraction0, cfg.zone_blue) == (7, 0.3, 2)
+    assert (cfg.zone_red, cfg.ema_weight, cfg.zone_blue) == (7, 0.3, 2)
     assert (cfg.rate_window, cfg.simple_mutation_green) == (2.0, 200.0)
     assert (cfg.predicate_size_red, cfg.cost_red_mark) == (128.0, 1.2)
     assert (cfg.cost_mark_tolerance, cfg.max_recursion_depth) == (0.5, 100)
@@ -92,6 +92,7 @@ def test_every_documented_key_maps_to_a_real_field():
     "rebalance.normalize", "cores", "scratch.slots", "scratch.bytes",
     "chi.loop", "chi.recursion", "chi.matrix",
     "partitions.red", "partitions.green", "partitions.blue", "pool_discipline",
+    "gen.fraction0", "gen.fraction1",
 ])
 def test_deleted_keys_fail_at_their_line(key):
     with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
@@ -116,11 +117,11 @@ def test_config_rules_are_checked_at_construction():
 
 @pytest.mark.parametrize("text, line", [
     # cross-key rule broken by both lines together: either line is involved
-    ("gen.fraction0 = 0.5\ngen.fraction1 = 0.4", 1),
+    ("simple.access_red = 50\nsimple.access_green = 40", 1),
     # a value out of range on its own is named at its own line
-    ("gen.fraction1 = 0.9\ngen.fraction0 = 1.5", 2),
+    ("simple.access_green = 200\nsimple.access_red = 300", 2),
     # a pair valid together does not take the blame for another key's error
-    ("gen.fraction1 = 0.9\nzones.red = 0\ngen.fraction0 = 0.8", 2),
+    ("simple.access_green = 200\nzones.red = 0\nsimple.access_red = 150", 2),
     # a repeated key is named at its last line, the one that takes effect
     ("zones.red = 0\nzones.green = 8\nzones.red = 0", 3),
     # the first line already breaks the ordering against the defaults
@@ -215,8 +216,8 @@ def test_cli_reports_bad_config_at_its_line(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("text", [
-    "gen.fraction0 = 0.8\ngen.fraction1 = 0.9\n",
-    "gen.fraction1 = 0.9\ngen.fraction0 = 0.8\n",
+    "simple.access_red = 150\nsimple.access_green = 200\n",
+    "simple.access_green = 200\nsimple.access_red = 150\n",
 ])
 def test_cli_accepts_valid_config_in_any_line_order(tmp_path, capsys, text):
     path = tmp_path / "runtime.conf"

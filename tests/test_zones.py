@@ -482,14 +482,62 @@ def test_pause_into_a_full_zone_loses_no_object():
     assert all(handle.alive and handle.zone is ZoneId.GREEN for handle in greens)
 
 
+def test_zone_edges_hold_on_unequal_zones():
+    """Every slot of three zones of different sizes: its handle names its
+    region, it frees into its own zone's pool, and a pause leaves a
+    region's first and last slot where they are when the policy's target
+    is their own zone."""
+    layout = ZoneLayout(3, 5, 4)
+    # open-window access counts: none sends an object to red, one to blue,
+    # two to green
+    events = {ZoneId.RED: 0, ZoneId.BLUE: 1, ZoneId.GREEN: 2}
+    arena = ZoneArena(layout, thresholds=RateThresholds(
+        access_red=1.0, access_green=2.0, mutation_red=1.0, mutation_green=2.0))
+    handles = []
+    for zone in ZoneId:
+        for _ in range(layout.size(zone)):
+            handle = arena.allocate(zone, "s")
+            assert handle.zone is layout.zone_of_index(handle.slot_index) is zone
+            for _ in range(events[zone]):
+                record_event(handle, EventKind.ACCESS, handle.allocated_at)
+            assert arena.classify(feature_snapshot(handle)) is zone
+            handles.append(handle)
+        with pytest.raises(ZoneCapacityError):
+            arena.allocate(zone, "s")
+    assert [handle.slot_index for handle in handles] == list(range(layout.total))
+    edges = {i for zone in ZoneId for i in (layout.span(zone)[0], layout.span(zone)[1] - 1)}
+
+    def free_each(handles):
+        for handle in handles:
+            zone = layout.zone_of_index(handle.slot_index)
+            before = [arena.pool_stats(z) for z in ZoneId]
+            expire = handle.slot_index % 2
+            (arena.expire if expire else arena.release)(handle)
+            for z, was in zip(ZoneId, before):
+                now = arena.pool_stats(z)
+                mine = z is zone
+                assert now.pool_size - was.pool_size == mine, (handle.slot_index, z)
+                assert now.expired_objects - was.expired_objects == (mine and expire)
+
+    # freeing the inner slots leaves every zone a pooled slot to move into
+    free_each([handle for handle in handles if handle.slot_index not in edges])
+    for i in edges:
+        arena.table.set_state(i, StateCode.PROMOTE_CANDIDATE)
+    report = arena.run_sweep()
+    assert report.candidates == sorted(edges)
+    assert arena.reclassify_candidates(report) == []
+    free_each([handle for handle in handles if handle.slot_index in edges])
+
+
 def test_arena_rejects_unknown_policy():
+    # the thresholds' type selects the policy; no policy takes CostParams
     with pytest.raises(ValueError):
-        ZoneArena(ZoneLayout(2, 2, 2), policy="magic")
+        ZoneArena(ZoneLayout(2, 2, 2), thresholds=CostParams())
 
 
 def test_arena_classify_dispatches_on_policy():
     simple = small_arena()
-    pred = small_arena(policy="predicates")
+    pred = small_arena(thresholds=PredicateThresholds())
     hot_short = fv(access=200, mutation=200, lifetime=0.05, size=128)
     assert simple.classify(hot_short) is ZoneId.GREEN  # rates over green cut
     assert pred.classify(hot_short) is ZoneId.RED
@@ -512,7 +560,7 @@ def test_sweep_reports_candidates_and_reclassify_moves_them():
 
 
 def test_reclassify_skips_satisfied_candidates():
-    arena = small_arena(policy="predicates")
+    arena = small_arena(thresholds=PredicateThresholds())
     handle = arena.allocate(ZoneId.BLUE, "s")
     # zero features are blue-eligible under the predicate policy (low rates)
     arena.table.set_state(handle.slot_index, StateCode.DEMOTE_CANDIDATE)
@@ -649,13 +697,16 @@ ARENA_OPS = st.one_of(
     st.tuples(st.just("pause"), st.lists(st.integers(0, 63), max_size=4),
               st.sampled_from([StateCode.PROMOTE_CANDIDATE, StateCode.DEMOTE_CANDIDATE])),
 )
-# Cuts the drawn rates, lifetimes and sizes reach, so pauses move objects.
-MODEL_RATES = RateThresholds(access_red=1.0, access_green=4.0,
-                             mutation_red=1.0, mutation_green=4.0)
-MODEL_PREDICATES = PredicateThresholds(lifetime_red=0.5, lifetime_green=4.0,
-                                       mutation_red=4.0, mutation_green=1.0,
-                                       access_red=4.0, access_green=1.0,
-                                       size_red=64.0, size_green=4096.0)
+# Cuts the drawn rates, lifetimes and sizes reach, so pauses move objects;
+# one set per policy.
+MODEL_THRESHOLDS = {
+    "simple": RateThresholds(access_red=1.0, access_green=4.0,
+                             mutation_red=1.0, mutation_green=4.0),
+    "predicates": PredicateThresholds(lifetime_red=0.5, lifetime_green=4.0,
+                                      mutation_red=4.0, mutation_green=1.0,
+                                      access_red=4.0, access_green=1.0,
+                                      size_red=64.0, size_green=4096.0),
+}
 
 
 def _outcome(call):
@@ -700,9 +751,8 @@ def _outcome(call):
 def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
     sizes = (4, 4, 4)
     arena = ZoneArena(ZoneLayout(*sizes), clock=LogicalClock(seconds_per_op=step),
-                      rate_window=window, ema=EmaConfig(omega), policy=policy,
-                      rate_thresholds=MODEL_RATES,
-                      predicate_thresholds=MODEL_PREDICATES)
+                      rate_window=window, ema=EmaConfig(omega),
+                      thresholds=MODEL_THRESHOLDS[policy])
     model = ArenaModel(sizes, window, omega, step)
     # every handle ever issued, plus two that name no slot of the table
     handles = [ObjectHandle(-1, arena.slots), ObjectHandle(12, arena.slots)]
