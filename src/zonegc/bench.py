@@ -183,12 +183,14 @@ def chain_value(depth: int) -> int:
 
 
 def matrix_operands(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two deterministic n x n integer operands, entries in [-8, 8].
+    """The two deterministic n x n int32 operands, entries in [-8, 8].
 
     Entry (r, c) is ((r*n + c) mod 17) - 8; both operands use the same
-    formula, so the product is fixed by n alone.
+    formula, so the product is fixed by n alone. The index is an int64
+    arange, so r*n + c cannot overflow; the entries are cast to int32 after
+    `% 17 - 8`, for run_matrix's int32 product.
     """
-    flat = np.arange(n * n, dtype=np.int64) % 17 - 8
+    flat = (np.arange(n * n, dtype=np.int64) % 17 - 8).astype(np.int32)
     a = flat.reshape(n, n)
     return a, a.copy()
 
@@ -254,7 +256,18 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
 
 
 def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
-    """n x n integer product, output rows split across workers."""
+    """n x n integer product, output rows split across workers.
+
+    Each worker forms its row block of A @ B with np.einsum on the int32
+    operands and sums the block in int64. This is exact: every entry lies in
+    [-8, 8], so every partial dot product is below 64*n in magnitude and fits
+    int32 for every n below 2**31 / 64 (about 33.5M), far beyond any operand
+    that can be allocated (n*n entries). A block sum is at most 64*n**3 in
+    magnitude, within int64 below n = 2**19, where each operand already
+    takes 1 TiB. numpy has no BLAS for integers: int64 `@` runs an
+    unvectorised loop, while einsum's int32 sum of products is SIMD and
+    starts no thread pool beside the workers.
+    """
     if spec.kind != "matrix":
         raise ValueError(f"run_matrix got kind {spec.kind!r}")
     n = spec.size
@@ -262,9 +275,7 @@ def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Bench
     plan = make_partitions(n, spec.partitions)
 
     def kernel(lo: int, hi: int) -> int:
-        if lo == hi:
-            return 0
-        return int((a[lo:hi] @ b).sum())
+        return int(np.einsum("ij,jk->ik", a[lo:hi], b).sum(dtype=np.int64))
 
     return _timed_run(spec, plan, kernel)
 

@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(text + "\n")
         else:
             print(text)
-    except (ZonegcError, OSError, ValueError) as exc:
+    except (ZonegcError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

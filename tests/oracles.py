@@ -202,6 +202,19 @@ def matrix_total(n: int) -> int:
     return total
 
 
+def matrix_total_by_sums(n: int) -> int:
+    """matrix_total in O(n^2): the entries of A @ A sum to the sum over k of
+    (column k sum of A) * (row k sum of A)."""
+    col = [0] * n
+    row = [0] * n
+    for r in range(n):
+        for c in range(n):
+            entry = ((r * n + c) % 17) - 8
+            col[c] += entry
+            row[r] += entry
+    return sum(col[k] * row[k] for k in range(n))
+
+
 # -- EMA / rate replay oracle ----------------------------------------------
 
 

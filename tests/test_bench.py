@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonegc import cli
+from zonegc import bench, cli
 from zonegc.bench import (
     AttemptRecord,
     BenchReport,
@@ -46,6 +46,7 @@ from .oracles import (
     exact_sample_variance,
     loop_total_oracle,
     matrix_total,
+    matrix_total_by_sums,
     wrap16_oracle,
 )
 
@@ -111,6 +112,13 @@ def test_matrix_product_matches_pure_python(n):
     assert wrap16(matrix_total(n)) == MATRIX_WRAP[n]
 
 
+def test_matrix_sum_identity_matches_triple_loop():
+    for n in range(17):
+        assert matrix_total_by_sums(n) == matrix_total(n)
+    for n, checksum in MATRIX_WRAP.items():
+        assert wrap16(matrix_total_by_sums(n)) == checksum
+
+
 # -- workload spec ----------------------------------------------------------
 
 
@@ -143,6 +151,17 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "missing" / "out.csv"
     argv = ["loop", "--size", "10", "--attempts", "1", "--output", str(out)]
     assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_unallocatable_matrix_is_one_error_line(monkeypatch, capsys):
+    # 20M x 20M int64 indices need 2.84 PiB: numpy refuses before any thread.
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: pytest.fail("a thread was started"))
+    assert cli.main(["matrix", "--size", "20000000", "--attempts", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
@@ -188,6 +207,28 @@ def test_recursion_limit_restored_after_run():
 def test_run_matrix_produces_frozen_checksum():
     report = run_bench(WorkloadSpec("matrix", 8, attempts=2, partitions=3))
     assert {r.checksum for r in report.records} == {MATRIX_WRAP[8]}
+
+
+# 1376 is the smallest n at which a dot product of A @ A leaves int16 (one
+# reaches -33048), so a 16-bit operand or accumulator cannot pass. Such a
+# kernel is still right modulo 2**16, so the unwrapped totals are compared
+# too, as run_parallel returns them, and not only the 16-bit checksums.
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 17, 255, 256, 257, 1376])
+def test_run_matrix_matches_sum_identity(n, monkeypatch):
+    totals = []
+    run_parallel = bench.run_parallel
+
+    def recording_run_parallel(*args, **kwargs):
+        totals.append(run_parallel(*args, **kwargs))
+        return totals[-1]
+
+    monkeypatch.setattr(bench, "run_parallel", recording_run_parallel)
+    expected = matrix_total_by_sums(n)
+    for p in (1, 2, 3, 4, 5):
+        totals.clear()
+        report = run_bench(WorkloadSpec("matrix", n, attempts=1, partitions=p))
+        assert totals == [expected, expected], f"n={n} p={p}"
+        assert [r.checksum for r in report.records] == [wrap16(expected)]
 
 
 def test_partition_count_does_not_change_checksum_small():
