@@ -83,7 +83,8 @@ def measure_memory() -> int | None:
 class WorkloadSpec:
     """One benchmark invocation. size means iterations, logical steps, matrix
     dimension, or requests depending on kind; chunk is the recursion depth per
-    chain for the recursion kinds."""
+    chain, and only the recursion kinds take one. Only the timed kinds take
+    more than one partition: an allocation schedule runs on one thread."""
 
     kind: str
     size: int
@@ -109,6 +110,10 @@ class WorkloadSpec:
                 raise ValueError(
                     f"chunk {chunk} must divide size {self.size} for {self.kind}"
                 )
+        elif self.chunk is not None:
+            raise ValueError(f"chunk applies only to the recursion kinds, not {self.kind}")
+        if self.partitions > 1 and self.kind in ALLOC_KINDS:
+            raise ValueError(f"partitions apply only to the timed kinds; {self.kind} takes 1")
 
     @property
     def effective_chunk(self) -> int:
@@ -356,7 +361,7 @@ def _schedule_checkpoint_lifecycle(arena: ZoneArena, per_zone: int,
     green, blue, red = ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED
     expired = StateCode.EXPIRED
     # Pin transition computed once; the signal set is identical per request.
-    pinned, _ = step_state(StateCode.ACTIVE, Signals(persistent=True))
+    pinned = step_state(StateCode.ACTIVE, Signals(persistent=True))
     for k in range(per_zone):
         handle = allocate(green, "pinned_green")
         set_state(handle.slot_index, pinned)
@@ -468,41 +473,6 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
         title += f" chunk={spec.effective_chunk}"
     return _table(fmt, title, ("Attempt", "Time (ms)", "Checksum", "MemBefore (KB)",
                                "MemAfter (KB)", "Delta (KB)"), rows)
-
-
-def parse_report_csv(text: str) -> dict:
-    """Inverse of emit_report(fmt='csv') for the numeric fields."""
-
-    def parse_cell(cell: str, caster):
-        return None if cell == "" else caster(cell)
-
-    records = []
-    mean_time = stddev_time = mean_delta = None
-    lines = [line for line in text.splitlines() if line.strip()]
-    for line in lines[1:]:
-        cells = line.split(",")
-        if cells[0] == "mean":
-            mean_time = parse_cell(cells[1], float)
-            mean_delta = parse_cell(cells[5], float)
-        elif cells[0] == "stddev":
-            stddev_time = parse_cell(cells[1], float)
-        else:
-            records.append(
-                AttemptRecord(
-                    attempt=int(cells[0]),
-                    time_ms=float(cells[1]),
-                    checksum=int(cells[2]),
-                    mem_before_kb=parse_cell(cells[3], int),
-                    mem_after_kb=parse_cell(cells[4], int),
-                    delta_kb=parse_cell(cells[5], int),
-                )
-            )
-    return {
-        "records": records,
-        "mean_time_ms": mean_time,
-        "stddev_time_ms": stddev_time,
-        "mean_delta_kb": mean_delta,
-    }
 
 
 def schedule_note(kind: str, config: RuntimeConfig | None = None) -> str:

@@ -2,9 +2,11 @@
 
 Every tracked object owns one 3-bit entry in a global table laid out as
 [red | green | blue] regions, one byte per entry. Entry state encodes the
-lifecycle phase; the sweep scans the bytes with numpy and decides from the
-state bits alone, so per-entry work is constant and no object graph is
-traversed.
+lifecycle phase as a StateCode, the one type for a 3-bit code; step_state
+gives an entry's next code from its observed signals. The sweep scans the
+bytes with numpy and decides from the state bits alone, so per-entry work is
+constant and no object graph is traversed. The table maps a slot's index to
+its 16-byte-aligned address above the table's base and back.
 """
 
 from __future__ import annotations
@@ -21,39 +23,17 @@ from .layout import SLOT_BYTES, ZoneLayout
 
 
 class StateCode(enum.IntEnum):
-    """The eight 3-bit lifecycle states."""
+    """The eight 3-bit lifecycle states; each comment is the action the
+    paper's runtime takes on an entry in that state."""
 
-    IDLE = 0b000
-    ACTIVE = 0b001
-    PROMOTE_CANDIDATE = 0b010
-    DEMOTE_CANDIDATE = 0b011
-    PERSISTENT = 0b100
-    DEFERRED = 0b101
-    MARKED = 0b110
-    EXPIRED = 0b111
-
-
-class Action(enum.Enum):
-    WAIT_SLEEP = "wait/sleep"
-    KEEP_ALIVE = "keep alive"
-    EVALUATE = "evaluate"
-    KEEP_STAY = "keep stay"
-    DEFER_SWEEP = "defer sweep"
-    PREPARE_DELETE = "prepare for deletion"
-    RECLAIM_IMMEDIATELY = "reclaim immediately"
-
-
-# Total mapping from state to the action the runtime takes on it.
-ACTION_FOR_STATE: dict[StateCode, Action] = {
-    StateCode.IDLE: Action.WAIT_SLEEP,
-    StateCode.ACTIVE: Action.KEEP_ALIVE,
-    StateCode.PROMOTE_CANDIDATE: Action.EVALUATE,
-    StateCode.DEMOTE_CANDIDATE: Action.EVALUATE,
-    StateCode.PERSISTENT: Action.KEEP_STAY,
-    StateCode.DEFERRED: Action.DEFER_SWEEP,
-    StateCode.MARKED: Action.PREPARE_DELETE,
-    StateCode.EXPIRED: Action.RECLAIM_IMMEDIATELY,
-}
+    IDLE = 0b000  # wait/sleep
+    ACTIVE = 0b001  # keep alive
+    PROMOTE_CANDIDATE = 0b010  # evaluate
+    DEMOTE_CANDIDATE = 0b011  # evaluate
+    PERSISTENT = 0b100  # keep, stay in zone
+    DEFERRED = 0b101  # defer to a later sweep
+    MARKED = 0b110  # prepare for deletion
+    EXPIRED = 0b111  # reclaim immediately
 
 
 @dataclass(frozen=True)
@@ -66,8 +46,8 @@ class Signals:
     expired: bool = False
 
 
-def step_state(current: StateCode, signals: Signals) -> tuple[StateCode, Action]:
-    """Advance one entry's state by the observed signals.
+def step_state(current: StateCode, signals: Signals) -> StateCode:
+    """The entry's next state under the observed signals.
 
     Signal priority is expired, then sweep_scheduled, then persistent, then
     accessed. With no signal the entry falls back to idle, except a deferred
@@ -76,40 +56,16 @@ def step_state(current: StateCode, signals: Signals) -> tuple[StateCode, Action]
     if signals.expired and signals.accessed:
         raise SignalConflictError("object signalled both expired and accessed")
     if signals.expired:
-        nxt = StateCode.EXPIRED
-    elif signals.sweep_scheduled:
-        nxt = StateCode.MARKED
-    elif signals.persistent:
-        nxt = StateCode.PERSISTENT
-    elif signals.accessed:
-        nxt = StateCode.ACTIVE
-    elif current is StateCode.DEFERRED:
-        nxt = StateCode.DEFERRED
-    else:
-        nxt = StateCode.IDLE
-    return nxt, ACTION_FOR_STATE[nxt]
-
-
-def index_of(address: int, base: int, capacity: int | None = None) -> int:
-    """Table index of a slot address: (address - base) / 16."""
-    offset = address - base
-    if offset < 0:
-        raise IndexRangeError(f"address {address:#x} below base {base:#x}")
-    if offset % SLOT_BYTES:
-        raise AlignmentError(
-            f"address offset {offset} not aligned to {SLOT_BYTES} bytes"
-        )
-    index = offset // SLOT_BYTES
-    if capacity is not None and index >= capacity:
-        raise IndexRangeError(f"index {index} beyond capacity {capacity}")
-    return index
-
-
-def address_of(index: int, base: int) -> int:
-    """Inverse of index_of for non-negative indices."""
-    if index < 0:
-        raise IndexRangeError(f"negative index {index}")
-    return base + SLOT_BYTES * index
+        return StateCode.EXPIRED
+    if signals.sweep_scheduled:
+        return StateCode.MARKED
+    if signals.persistent:
+        return StateCode.PERSISTENT
+    if signals.accessed:
+        return StateCode.ACTIVE
+    if current is StateCode.DEFERRED:
+        return StateCode.DEFERRED
+    return StateCode.IDLE
 
 
 @dataclass
@@ -146,11 +102,22 @@ class CheckpointTable:
         return map(StateCode, self._states)
 
     def index_of(self, address: int) -> int:
-        return index_of(address, self.base, self.capacity)
+        """Table index of a slot address: (address - base) / 16."""
+        offset = address - self.base
+        if offset < 0:
+            raise IndexRangeError(f"address {address:#x} below base {self.base:#x}")
+        if offset % SLOT_BYTES:
+            raise AlignmentError(
+                f"address offset {offset} not aligned to {SLOT_BYTES} bytes"
+            )
+        index = offset // SLOT_BYTES
+        self._check_index(index)
+        return index
 
     def address_of(self, index: int) -> int:
+        """Inverse of index_of."""
         self._check_index(index)
-        return address_of(index, self.base)
+        return self.base + SLOT_BYTES * index
 
     def epoch_sweep(self) -> SweepReport:
         """Report reclaimable entries and candidates, without mutating.

@@ -1,59 +1,30 @@
 """Ephemeral execution path bypassing zones and checkpoint tracking.
 
 Short-lived values evaluate inside a bounded scratch scope and vanish when it
-closes; nothing they do touches the table or the pools. A value that must
-outlive the scope is promoted explicitly, at which point it enters the arena
-under one of the two long-lived state codes.
+closes; nothing they do touches the table or the pools. An ephemeral value
+carries one of four StateCodes: IDLE (dropped after evaluation) and ACTIVE
+(dropped when the scope closes) never leave the scope. A value that must
+outlive it is promoted explicitly and enters the arena with its code:
+PERSISTENT in green, DEFERRED in red or blue, decided at promotion.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .checkpoint import StateCode
 from .errors import EphemeralStateError, LifecycleError, PromotionError, YieldOverflowError
 from .layout import SLOT_BYTES, ZoneId
 from .objects import FeatureVector
 from .zones import ZoneArena
 
 
-class EphemeralState(enum.IntEnum):
-    """The four state codes an ephemeral value may carry."""
-
-    DISCARD = 0b000  # dropped as soon as evaluation finishes
-    SCOPED = 0b001  # referenced while the scope stays open, then dropped
-    PERSISTENT = 0b100  # survives the scope in the green zone
-    DEFERRED = 0b101  # survives the scope, zone decided at promotion
-
-
-class PromotionTarget(enum.Enum):
-    NO_ZONE = "no-zone"
-    GREEN = "green"
-    RED_OR_BLUE = "red-or-blue"
-
-
-# IntEnum keys hash and compare as their codes, so a plain int finds them;
-# the lookup costs a fraction of EphemeralState(state).
-_TARGETS = {
-    EphemeralState.DISCARD: PromotionTarget.NO_ZONE,
-    EphemeralState.SCOPED: PromotionTarget.NO_ZONE,
-    EphemeralState.PERSISTENT: PromotionTarget.GREEN,
-    EphemeralState.DEFERRED: PromotionTarget.RED_OR_BLUE,
-}
-
 # What promote reads when it is given no features; frozen, so one serves all.
 _NO_FEATURES = FeatureVector()
 
-
-def promotion_target(state: int) -> PromotionTarget:
-    """Where a given ephemeral state code routes on scope exit."""
-    target = _TARGETS.get(state)
-    if target is None:
-        raise EphemeralStateError(
-            f"state {state:#05b} is not an ephemeral-value code"
-        )
-    return target
+# Plain-int codes, so that a promotion makes no StateCode member lookup.
+_PERSISTENT, _DEFERRED = int(StateCode.PERSISTENT), int(StateCode.DEFERRED)
 
 
 @dataclass
@@ -116,15 +87,18 @@ class YieldScope:
         """
         if not self.open:
             raise LifecycleError(f"scope {self.scope_id} is closed")
-        target = promotion_target(state)
-        if target is PromotionTarget.NO_ZONE:
-            raise PromotionError(
-                f"state {state:03b} does not outlive the scope; nothing to promote"
+        if state != _PERSISTENT and state != _DEFERRED:
+            if state in (StateCode.IDLE, StateCode.ACTIVE):
+                raise PromotionError(
+                    f"state {state:03b} does not outlive the scope; nothing to promote"
+                )
+            raise EphemeralStateError(
+                f"state {state:#05b} is not an ephemeral-value code"
             )
         if self.arena is None:
             raise LifecycleError("scope has no arena to promote into")
         f = _NO_FEATURES if features is None else features
-        if target is PromotionTarget.GREEN:
+        if state == _PERSISTENT:
             zone = ZoneId.GREEN
         else:
             zone = self.arena.classify(f)

@@ -213,11 +213,6 @@ def _eligible(f: FeatureVector | FeatureColumns, th: PredicateThresholds) -> tup
             | (a < th.access_green) | (size > th.size_green))
 
 
-def eligibility(f: FeatureVector, th: PredicateThresholds) -> dict[ZoneId, bool]:
-    """The three zone-eligibility predicates of the predicate policy."""
-    return dict(zip(ZONE_ORDER, _eligible(f, th)))
-
-
 def classify_predicates(f: FeatureVector, th: PredicateThresholds,
                         costs: CostParams) -> ZoneId:
     """Predicate-based zone choice.

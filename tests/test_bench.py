@@ -25,7 +25,6 @@ from zonegc.bench import (
     matrix_operands,
     measure_memory,
     parse_pool_stats_csv,
-    parse_report_csv,
     run_alloc_experiments,
     run_bench,
     run_loop,
@@ -145,6 +144,25 @@ def test_partitions_bounded_before_any_thread_starts(monkeypatch, capsys):
         WorkloadSpec("loop", 10, partitions=65)
     assert cli.main(["loop", "--size", "10", "--partitions", "65"]) == 1
     assert capsys.readouterr().err == "error: partitions must be in 1..64\n"
+
+
+@pytest.mark.parametrize("kind", bench.ALLOC_KINDS)
+def test_allocation_kinds_reject_partitions(kind, capsys):
+    assert WorkloadSpec(kind, 10, partitions=1).partitions == 1
+    with pytest.raises(ValueError, match="partitions"):
+        WorkloadSpec(kind, 10, partitions=2)
+    assert cli.main([kind, "--size", "1000", "--partitions", "4"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: partitions apply only to the timed kinds; {kind} takes 1\n")
+
+
+@pytest.mark.parametrize("kind", [k for k in bench.KINDS if k not in bench.DEFAULT_CHUNK])
+def test_chunk_rejected_without_recursion(kind, capsys):
+    with pytest.raises(ValueError, match="chunk"):
+        WorkloadSpec(kind, 10, chunk=3)
+    assert cli.main([kind, "--size", "1000", "--chunk", "3"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: chunk applies only to the recursion kinds, not {kind}\n")
 
 
 def test_unwritable_output_is_one_error_line(tmp_path, capsys):
@@ -299,6 +317,42 @@ def test_attempt_record_delta_consistency():
 
 
 # -- report round trips -----------------------------------------------------
+
+
+def parse_report_csv(text: str) -> dict:
+    """Inverse of emit_report(fmt='csv') for the numeric fields; the round
+    trips below pin the CSV report format with it."""
+
+    def parse_cell(cell: str, caster):
+        return None if cell == "" else caster(cell)
+
+    records = []
+    mean_time = stddev_time = mean_delta = None
+    lines = [line for line in text.splitlines() if line.strip()]
+    for line in lines[1:]:
+        cells = line.split(",")
+        if cells[0] == "mean":
+            mean_time = parse_cell(cells[1], float)
+            mean_delta = parse_cell(cells[5], float)
+        elif cells[0] == "stddev":
+            stddev_time = parse_cell(cells[1], float)
+        else:
+            records.append(
+                AttemptRecord(
+                    attempt=int(cells[0]),
+                    time_ms=float(cells[1]),
+                    checksum=int(cells[2]),
+                    mem_before_kb=parse_cell(cells[3], int),
+                    mem_after_kb=parse_cell(cells[4], int),
+                    delta_kb=parse_cell(cells[5], int),
+                )
+            )
+    return {
+        "records": records,
+        "mean_time_ms": mean_time,
+        "stddev_time_ms": stddev_time,
+        "mean_delta_kb": mean_delta,
+    }
 
 
 def sample_report(with_memory=True) -> BenchReport:

@@ -9,16 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonegc.checkpoint import (
-    ACTION_FOR_STATE,
-    Action,
-    CheckpointTable,
-    Signals,
-    StateCode,
-    address_of,
-    index_of,
-    step_state,
-)
+from zonegc.checkpoint import CheckpointTable, Signals, StateCode, step_state
 from zonegc.errors import (
     AlignmentError,
     IndexRangeError,
@@ -54,47 +45,39 @@ def test_step_state_exhaustive():
                 with pytest.raises(SignalConflictError):
                     step_state(current, signals)
                 continue
-            nxt, action = step_state(current, signals)
+            nxt = step_state(current, signals)
             assert nxt == oracle_step(int(current), acc, per, swp, exp)
-            assert action is ACTION_FOR_STATE[nxt]
-
-
-def test_action_mapping_total_and_fixed():
-    assert set(ACTION_FOR_STATE) == set(StateCode)
-    assert ACTION_FOR_STATE[StateCode.IDLE] is Action.WAIT_SLEEP
-    assert ACTION_FOR_STATE[StateCode.ACTIVE] is Action.KEEP_ALIVE
-    assert ACTION_FOR_STATE[StateCode.PROMOTE_CANDIDATE] is Action.EVALUATE
-    assert ACTION_FOR_STATE[StateCode.DEMOTE_CANDIDATE] is Action.EVALUATE
-    assert ACTION_FOR_STATE[StateCode.PERSISTENT] is Action.KEEP_STAY
-    assert ACTION_FOR_STATE[StateCode.DEFERRED] is Action.DEFER_SWEEP
-    assert ACTION_FOR_STATE[StateCode.MARKED] is Action.PREPARE_DELETE
-    assert ACTION_FOR_STATE[StateCode.EXPIRED] is Action.RECLAIM_IMMEDIATELY
 
 
 def test_deferred_holds_only_without_signals():
-    held, _ = step_state(StateCode.DEFERRED, Signals())
+    held = step_state(StateCode.DEFERRED, Signals())
     assert held is StateCode.DEFERRED
-    woken, _ = step_state(StateCode.DEFERRED, Signals(accessed=True))
+    woken = step_state(StateCode.DEFERRED, Signals(accessed=True))
     assert woken is StateCode.ACTIVE
 
 
 # -- address arithmetic -----------------------------------------------------
 
 
-@given(index=st.integers(min_value=0, max_value=10**9),
-       base=st.integers(min_value=0, max_value=2**40))
-def test_index_address_roundtrip(index, base):
-    assert index_of(address_of(index, base), base) == index
+@given(sizes=st.tuples(*[st.integers(min_value=1, max_value=4096)] * 3),
+       base=st.integers(min_value=0, max_value=2**40), data=st.data())
+def test_index_address_roundtrip(sizes, base, data):
+    table = CheckpointTable(ZoneLayout(*sizes), base=base)
+    index = data.draw(st.integers(min_value=0, max_value=table.capacity - 1))
+    assert table.index_of(table.address_of(index)) == index
 
 
 def test_index_of_rejects_misaligned_and_out_of_range():
+    table = CheckpointTable(ZoneLayout(4, 3, 3))  # 10 entries, base 0
     with pytest.raises(AlignmentError):
-        index_of(8, 0)
+        table.index_of(8)
     with pytest.raises(IndexRangeError):
-        index_of(0, 16)  # below base
+        CheckpointTable(ZoneLayout(4, 3, 3), base=16).index_of(0)  # below base
     with pytest.raises(IndexRangeError):
-        index_of(16 * 10, 0, capacity=10)
-    assert index_of(16 * 9, 0, capacity=10) == 9
+        table.index_of(16 * 10)
+    with pytest.raises(IndexRangeError):
+        table.address_of(-1)
+    assert table.index_of(16 * 9) == 9
 
 
 # -- state table ------------------------------------------------------------

@@ -14,26 +14,8 @@ from zonegc.errors import (
 )
 from zonegc.layout import ZoneId, ZoneLayout
 from zonegc.objects import FeatureVector
-from zonegc.yield_memory import (
-    EphemeralState,
-    PromotionTarget,
-    YieldScope,
-    promotion_target,
-)
+from zonegc.yield_memory import YieldScope
 from zonegc.zones import ZoneArena
-
-
-def test_promotion_target_routing():
-    assert promotion_target(EphemeralState.DISCARD) is PromotionTarget.NO_ZONE
-    assert promotion_target(EphemeralState.SCOPED) is PromotionTarget.NO_ZONE
-    assert promotion_target(EphemeralState.PERSISTENT) is PromotionTarget.GREEN
-    assert promotion_target(EphemeralState.DEFERRED) is PromotionTarget.RED_OR_BLUE
-
-
-def test_promotion_target_rejects_foreign_codes():
-    for bad in (0b010, 0b011, 0b110, 0b111, 9):
-        with pytest.raises(EphemeralStateError):
-            promotion_target(bad)
 
 
 def test_yield_eval_returns_thunk_value_and_frees_scratch():
@@ -75,27 +57,43 @@ def test_closed_scope_rejects_everything():
     with pytest.raises(LifecycleError):
         scope.yield_eval(lambda: 1)
     with pytest.raises(LifecycleError):
-        scope.promote(1, EphemeralState.PERSISTENT)
+        scope.promote(1, StateCode.PERSISTENT)
+    with pytest.raises(LifecycleError):  # closed is checked before the code
+        scope.promote(1, 9)
 
 
 def test_promote_discard_and_scoped_refused():
     arena = ZoneArena(ZoneLayout(4, 4, 4))
     with YieldScope(arena=arena) as scope:
-        for state in (EphemeralState.DISCARD, EphemeralState.SCOPED):
+        for state in (StateCode.IDLE, StateCode.ACTIVE):
             with pytest.raises(PromotionError):
                 scope.promote(object(), state)
+
+
+def test_promote_rejects_foreign_codes():
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    with YieldScope(arena=arena) as scope:
+        for bad in (0b010, 0b011, 0b110, 0b111, 9):
+            with pytest.raises(EphemeralStateError):
+                scope.promote(object(), bad)
+    assert all(s is StateCode.IDLE for s in arena.table.states())
+    with YieldScope() as scope:  # the code is checked before the arena
+        with pytest.raises(EphemeralStateError):
+            scope.promote(object(), 9)
+        with pytest.raises(PromotionError):
+            scope.promote(object(), StateCode.IDLE)
 
 
 def test_promote_without_arena_refused():
     with YieldScope() as scope:
         with pytest.raises(LifecycleError):
-            scope.promote(object(), EphemeralState.PERSISTENT)
+            scope.promote(object(), StateCode.PERSISTENT)
 
 
 def test_promote_persistent_lands_in_green_with_state_code():
     arena = ZoneArena(ZoneLayout(4, 4, 4))
     with YieldScope(arena=arena, scope_id="sc") as scope:
-        handle = scope.promote("kept", EphemeralState.PERSISTENT)
+        handle = scope.promote("kept", StateCode.PERSISTENT)
         lo, hi = arena.layout.span(ZoneId.GREEN)
         assert lo <= handle.slot_index < hi
         assert arena.table.get_state(handle.slot_index) is StateCode.PERSISTENT
@@ -111,7 +109,7 @@ def test_promote_deferred_never_lands_in_green():
     with YieldScope(arena=arena) as scope:
         # rates over the green cut would classify green; the deferred route
         # clamps that to blue
-        handle = scope.promote("v", EphemeralState.DEFERRED, features=hot)
+        handle = scope.promote("v", StateCode.DEFERRED, features=hot)
         lo, hi = arena.layout.span(ZoneId.BLUE)
         assert lo <= handle.slot_index < hi
         assert arena.table.get_state(handle.slot_index) is StateCode.DEFERRED
@@ -120,7 +118,7 @@ def test_promote_deferred_never_lands_in_green():
 def test_promote_deferred_cold_features_pick_red():
     arena = ZoneArena(ZoneLayout(4, 4, 4))
     with YieldScope(arena=arena) as scope:
-        handle = scope.promote("v", EphemeralState.DEFERRED,
+        handle = scope.promote("v", StateCode.DEFERRED,
                                features=FeatureVector())
         lo, hi = arena.layout.span(ZoneId.RED)
         assert lo <= handle.slot_index < hi

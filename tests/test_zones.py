@@ -38,7 +38,7 @@ from zonegc.zones import (
     classify_predicates_batch,
     classify_simple,
     classify_simple_batch,
-    eligibility,
+    _eligible,
     zone_cost,
 )
 
@@ -173,11 +173,10 @@ def test_predicate_clear_cases():
     th = PredicateThresholds()
     costs = CostParams()
     hot_short = fv(access=200, mutation=200, lifetime=0.05, size=128)
-    assert eligibility(hot_short, th)[ZoneId.RED]
+    assert _eligible(hot_short, th)[0]  # (red, green, blue)
     assert classify_predicates(hot_short, th, costs) is ZoneId.RED
     banded = fv(access=50, mutation=50, lifetime=1.0, size=1024)
-    assert eligibility(banded, th) == {ZoneId.RED: False, ZoneId.GREEN: True,
-                                       ZoneId.BLUE: False}
+    assert _eligible(banded, th) == (False, True, False)
     assert classify_predicates(banded, th, costs) is ZoneId.GREEN
     cold = fv(access=1, mutation=1, lifetime=100.0, size=10000)
     assert classify_predicates(cold, th, costs) is ZoneId.BLUE
@@ -190,9 +189,9 @@ def test_predicate_overlap_falls_back_to_argmin():
     # fan-in of the blue disjunction via long lifetime is impossible here,
     # so use low size to trip red and low mutation to trip blue)
     both = fv(access=200, mutation=5, lifetime=0.05, size=128)
-    flags = eligibility(both, th)
-    assert not flags[ZoneId.RED]  # mutation too low for red
-    assert flags[ZoneId.BLUE]
+    red, _, blue = _eligible(both, th)
+    assert not red  # mutation too low for red
+    assert blue
     # only blue: unique winner
     assert classify_predicates(both, th, costs) is ZoneId.BLUE
 
@@ -839,3 +838,83 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
             for name, value in arena_features(model.features(slot)).items():
                 assert math.isclose(getattr(f, name), value, rel_tol=1e-9,
                                     abs_tol=1e-12), name
+
+
+# -- the stated bound: real allocations equal the peak live count ----------
+
+BOUND_OPS = st.one_of(
+    st.tuples(st.just("alloc"), ZONE_PICK),
+    st.tuples(st.sampled_from(["release", "expire"]), st.integers(0, 63)),
+    # enough events at one instant to cross MODEL_THRESHOLDS' cuts
+    st.tuples(st.just("event"), st.integers(0, 63), st.sampled_from(list(KINDS)),
+              st.integers(1, 5)),
+    st.tuples(st.just("move"), st.integers(0, 63), ZONE_PICK),
+    # mark every live object 010, then pause: sweep and reclassify
+    st.tuples(st.just("pause")),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(ops=[  # green's peak falls inside the pause
+    ("alloc", ZoneId.RED), ("event", 0, EventKind.ACCESS, 4),  # red slot 0 goes green
+    ("alloc", ZoneId.GREEN),  # zero rates: green slot 4 goes red
+    # slot 0 moves first and green holds two objects, then slot 4 leaves it
+    ("pause",)], policy="simple")
+@given(ops=st.lists(BOUND_OPS, max_size=200), policy=st.sampled_from(POLICIES))
+def test_real_allocations_equal_peak_live_count(ops, policy):
+    """Each zone claims a fresh slot only when its pool is empty, so after
+    every step its real allocations equal the most objects it has held live
+    at once, counting the moment inside a pause after each move."""
+    arena = ZoneArena(ZoneLayout(4, 4, 4), thresholds=MODEL_THRESHOLDS[policy])
+    zone_of = arena.layout.zone_of_index
+    live: list[ObjectHandle] = []
+    count = {zone: 0 for zone in ZoneId}
+    peak = dict(count)
+
+    def claimed(handle):
+        zone = zone_of(handle.slot_index)
+        count[zone] += 1
+        peak[zone] = max(peak[zone], count[zone])
+        live.append(handle)
+
+    def freed(handle):
+        count[zone_of(handle.slot_index)] -= 1
+        live.remove(handle)
+
+    for op in ops:
+        kind = op[0]
+        if kind == "alloc":
+            try:
+                claimed(arena.allocate(op[1], "bound"))
+            except ZoneCapacityError:
+                pass
+        elif kind == "pause":
+            for handle in live:
+                arena.table.set_state(handle.slot_index, StateCode.PROMOTE_CANDIDATE)
+            for old, new in arena.reclassify_candidates(arena.run_sweep()):
+                freed(arena.handles[old])
+                claimed(new)
+        elif live:
+            handle = live[op[1] % len(live)]
+            if kind == "release":
+                arena.release(handle)
+                freed(handle)
+            elif kind == "expire":
+                arena.expire(handle)
+                freed(handle)
+            elif kind == "event":
+                for _ in range(op[3]):
+                    record_event(handle, op[2], arena.clock.now)
+            elif zone_of(handle.slot_index) is not op[2]:
+                try:
+                    new = arena.expire_and_reallocate(handle, op[2])
+                except ZoneCapacityError:
+                    pass  # the target zone is full: the object stays
+                else:
+                    freed(handle)
+                    claimed(new)
+        alive = np.frombuffer(arena.slots.alive, dtype=np.uint8)
+        for zone in ZoneId:
+            lo, hi = arena.layout.span(zone)
+            assert int(alive[lo:hi].sum()) == count[zone]
+            assert arena.pool_stats(zone).real_allocations == peak[zone], op
