@@ -8,7 +8,9 @@ before/after. The checksum is the determinism witness: identical across
 attempts and across partition counts by construction.
 
 Allocation kinds (alloc_reuse, zone_pressure, zone_imbalance, expiration,
-checkpoint_lifecycle) drive the arena with a scripted schedule and report the
+checkpoint_lifecycle) each build a request stream, a list of (zone, site, end)
+requests, and run it through one loop: allocate in the zone for the site, then
+pass the handle to `end`, which releases or expires it. They report the
 per-zone pool counters.
 """
 
@@ -31,14 +33,7 @@ from .ppe import PartitionPlan, make_partitions, run_parallel
 from .zones import PoolStats, ZoneArena
 
 TIMED_KINDS = ("loop", "recursion", "deep_recursion", "matrix")
-ALLOC_KINDS = (
-    "alloc_reuse",
-    "zone_pressure",
-    "zone_imbalance",
-    "expiration",
-    "checkpoint_lifecycle",
-)
-KINDS = TIMED_KINDS + ALLOC_KINDS
+# ALLOC_KINDS, the keys of SCHEDULES, and KINDS are defined with the schedules.
 
 DEFAULT_CHUNK = {"recursion": 1000, "deep_recursion": 4000}
 # run_parallel starts one thread per partition, with a large stack for the
@@ -49,18 +44,6 @@ _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
 ZONE_LABELS = {ZoneId.RED: "Red", ZoneId.GREEN: "Green", ZoneId.BLUE: "Blue"}
 # Reports list zones in the order the experiment tables use.
 REPORT_ZONE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
-
-SCHEDULE_NOTES = {
-    "alloc_reuse": "sequential acquire/release cycles on one green site",
-    "zone_pressure": "seeded zone draws with probabilities green 0.7, blue 0.2, red 0.1",
-    "zone_imbalance": "repeating request block of 90 green, 9 blue, 1 red",
-    "expiration": "per-use TTL: blue every 2nd use, red every use, green only at teardown",
-    "checkpoint_lifecycle": (
-        "sweep every {interval} requests; blue expires at sweep boundaries, "
-        "red per use, green pinned persistent"
-    ),
-}
-
 
 def wrap16(value: int) -> int:
     """Wrap an integer accumulator to 16-bit two's complement."""
@@ -288,104 +271,111 @@ def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Bench
 # -- allocation experiments -------------------------------------------------
 
 
-def _schedule_alloc_reuse(arena: ZoneArena, size: int) -> None:
-    allocate = arena.allocate
+def _every(n: int, k: int, plain, kth) -> list:
+    """n requests in which each k-th is kth and the others are plain."""
+    stream = [plain] * n
+    stream[k - 1::k] = [kth] * (n // k)
+    return stream
+
+
+def _alloc_reuse(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
+    return [(ZoneId.GREEN, "hot_loop", arena.release)] * spec.size
+
+
+def _zone_pressure(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
+    u = np.random.default_rng(spec.seed).random(spec.size)
     release = arena.release
-    green = ZoneId.GREEN
-    for _ in range(size):
-        release(allocate(green, "hot_loop"))
+    requests = ((ZoneId.GREEN, "pressure_green", release),
+                (ZoneId.BLUE, "pressure_blue", release),
+                (ZoneId.RED, "pressure_red", release))
+    return [requests[code] for code in np.where(u < 0.7, 0, np.where(u < 0.9, 1, 2)).tolist()]
 
 
-def _schedule_zone_pressure(arena: ZoneArena, size: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    u = rng.random(size)
-    codes = np.where(u < 0.7, 0, np.where(u < 0.9, 1, 2)).tolist()
-    del u
-    zones = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
-    sites = ("pressure_green", "pressure_blue", "pressure_red")
-    allocate = arena.allocate
+def _zone_imbalance(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
     release = arena.release
-    for code in codes:
-        release(allocate(zones[code], sites[code]))
+    block = ([(ZoneId.GREEN, "imbalance_green", release)] * 90
+             + [(ZoneId.BLUE, "imbalance_blue", release)] * 9
+             + [(ZoneId.RED, "imbalance_red", release)])
+    return block * (spec.size // 100) + block[:spec.size % 100]
 
 
-def _schedule_zone_imbalance(arena: ZoneArena, size: int) -> None:
-    allocate = arena.allocate
-    release = arena.release
-    green, blue, red = ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED
-    for i in range(size):
-        slot = i % 100
-        if slot < 90:
-            release(allocate(green, "imbalance_green"))
-        elif slot < 99:
-            release(allocate(blue, "imbalance_blue"))
-        else:
-            release(allocate(red, "imbalance_red"))
+def _expiration(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
+    """Use-count TTL per zone: red 1, blue 2, green the whole run.
 
-
-def _schedule_expiration(arena: ZoneArena, per_zone: int) -> None:
-    """Use-count TTL per zone: red 1, blue 2, green unbounded.
-
-    Every request is one use. Red expires after each use, blue after every
-    second, green never during the run; its final object expires once at
-    teardown so the counter shows exactly one expiry.
+    Every request is one use, recorded as an access before the object ends.
+    Red expires after each use and blue after every second; green's last
+    request expires at teardown, so its counter shows exactly one expiry.
     """
-    plans = (
-        (ZoneId.GREEN, "expiry_green", 0),
-        (ZoneId.BLUE, "expiry_blue", 2),
-        (ZoneId.RED, "expiry_red", 1),
-    )
-    allocate = arena.allocate
-    release = arena.release
-    expire = arena.expire
     clock = arena.clock
     access = EventKind.ACCESS  # an enum member lookup costs ~150 ns per request
-    for zone, site, ttl in plans:
-        for k in range(1, per_zone + 1):
-            handle = allocate(zone, site)
+
+    def used(free):
+        def end(handle):
             record_event(handle, access, clock.now)
-            if (ttl and k % ttl == 0) or (not ttl and k == per_zone):
-                expire(handle)
-            else:
-                release(handle)
+            free(handle)
+        return end
+
+    release, expire = used(arena.release), used(arena.expire)
+    n = spec.size
+    stream = []
+    for zone, site, ttl in ((ZoneId.GREEN, "expiry_green", n or 1),
+                            (ZoneId.BLUE, "expiry_blue", 2),
+                            (ZoneId.RED, "expiry_red", 1)):
+        stream += _every(n, ttl, (zone, site, release), (zone, site, expire))
+    return stream
 
 
-def _schedule_checkpoint_lifecycle(arena: ZoneArena, per_zone: int,
-                                   interval: int) -> None:
+def _checkpoint_lifecycle(arena: ZoneArena, spec: WorkloadSpec,
+                          cfg: RuntimeConfig) -> list:
     """Sweep-driven expiry: green pinned, blue dies at sweeps, red per use."""
-    allocate = arena.allocate
-    release = arena.release
-    expire = arena.expire
+    release, expire = arena.release, arena.expire
     set_state = arena.table.set_state
-    # Enum members looked up once, not per request.
-    green, blue, red = ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED
-    expired = StateCode.EXPIRED
     # Pin transition computed once; the signal set is identical per request.
     pinned = step_state(StateCode.ACTIVE, Signals(persistent=True))
-    for k in range(per_zone):
-        handle = allocate(green, "pinned_green")
+    expired = StateCode.EXPIRED
+
+    def pin(handle):
         set_state(handle.slot_index, pinned)
         release(handle)
-    for k in range(1, per_zone + 1):
-        handle = allocate(blue, "swept_blue")
-        if k % interval == 0:
-            # Blue dies at the boundary: marked expired, it is reclaimed
-            # because the sweep reports it.
-            set_state(handle.slot_index, expired)
-            live = {handle.slot_index: handle}
-            for idx in arena.run_sweep().reclaimed:
-                expire(live[idx])
-        else:
-            release(handle)
-    for k in range(per_zone):
-        handle = allocate(red, "per_use_red")
-        expire(handle)
+
+    def sweep(handle):
+        # Blue dies at the boundary: marked expired, it is reclaimed because
+        # the sweep reports it.
+        set_state(handle.slot_index, expired)
+        live = {handle.slot_index: handle}
+        for idx in arena.run_sweep().reclaimed:
+            expire(live[idx])
+
+    n = spec.size
+    return ([(ZoneId.GREEN, "pinned_green", pin)] * n
+            + _every(n, cfg.sweep_interval, (ZoneId.BLUE, "swept_blue", release),
+                     (ZoneId.BLUE, "swept_blue", sweep))
+            + [(ZoneId.RED, "per_use_red", expire)] * n)
+
+
+# kind -> (schedule note, stream builder). A note may name the sweep
+# interval as {interval}. A builder returns the kind's requests in order, as
+# a list that a make_partitions range can slice.
+SCHEDULES = {
+    "alloc_reuse": ("sequential acquire/release cycles on one green site", _alloc_reuse),
+    "zone_pressure": ("seeded zone draws with probabilities green 0.7, blue 0.2, red 0.1",
+                      _zone_pressure),
+    "zone_imbalance": ("repeating request block of 90 green, 9 blue, 1 red",
+                       _zone_imbalance),
+    "expiration": ("per-use TTL: blue every 2nd use, red every use, green only at teardown",
+                   _expiration),
+    "checkpoint_lifecycle": ("sweep every {interval} requests; blue expires at sweep "
+                             "boundaries, red per use, green pinned persistent",
+                             _checkpoint_lifecycle),
+}
+ALLOC_KINDS = tuple(SCHEDULES)
+KINDS = TIMED_KINDS + ALLOC_KINDS
 
 
 def run_alloc_experiments(spec: WorkloadSpec,
                           config: RuntimeConfig | None = None
                           ) -> dict[ZoneId, PoolStats]:
-    """Drive the arena with the scripted schedule for spec.kind.
+    """Drive the arena with the request stream of spec.kind.
 
     size counts total requests for alloc_reuse, zone_pressure and
     zone_imbalance, and requests per zone for expiration and
@@ -395,16 +385,9 @@ def run_alloc_experiments(spec: WorkloadSpec,
         raise ValueError(f"run_alloc_experiments got kind {spec.kind!r}")
     cfg = config or RuntimeConfig()
     arena = cfg.build_arena()
-    if spec.kind == "alloc_reuse":
-        _schedule_alloc_reuse(arena, spec.size)
-    elif spec.kind == "zone_pressure":
-        _schedule_zone_pressure(arena, spec.size, spec.seed)
-    elif spec.kind == "zone_imbalance":
-        _schedule_zone_imbalance(arena, spec.size)
-    elif spec.kind == "expiration":
-        _schedule_expiration(arena, spec.size)
-    else:
-        _schedule_checkpoint_lifecycle(arena, spec.size, cfg.sweep_interval)
+    allocate = arena.allocate
+    for zone, site, end in SCHEDULES[spec.kind][1](arena, spec, cfg):
+        end(allocate(zone, site))
     return {zone: arena.pool_stats(zone) for zone in REPORT_ZONE_ORDER}
 
 
@@ -476,11 +459,7 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
 
 
 def schedule_note(kind: str, config: RuntimeConfig | None = None) -> str:
-    note = SCHEDULE_NOTES[kind]
-    if kind == "checkpoint_lifecycle":
-        cfg = config or RuntimeConfig()
-        note = note.format(interval=cfg.sweep_interval)
-    return note
+    return SCHEDULES[kind][0].format(interval=(config or RuntimeConfig()).sweep_interval)
 
 
 def emit_pool_stats(stats: dict[ZoneId, PoolStats], fmt: str = "csv", *,

@@ -10,7 +10,7 @@ PERSISTENT in green, DEFERRED in red or blue, decided at promotion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .checkpoint import StateCode
@@ -40,10 +40,10 @@ class YieldScope:
     scope_id: str = "yield"
     capacity_slots: int = 4096
     capacity_bytes: int = 4096 * SLOT_BYTES
-    slots_in_use: int = 0
-    bytes_in_use: int = 0
-    promoted: int = 0  # values promoted so far; the scope keeps none of them
-    open: bool = True
+    slots_in_use: int = field(default=0, init=False)
+    bytes_in_use: int = field(default=0, init=False)
+    promoted: int = field(default=0, init=False)  # a count; the scope keeps no value
+    open: bool = field(default=True, init=False)
 
     def __enter__(self) -> "YieldScope":
         return self

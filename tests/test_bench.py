@@ -9,6 +9,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from zonegc.bench import (
     summarize,
     wrap16,
 )
+from zonegc.config import RuntimeConfig
 from zonegc.errors import DepthLimitError
 from zonegc.layout import ZoneId
 from zonegc.zones import PoolStats
@@ -568,6 +570,39 @@ def test_lifecycle_schedule_note_carries_interval():
     assert "500" in note
 
 
+def expected_counters(kind: str, n: int, interval: int, seed: int) -> dict:
+    """Closed-form per-zone counters of n requests (n per zone for expiration
+    and checkpoint_lifecycle). Every object is freed after its request, so a
+    zone with requests has one real allocation and a pool of one."""
+    expired = (0, 0, 0)
+    if kind == "alloc_reuse":
+        totals = (n, 0, 0)
+    elif kind == "zone_pressure":
+        u = np.random.default_rng(seed).random(n)
+        green, below_red = int((u < 0.7).sum()), int((u < 0.9).sum())
+        totals = (green, below_red - green, n - below_red)
+    elif kind == "zone_imbalance":
+        blocks, rest = divmod(n, 100)  # 90 green, 9 blue, 1 red per block
+        totals = (90 * blocks + min(rest, 90), 9 * blocks + max(rest - 90, 0), blocks)
+    elif kind == "expiration":
+        totals, expired = (n, n, n), (min(n, 1), n // 2, n)
+    else:
+        totals, expired = (n, n, n), (0, n // interval, n)
+    return {zone: PoolStats(t, min(t, 1), max(t - 1, 0), e, min(t, 1))
+            for zone, t, e in zip((ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED), totals, expired)}
+
+
+@pytest.mark.parametrize("interval", [1, 7, 500, None])  # None: one above the size
+@pytest.mark.parametrize("kind", bench.ALLOC_KINDS)
+def test_alloc_counters_match_closed_forms(kind, interval):
+    # The sizes sit on and around each stream's block edges, where an
+    # off-by-one in a remainder would show.
+    for n in (0, 1, 2, 99, 100, 101, 499, 500, 501, 1001):
+        cfg = RuntimeConfig(sweep_interval=interval or n + 1)
+        got = run_alloc_experiments(WorkloadSpec(kind, n, seed=7), cfg)
+        assert got == expected_counters(kind, n, cfg.sweep_interval, 7), (kind, n)
+
+
 def test_perfbench_tracer_wraps_existing_names_and_restores_them(monkeypatch):
     # perfbench/tracer.py wraps program names from outside, so deleting one
     # of them from src/ breaks the traced benchmark run: install() raises.
@@ -584,3 +619,30 @@ def test_perfbench_tracer_wraps_existing_names_and_restores_them(monkeypatch):
         sys.modules.pop("tracer", None)
     for owner, attr, orig in wrapped:
         assert getattr(owner, attr) is orig, f"{owner!r}.{attr} not restored"
+
+
+@pytest.mark.parametrize("kind, n, interval", [
+    ("expiration", 11, 500), ("checkpoint_lifecycle", 23, 7), ("checkpoint_lifecycle", 5, 500),
+])
+def test_perfbench_tracer_sees_the_schedule_calls(kind, n, interval, monkeypatch, tmp_path):
+    # The tracer wraps run_alloc_experiments and record_event by module
+    # attribute; a stream that bound either at import would run unseen and
+    # the traced benchmark would report 0 for those layers.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"sweep_interval = {interval}\n")
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        for _ in range(2):
+            assert cli.main([kind, "--size", str(n), "--config", str(conf),
+                             "--output", str(tmp_path / "out.csv")]) == 0
+    finally:
+        tracer.uninstall()
+        sys.modules.pop("tracer", None)
+    calls = {name: span["calls"] for name, span in tracer.summary().items()}
+    assert calls["bench.run_alloc_experiments"] == 2
+    if kind == "expiration":
+        assert calls["objects.record_event"] == 2 * 3 * n
+    else:
+        assert calls["checkpoint.set_state"] == 2 * (n + n // interval)
