@@ -5,7 +5,10 @@ lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
 the way the checkpoint table keeps one byte of state per slot: liveness,
 allocation and last-event times, static features (size, fan-out, complexity
 weight), the allocation site tag and windowed mutation and access rates.
-A slot's one Python object is its ObjectHandle, which reads those arrays.
+The arena writes a claim's entries itself and leaves the rate entries as
+the slot's last object left them, marked stale; record_event resets them on
+the object's first event. A slot's one Python object is its ObjectHandle,
+which reads those arrays.
 Rates are counted over a fixed logical-time window and smoothed with an
 exponential moving average; the smoothed view is what classification
 consumes, as columns (feature_columns) or as the one-row case of them
@@ -174,13 +177,16 @@ class SlotTable:
     slot's entries describe its current object while alive[i] is set, and
     its last one after release. Mutation and access rates keep a window
     start, an open count and an EMA (NaN until a window closes) at entry
-    2 * i + kind.ordinal. The zone is not stored: it is the slot's region
-    in `layout`.
+    2 * i + kind.ordinal. A claim does not reset them: it sets stale[i],
+    which makes them read as a fresh object's (no events, rate 0.0), and
+    the slot's first record_event resets both from allocated_at[i]. The
+    zone is not stored: it is the slot's region in `layout`.
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
         n = layout.total
         self.alive = bytearray(n)
+        self.stale = bytearray(n)
         self.allocated_at = _doubles(n)
         self.last_event_at = _doubles(n)
         self.size = _doubles(n)
@@ -189,36 +195,20 @@ class SlotTable:
         self.site_tag: list[str | None] = [None] * n
         self.window_start = _doubles(2 * n)
         # A list, not a typed column: a list item store is ~3x cheaper than a
-        # memoryview('q') store, and claim and record_event store here.
+        # memoryview('q') store, and record_event stores here.
         self.count = [0] * (2 * n)
         self.ema = _doubles(2 * n, NAN)
         self.window = window
         self.cfg = cfg
         self.layout = layout
 
-    def claim(self, i: int, site_tag: str, now: float, size: float,
-              fan_out: float, complexity_weight: float) -> None:
-        """Bind slot i to a new object allocated at `now` with fresh rates."""
-        self.alive[i] = 1
-        self.site_tag[i] = site_tag
-        self.allocated_at[i] = now
-        self.last_event_at[i] = now
-        self.size[i] = size
-        self.fan_out[i] = fan_out
-        self.complexity_weight[i] = complexity_weight
-        j = 2 * i
-        start = self.window_start
-        start[j] = start[j + 1] = now
-        count = self.count
-        count[j] = count[j + 1] = 0
-        ema = self.ema
-        ema[j] = ema[j + 1] = NAN
-
     def rates(self, j: np.ndarray) -> np.ndarray:
-        """Smoothed rate of each tracker entry in j: the EMA, or the open
-        window's rate before a window closes. Only the entries whose EMA is
-        still NaN read the open count."""
+        """Smoothed rate of each tracker entry in j: 0.0 for a stale slot's
+        entries, else the EMA, or the open window's rate before a window
+        closes. Only the fresh entries whose EMA is still NaN read the open
+        count."""
         r = np.frombuffer(self.ema)[j]
+        r[np.frombuffer(self.stale, dtype=np.uint8)[j >> 1] != 0] = 0.0
         cold = np.flatnonzero(r != r)
         if cold.size:
             count = self.count
@@ -274,15 +264,23 @@ def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHan
     last = slots.last_event_at
     if now < last[i]:
         raise ValueError(f"event time {now} precedes previous event at {last[i]}")
-    j = 2 * i + kind.ordinal
     start = slots.window_start
+    count = slots.count
+    if slots.stale[i]:
+        # The first event since the claim: both kinds' windows open at the
+        # allocation time, with no events and no EMA.
+        j = 2 * i
+        start[j] = start[j + 1] = slots.allocated_at[i]
+        count[j] = count[j + 1] = 0
+        slots.ema[j] = slots.ema[j + 1] = NAN
+        slots.stale[i] = 0
+    j = 2 * i + kind.ordinal
     if now >= start[j] + slots.window:
         ema = slots.ema
-        ema[j], start[j] = roll(ema[j], start[j], slots.count[j], now,
-                                slots.window, slots.cfg)
-        slots.count[j] = 1
+        ema[j], start[j] = roll(ema[j], start[j], count[j], now, slots.window, slots.cfg)
+        count[j] = 1
     else:
-        slots.count[j] += 1
+        count[j] += 1
     last[i] = now
     return header
 

@@ -12,7 +12,11 @@ FeatureColumns alike, and two pickers over it: a scalar classifier for one
 object, and a batched one that a sweep pause runs over all its candidates'
 feature columns at once. The type of the thresholds an arena is given
 selects its policy. A move whose target zone has no slot left changes
-nothing; in a pause the object stays and the rest move.
+nothing; in a pause the object stays and the rest move. A pause moves its
+objects as one batch: it replays their pool pushes and pops over plain ints,
+then writes each metadata column once for all of them. A claim leaves the
+slot's rate entries as they were and marks them stale, so it writes only
+the new object's own columns.
 """
 
 from __future__ import annotations
@@ -332,35 +336,44 @@ class ZoneArena:
                 )
             self._fresh_next[zi] = idx + 1
             self.handles[idx] = ObjectHandle(idx, slots)
-        slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
+        # Bind the slot to the new object. Its rate entries are left as they
+        # are and marked stale, which reads as fresh rates.
+        slots.alive[idx] = 1
+        slots.stale[idx] = 1
+        slots.site_tag[idx] = site_tag
+        slots.allocated_at[idx] = slots.last_event_at[idx] = now
+        slots.size[idx] = size
+        slots.fan_out[idx] = fan_out
+        slots.complexity_weight[idx] = complexity_weight
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.
         self._states[idx] = _ACTIVE
         return self.handles[idx]
 
-    def _free(self, handle: ObjectHandle) -> int:
-        """Return a live slot to its zone's pool; returns the zone's ordinal."""
+    def release(self, handle: ObjectHandle) -> None:
+        """Return a live slot to its zone's pool."""
         idx = handle.slot_index
-        slots = self.slots
-        if not (0 <= idx < len(slots.alive) and slots.alive[idx]):
+        alive = self.slots.alive
+        if not (0 <= idx < len(alive) and alive[idx]):
             raise LifecycleError(f"slot {idx} holds no live object")
         self.clock.ops += 1
-        slots.alive[idx] = 0
+        alive[idx] = 0
         self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
         # The zone is the slot's region; two compares, as this runs on every
         # release and expiry.
         bounds = self.layout.bounds
-        zi = 0 if idx < bounds[1] else 1 if idx < bounds[2] else 2
-        self._pools[zi].append(idx)
-        return zi
+        self._pools[0 if idx < bounds[1] else 1 if idx < bounds[2] else 2].append(idx)
 
-    def release(self, handle: ObjectHandle) -> None:
-        """Return a live slot to its zone's pool."""
-        self._free(handle)
+    # expire frees through this name, so a traced release counts releases
+    # only.
+    _free = release
 
     def expire(self, handle: ObjectHandle) -> None:
         """Terminal expiry: reclaim the slot into its pool and count it."""
-        self._expired[self._free(handle)] += 1
+        self._free(handle)
+        idx = handle.slot_index
+        bounds = self.layout.bounds
+        self._expired[0 if idx < bounds[1] else 1 if idx < bounds[2] else 2] += 1
 
     def expire_and_reallocate(self, handle: ObjectHandle, new_zone: ZoneId) -> ObjectHandle:
         """Re-zone by expiry plus fresh request; same-zone calls are no-ops.
@@ -425,11 +438,11 @@ class ZoneArena:
         The pause is a snapshot: the candidates alive when it starts are
         classified at once, from their features at that moment, and a slot
         that a move claims during the pause is not examined again. Then each
-        candidate whose zone differs from its target expires and reallocates
-        into the target, in ascending index order; the rest are left as they
-        are, and so is a mover whose target zone has no slot left. Returns
-        (old index, new handle) pairs for the moved objects. A negative
-        feature raises ValueError before any move is made.
+        candidate whose zone differs from its target moves there, as
+        expire_and_reallocate would, in ascending index order; the rest are
+        left as they are, and so is a mover whose target zone has no slot
+        left. Returns (old index, new handle) pairs for the moved objects. A
+        negative feature raises ValueError before any move is made.
         """
         slots = self.slots
         idx = np.array(report.candidates, dtype=np.intp)
@@ -440,11 +453,58 @@ class ZoneArena:
         # at or below the slot.
         zone = np.searchsorted(self.layout.bounds[1:3], idx, side="right")
         movers = target != zone
-        handles = self.handles
-        moved = []
-        for i, t in zip(idx[movers].tolist(), target[movers].tolist()):
-            try:
-                moved.append((i, self.expire_and_reallocate(handles[i], ZONE_ORDER[t])))
-            except ZoneCapacityError:
-                pass  # the target zone is full: the object stays
-        return moved
+        return self._move_batch(idx[movers].tolist(), target[movers].tolist())
+
+    def _move_batch(self, movers: list[int], targets: list[int]
+                    ) -> list[tuple[int, ObjectHandle]]:
+        """expire_and_reallocate of each live slot in ascending `movers`
+        into the zone of ordinal targets[k], without its per-object calls.
+
+        First the pool pushes and pops are replayed in order over plain
+        ints: a mover whose target zone has no pooled or fresh slot at its
+        turn stays, and one that finds room frees its slot into its own
+        zone's pool, where a later mover can claim it. Then each column is
+        written once for all the moves: the frees before the claims, since
+        a freed slot may be claimed again, and the claim of the k-th move
+        made at the clock's 2k-th tick from now, as expire and allocate tick
+        once each. Returns the (old index, new handle) pairs.
+        """
+        pools, fresh, bounds = self._pools, self._fresh_next, self.layout.bounds
+        handles, slots, site_tag = self.handles, self.slots, self.slots.site_tag
+        src: list[int] = []
+        dst: list[int] = []
+        for i, t in zip(movers, targets):
+            pool = pools[t]
+            if not (pool or fresh[t] < bounds[t + 1]):
+                continue  # the target zone is full: the object stays
+            zi = 0 if i < bounds[1] else 1 if i < bounds[2] else 2
+            pools[zi].append(i)
+            self._expired[zi] += 1
+            if pool:
+                d = pool.pop()
+                self._reused[t] += 1
+            else:
+                d = fresh[t]
+                fresh[t] = d + 1
+                handles[d] = ObjectHandle(d, slots)
+            site_tag[d] = site_tag[i]
+            src.append(i)
+            dst.append(d)
+        s = np.array(src, dtype=np.intp)
+        d = np.array(dst, dtype=np.intp)
+        alive = np.frombuffer(slots.alive, dtype=np.uint8)
+        states = np.frombuffer(self._states, dtype=np.uint8)
+        alive[s] = 0
+        states[s] = _IDLE
+        alive[d] = 1
+        states[d] = _ACTIVE
+        np.frombuffer(slots.stale, dtype=np.uint8)[d] = 1
+        for name in ("size", "fan_out", "complexity_weight"):
+            column = np.frombuffer(getattr(slots, name))
+            column[d] = column[s]
+        clock = self.clock
+        now = (clock.ops + 2 * np.arange(1, len(src) + 1)) * clock.seconds_per_op
+        clock.ops += 2 * len(src)
+        np.frombuffer(slots.allocated_at)[d] = now
+        np.frombuffer(slots.last_event_at)[d] = now
+        return list(zip(src, [handles[k] for k in dst]))

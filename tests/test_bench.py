@@ -33,10 +33,11 @@ from zonegc.bench import (
     summarize,
     wrap16,
 )
+from zonegc.checkpoint import StateCode
 from zonegc.config import RuntimeConfig
 from zonegc.errors import DepthLimitError
-from zonegc.layout import ZoneId
-from zonegc.zones import PoolStats
+from zonegc.layout import ZoneId, ZoneLayout
+from zonegc.zones import PoolStats, ZoneArena
 
 from .oracles import (
     LOOP_WRAP,
@@ -621,28 +622,68 @@ def test_perfbench_tracer_wraps_existing_names_and_restores_them(monkeypatch):
         assert getattr(owner, attr) is orig, f"{owner!r}.{attr} not restored"
 
 
-@pytest.mark.parametrize("kind, n, interval", [
-    ("expiration", 11, 500), ("checkpoint_lifecycle", 23, 7), ("checkpoint_lifecycle", 5, 500),
-])
-def test_perfbench_tracer_sees_the_schedule_calls(kind, n, interval, monkeypatch, tmp_path):
-    # The tracer wraps run_alloc_experiments and record_event by module
-    # attribute; a stream that bound either at import would run unseen and
-    # the traced benchmark would report 0 for those layers.
+@pytest.fixture
+def tracer(monkeypatch):
+    """perfbench's Tracer, installed for the test and removed after it."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    conf = tmp_path / "run.conf"
-    conf.write_text(f"sweep_interval = {interval}\n")
     tracer = importlib.import_module("tracer").Tracer()
     try:
         tracer.install()
-        for _ in range(2):
-            assert cli.main([kind, "--size", str(n), "--config", str(conf),
-                             "--output", str(tmp_path / "out.csv")]) == 0
+        yield tracer
     finally:
         tracer.uninstall()
         sys.modules.pop("tracer", None)
-    calls = {name: span["calls"] for name, span in tracer.summary().items()}
+
+
+def span_calls(tracer) -> dict[str, int]:
+    return {name: span["calls"] for name, span in tracer.summary().items()}
+
+
+@pytest.mark.parametrize("kind, n, interval", [
+    ("expiration", 11, 500), ("checkpoint_lifecycle", 23, 7), ("checkpoint_lifecycle", 5, 500),
+])
+def test_perfbench_tracer_sees_the_schedule_calls(kind, n, interval, tracer, tmp_path):
+    # The tracer wraps run_alloc_experiments and record_event by module
+    # attribute; a stream that bound either at import would run unseen and
+    # the traced benchmark would report 0 for those layers.
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"sweep_interval = {interval}\n")
+    for _ in range(2):
+        assert cli.main([kind, "--size", str(n), "--config", str(conf),
+                         "--output", str(tmp_path / "out.csv")]) == 0
+    calls = span_calls(tracer)
     assert calls["bench.run_alloc_experiments"] == 2
     if kind == "expiration":
         assert calls["objects.record_event"] == 2 * 3 * n
     else:
         assert calls["checkpoint.set_state"] == 2 * (n + n // interval)
+        # the closed forms: red expires every request and blue at each
+        # sweep; green and the other blue requests release, and an expiry
+        # is not also counted as a release
+        assert calls["zones.expire"] == 2 * (n + n // interval)
+        assert calls["zones.release"] == 2 * (2 * n - n // interval)
+
+
+@pytest.mark.parametrize("n", [1, 37])
+def test_traced_alloc_reuse_is_one_allocate_and_one_release_per_request(n, tracer,
+                                                                        tmp_path):
+    # allocate and release do their work without calling another traced
+    # method, and the schedule calls each once per request
+    assert cli.main(["alloc_reuse", "--size", str(n),
+                     "--output", str(tmp_path / "out.csv")]) == 0
+    calls = span_calls(tracer)
+    assert (calls["zones.allocate"], calls["zones.release"]) == (n, n)
+
+
+def test_traced_pause_moves_its_batch_without_per_object_calls(tracer):
+    arena = ZoneArena(ZoneLayout(8, 8, 8))
+    for _ in range(5):
+        handle = arena.allocate(ZoneId.GREEN, "t")
+        arena.table.set_state(handle.slot_index, StateCode.DEMOTE_CANDIDATE)
+    # zero rates: the default simple policy sends every green object to red
+    moved = arena.reclassify_candidates(arena.run_sweep())
+    assert [arena.header_of(new).zone for _, new in moved] == [ZoneId.RED] * 5
+    calls = span_calls(tracer)
+    assert calls["zones.reclassify_candidates"] == 1
+    assert calls["zones.allocate"] == 5  # the five before the pause
+    assert (calls["zones.expire"], calls["zones.expire_and_reallocate"]) == (0, 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from zonegc.objects import (
     LogicalClock,
     RateTracker,
     ema_update,
+    feature_columns,
     feature_snapshot,
     record_event,
 )
@@ -209,6 +211,59 @@ def test_record_event_rejects_dead_header_and_time_regression():
     assert not header.alive
     with pytest.raises(LifecycleError):
         record_event(header, EventKind.ACCESS, 2.0)
+
+
+def _reused_slot(step: float):
+    """An arena whose green slot 4 held an object with closed rate windows
+    and was released and reclaimed since, with no event on the new object."""
+    arena = ZoneArena(ZoneLayout(4, 4, 4), clock=LogicalClock(seconds_per_op=step),
+                      rate_window=1.0, ema=EmaConfig(0.5))
+    old = arena.allocate(ZoneId.GREEN, "t")
+    t = arena.clock.now
+    for dt in (0.0, 0.5, 3.0):
+        record_event(old, EventKind.ACCESS, t + dt)
+        record_event(old, EventKind.MUTATION, t + dt)
+    arena.release(old)
+    new = arena.allocate(ZoneId.GREEN, "t")
+    assert new.slot_index == old.slot_index
+    return arena, new
+
+
+def _rate_entries(slots, i: int) -> tuple:
+    j = 2 * i
+    return (slots.stale[i], *slots.window_start[j:j + 2], *slots.count[j:j + 2],
+            *(repr(e) for e in slots.ema[j:j + 2]))  # repr: NaN equals itself
+
+
+def test_refused_event_leaves_a_stale_slot_as_it_is():
+    arena, header = _reused_slot(0.125)
+    slots, i = arena.slots, header.slot_index
+    before = _rate_entries(slots, i)
+    assert before[0] == 1
+    with pytest.raises(ValueError):  # a time before the last event
+        record_event(header, EventKind.ACCESS, header.last_event_at - 0.5)
+    assert _rate_entries(slots, i) == before
+    arena.release(header)
+    with pytest.raises(LifecycleError):  # a dead slot
+        record_event(header, EventKind.ACCESS, header.last_event_at + 0.5)
+    assert _rate_entries(slots, i) == before
+
+
+@pytest.mark.parametrize("step", [0.0, 0.125])
+def test_reclaimed_slot_reads_fresh_rates_before_its_first_event(step):
+    # The rate entries still hold the last object's closed windows; the
+    # stale byte, not a time, makes them read as a fresh object's. A clock
+    # that stands still gives both objects the same allocation time.
+    arena, header = _reused_slot(step)
+    f = feature_snapshot(header)
+    assert (f.access_rate, f.mutation_rate, f.lifetime) == (0.0, 0.0, 0.0)
+    cols = feature_columns(arena.slots, np.array([0, header.slot_index], dtype=np.intp))
+    assert cols.access_rate.tolist() == [0.0, 0.0]
+    assert cols.mutation_rate.tolist() == [0.0, 0.0]
+    # its first event resets both kinds from the allocation time
+    record_event(header, EventKind.MUTATION, header.allocated_at + 0.5)
+    f = feature_snapshot(header)
+    assert (f.access_rate, f.mutation_rate) == (0.0, 1.0)
 
 
 def test_record_event_never_touches_placement():

@@ -683,7 +683,9 @@ REFUSAL = {LifecycleError: "lifecycle", ZoneCapacityError: "capacity",
 # Dyadic window lengths, clock steps and event offsets put every window
 # boundary on an exact float, so closing windows one at a time (the model)
 # and in one step (the arena) must assign each event to the same window.
-# Offsets up to 1,200 windows take the one-step path.
+# Offsets up to 1,200 windows take the one-step path. A step of 0.0 stops
+# the clock: a reused slot's last and new objects then share an allocation
+# time, and only the stale byte tells their rates apart.
 ZONE_PICK = st.sampled_from([ZoneId.RED, ZoneId.GREEN, ZoneId.BLUE])
 ARENA_OPS = st.one_of(
     st.tuples(st.just("alloc"), ZONE_PICK, st.sampled_from(["a", "b"]),
@@ -742,10 +744,18 @@ def _outcome(call):
     # stay; slot 8 still moves to green
     ("pause", [6, 7, 8], StateCode.PROMOTE_CANDIDATE)],
     window=1.0, omega=0.5, step=0.125, policy="simple")
+@example(ops=[  # a batch moves into a zone that is full when the pause starts
+    *[("alloc", ZoneId.RED, "a", 0.0)] * 4,  # red is full
+    ("alloc", ZoneId.GREEN, "a", 0.0),
+    *[("event", 2, EventKind.ACCESS, 0.0)] * 4,  # red slot 0 reaches the green cut
+    # zero rates send green slot 4 to red. Slot 0 moves to green first and
+    # frees red slot 0, which slot 4 then claims in the same pause.
+    ("pause", [2, 6], StateCode.PROMOTE_CANDIDATE)],
+    window=1.0, omega=0.5, step=0.125, policy="simple")
 @given(ops=st.lists(ARENA_OPS, max_size=80),
        window=st.sampled_from([0.5, 1.0, 2.0]),
        omega=st.sampled_from([0.25, 0.5, 0.875]),
-       step=st.sampled_from([0.125, 0.25]),
+       step=st.sampled_from([0.0, 0.125, 0.25]),
        policy=st.sampled_from(POLICIES))
 def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
     sizes = (4, 4, 4)
