@@ -8,10 +8,12 @@ before/after. The checksum is the determinism witness: identical across
 attempts and across partition counts by construction.
 
 Allocation kinds (alloc_reuse, zone_pressure, zone_imbalance, expiration,
-checkpoint_lifecycle) each build a request stream, a list of (zone, site, end)
-requests, and run it through one loop: allocate in the zone for the site, then
-pass the handle to `end`, which releases or expires it. They report the
-per-zone pool counters.
+checkpoint_lifecycle) each build a request stream as arrays, one entry per
+request: an int8 zone ordinal, a uint8 index into the stream's site tags and
+an int8 end code (release or expire, optionally after one access, or a
+sweep). One ZoneArena.serve call serves it, as a planned batch between
+sweeps: every object ends before the next request, so each zone reuses one
+pooled slot. They report the per-zone pool counters.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .checkpoint import Signals, StateCode, step_state
 from .config import RuntimeConfig
 from .errors import DepthLimitError
-from .layout import ZoneId
-from .objects import EventKind, record_event
+from .layout import ZONE_ORDER, ZoneId
+from .objects import record_event  # noqa: F401  perfbench's tracer wraps bench.record_event
 from .ppe import PartitionPlan, make_partitions, run_parallel
-from .zones import PoolStats, ZoneArena
+from .zones import ACCESS, EXPIRE, RELEASE, SWEEP, PoolStats
+
+_RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
 
 TIMED_KINDS = ("loop", "recursion", "deep_recursion", "matrix")
 # ALLOC_KINDS, the keys of SCHEDULES, and KINDS are defined with the schedules.
@@ -81,6 +84,8 @@ class WorkloadSpec:
             raise ValueError(f"unknown workload kind {self.kind!r}")
         if self.size < 0:
             raise ValueError("size must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 1 <= self.partitions <= MAX_PARTITIONS:
             raise ValueError(f"partitions must be in 1..{MAX_PARTITIONS}")
         if self.attempts < 1:
@@ -271,91 +276,75 @@ def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Bench
 # -- allocation experiments -------------------------------------------------
 
 
-def _every(n: int, k: int, plain, kth) -> list:
-    """n requests in which each k-th is kth and the others are plain."""
-    stream = [plain] * n
-    stream[k - 1::k] = [kth] * (n // k)
-    return stream
+def _stream(zones: np.ndarray, ends: np.ndarray, tags: dict[ZoneId, str]) -> tuple:
+    """The arrays ZoneArena.serve takes for a stream whose zones each have
+    one site, tags[zone]: the site tags are listed by zone ordinal, so the
+    zone ordinals serve as the site indices too."""
+    return zones, zones.view(np.uint8), ends, tuple(tags.get(z) for z in ZONE_ORDER)
 
 
-def _alloc_reuse(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
-    return [(ZoneId.GREEN, "hot_loop", arena.release)] * spec.size
+def _per_zone(n: int, green: int, blue: int, red: int) -> tuple:
+    """n green requests, then n blue, then n red, ending by the given codes."""
+    return (np.repeat(np.array([_GREEN, _BLUE, _RED], np.int8), n),
+            np.repeat(np.array([green, blue, red], np.int8), n))
 
 
-def _zone_pressure(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
+def _alloc_reuse(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
+    n = spec.size
+    return _stream(np.full(n, _GREEN, np.int8), np.full(n, RELEASE, np.int8),
+                   {ZoneId.GREEN: "hot_loop"})
+
+
+def _zone_pressure(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     u = np.random.default_rng(spec.seed).random(spec.size)
-    release = arena.release
-    requests = ((ZoneId.GREEN, "pressure_green", release),
-                (ZoneId.BLUE, "pressure_blue", release),
-                (ZoneId.RED, "pressure_red", release))
-    return [requests[code] for code in np.where(u < 0.7, 0, np.where(u < 0.9, 1, 2)).tolist()]
+    zones = np.full(spec.size, _RED, np.int8)
+    zones[u < 0.9] = _BLUE
+    zones[u < 0.7] = _GREEN
+    return _stream(zones, np.full(spec.size, RELEASE, np.int8),
+                   {ZoneId.GREEN: "pressure_green", ZoneId.BLUE: "pressure_blue",
+                    ZoneId.RED: "pressure_red"})
 
 
-def _zone_imbalance(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
-    release = arena.release
-    block = ([(ZoneId.GREEN, "imbalance_green", release)] * 90
-             + [(ZoneId.BLUE, "imbalance_blue", release)] * 9
-             + [(ZoneId.RED, "imbalance_red", release)])
-    return block * (spec.size // 100) + block[:spec.size % 100]
+def _zone_imbalance(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
+    block = np.repeat(np.array([_GREEN, _BLUE, _RED], np.int8), (90, 9, 1))
+    return _stream(np.resize(block, spec.size), np.full(spec.size, RELEASE, np.int8),
+                   {ZoneId.GREEN: "imbalance_green", ZoneId.BLUE: "imbalance_blue",
+                    ZoneId.RED: "imbalance_red"})
 
 
-def _expiration(arena: ZoneArena, spec: WorkloadSpec, cfg: RuntimeConfig) -> list:
+def _expiration(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     """Use-count TTL per zone: red 1, blue 2, green the whole run.
 
     Every request is one use, recorded as an access before the object ends.
     Red expires after each use and blue after every second; green's last
     request expires at teardown, so its counter shows exactly one expiry.
     """
-    clock = arena.clock
-    access = EventKind.ACCESS  # an enum member lookup costs ~150 ns per request
-
-    def used(free):
-        def end(handle):
-            record_event(handle, access, clock.now)
-            free(handle)
-        return end
-
-    release, expire = used(arena.release), used(arena.expire)
     n = spec.size
-    stream = []
-    for zone, site, ttl in ((ZoneId.GREEN, "expiry_green", n or 1),
-                            (ZoneId.BLUE, "expiry_blue", 2),
-                            (ZoneId.RED, "expiry_red", 1)):
-        stream += _every(n, ttl, (zone, site, release), (zone, site, expire))
-    return stream
+    zones, ends = _per_zone(n, ACCESS | RELEASE, ACCESS | RELEASE, ACCESS | RELEASE)
+    for zone_ends, ttl in ((ends[:n], n or 1), (ends[n:2 * n], 2), (ends[2 * n:], 1)):
+        zone_ends[ttl - 1::ttl] |= EXPIRE
+    return _stream(zones, ends, {ZoneId.GREEN: "expiry_green", ZoneId.BLUE: "expiry_blue",
+                                 ZoneId.RED: "expiry_red"})
 
 
-def _checkpoint_lifecycle(arena: ZoneArena, spec: WorkloadSpec,
-                          cfg: RuntimeConfig) -> list:
-    """Sweep-driven expiry: green pinned, blue dies at sweeps, red per use."""
-    release, expire = arena.release, arena.expire
-    set_state = arena.table.set_state
-    # Pin transition computed once; the signal set is identical per request.
-    pinned = step_state(StateCode.ACTIVE, Signals(persistent=True))
-    expired = StateCode.EXPIRED
+def _checkpoint_lifecycle(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
+    """Sweep-driven expiry: green pinned, blue dies at sweeps, red per use.
 
-    def pin(handle):
-        set_state(handle.slot_index, pinned)
-        release(handle)
-
-    def sweep(handle):
-        # Blue dies at the boundary: marked expired, it is reclaimed because
-        # the sweep reports it.
-        set_state(handle.slot_index, expired)
-        live = {handle.slot_index: handle}
-        for idx in arena.run_sweep().reclaimed:
-            expire(live[idx])
-
-    n = spec.size
-    return ([(ZoneId.GREEN, "pinned_green", pin)] * n
-            + _every(n, cfg.sweep_interval, (ZoneId.BLUE, "swept_blue", release),
-                     (ZoneId.BLUE, "swept_blue", sweep))
-            + [(ZoneId.RED, "per_use_red", expire)] * n)
+    Each green request pins its object persistent and releases it. The
+    release overwrites the pin before anything reads it, so the stream
+    records a plain release. Every sweep_interval-th blue object is marked
+    expired at a sweep boundary, and reclaimed because the sweep reports it.
+    """
+    n, k = spec.size, cfg.sweep_interval
+    zones, ends = _per_zone(n, RELEASE, RELEASE, EXPIRE)
+    ends[n:2 * n][k - 1::k] = SWEEP
+    return _stream(zones, ends, {ZoneId.GREEN: "pinned_green", ZoneId.BLUE: "swept_blue",
+                                 ZoneId.RED: "per_use_red"})
 
 
 # kind -> (schedule note, stream builder). A note may name the sweep
 # interval as {interval}. A builder returns the kind's requests in order, as
-# a list that a make_partitions range can slice.
+# the arrays ZoneArena.serve takes, which a make_partitions range can slice.
 SCHEDULES = {
     "alloc_reuse": ("sequential acquire/release cycles on one green site", _alloc_reuse),
     "zone_pressure": ("seeded zone draws with probabilities green 0.7, blue 0.2, red 0.1",
@@ -375,7 +364,7 @@ KINDS = TIMED_KINDS + ALLOC_KINDS
 def run_alloc_experiments(spec: WorkloadSpec,
                           config: RuntimeConfig | None = None
                           ) -> dict[ZoneId, PoolStats]:
-    """Drive the arena with the request stream of spec.kind.
+    """Serve the request stream of spec.kind on a new arena.
 
     size counts total requests for alloc_reuse, zone_pressure and
     zone_imbalance, and requests per zone for expiration and
@@ -385,9 +374,7 @@ def run_alloc_experiments(spec: WorkloadSpec,
         raise ValueError(f"run_alloc_experiments got kind {spec.kind!r}")
     cfg = config or RuntimeConfig()
     arena = cfg.build_arena()
-    allocate = arena.allocate
-    for zone, site, end in SCHEDULES[spec.kind][1](arena, spec, cfg):
-        end(allocate(zone, site))
+    arena.serve(*SCHEDULES[spec.kind][1](spec, cfg))
     return {zone: arena.pool_stats(zone) for zone in REPORT_ZONE_ORDER}
 
 

@@ -16,12 +16,16 @@ nothing; in a pause the object stays and the rest move. A pause moves its
 objects as one batch: it replays their pool pushes and pops over plain ints,
 then writes each metadata column once for all of them. A claim leaves the
 slot's rate entries as they were and marks them stale, so it writes only
-the new object's own columns.
+the new object's own columns. A request stream, in which every object ends
+right after its request, is served as a planned batch: the requests of a
+zone between two sweeps all reuse one pooled slot, so the arena counts them
+and makes only the writes of the last one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +33,9 @@ from .checkpoint import CheckpointTable, StateCode, SweepReport
 from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
+    NAN,
     EmaConfig,
+    EventKind,
     FeatureColumns,
     FeatureVector,
     LogicalClock,
@@ -48,6 +54,12 @@ _RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
 # member in the bytearray costs several times more per write.
 _ACTIVE = int(StateCode.ACTIVE)
 _IDLE = int(StateCode.IDLE)
+
+# End codes of a request stream (ZoneArena.serve): how each request's object
+# ends. ACCESS is a flag on RELEASE and EXPIRE.
+RELEASE, EXPIRE, ACCESS, SWEEP = 0, 1, 2, 4
+_SWEEP_BYTE = bytes([SWEEP])
+_ACCESS_ENTRY = EventKind.ACCESS.ordinal
 
 
 @dataclass(frozen=True)
@@ -398,6 +410,108 @@ class ZoneArena:
             new_zone, slots.site_tag[idx], size=slots.size[idx],
             fan_out=slots.fan_out[idx], complexity_weight=slots.complexity_weight[idx],
         )
+
+    def serve(self, zones: np.ndarray, sites: np.ndarray, ends: np.ndarray,
+              tags: Sequence[str | None]) -> None:
+        """Serve a request stream, given as arrays with one entry per request.
+
+        Request k allocates in the zone of ordinal zones[k] (int8) for the
+        site tags[sites[k]] (uint8) and ends its object at once, as the
+        code ends[k] (int8) says: RELEASE or EXPIRE, each after recording
+        one access at the allocation time when the ACCESS flag is set; or
+        SWEEP, which marks the object expired, runs a sweep and expires it.
+
+        The arena ends as allocate plus the end's calls would leave it, one
+        request at a time, and a zone with no slot left raises
+        ZoneCapacityError at the same request and in the same state. Only a
+        sweep request makes those calls; the runs between sweeps are served
+        by _plan.
+        """
+        n = len(zones)
+        if len(sites) != n or len(ends) != n:
+            raise ValueError("zones, sites and ends need one entry per request")
+        if n and (zones.min() < 0 or zones.max() > 2 or ends.min() < 0
+                  or ends.max() > SWEEP or sites.max() >= len(tags)):
+            raise ValueError("a request names no zone, site tag or end code")
+        marks = ends.tobytes()
+        start = 0
+        while (stop := marks.find(_SWEEP_BYTE, start)) >= 0:
+            self._plan(zones[start:stop], sites[start:stop], ends[start:stop], tags)
+            handle = self.allocate(ZONE_ORDER[zones[stop]], tags[sites[stop]])
+            self.table.set_state(handle.slot_index, StateCode.EXPIRED)
+            self.run_sweep()  # reports the slot reclaimable, so it expires
+            self.expire(handle)
+            start = stop + 1
+        self._plan(zones[start:], sites[start:], ends[start:], tags)
+
+    def _plan(self, zones: np.ndarray, sites: np.ndarray, ends: np.ndarray,
+              tags: Sequence[str | None]) -> None:
+        """serve of a run of requests with no sweep among them.
+
+        Each request frees its slot before the next one is made, and the
+        pools are LIFO, so a zone's first request takes its pool top, or
+        its next fresh slot, and every later one takes that slot again.
+        Per zone, the counters are counted and only the writes that last
+        are made: the object columns of the zone's last request, made at
+        the clock's (2k + 1)-th tick from now for the k-th request of the
+        run, as allocate and the end tick once each, and record_event's
+        rate-entry reset of its last request with the ACCESS flag. A zone
+        with no slot fails at its first request: the requests before it are
+        served, then its allocate raises.
+        """
+        n = len(zones)
+        if not n:
+            return
+        pools, fresh, bounds = self._pools, self._fresh_next, self.layout.bounds
+        fail = n
+        for zi in range(3):
+            if not (pools[zi] or fresh[zi] < bounds[zi + 1]):
+                in_zone = zones == zi
+                first = int(in_zone.argmax())
+                if in_zone[first]:
+                    fail = min(fail, first)
+        if fail < n:
+            self._plan(zones[:fail], sites[:fail], ends[:fail], tags)
+            self.allocate(ZONE_ORDER[zones[fail]], tags[sites[fail]])  # raises
+
+        clock, slots = self.clock, self.slots
+        ops0, spo, last = clock.ops, clock.seconds_per_op, n - 1
+        for zi in range(3):
+            in_zone = zones == zi
+            # Reversed argmax: the zone's last request, without an array of
+            # positions.
+            k = last - int(in_zone[::-1].argmax())
+            if not in_zone[k]:
+                continue
+            reused = int(np.count_nonzero(in_zone))
+            pool = pools[zi]
+            if pool:
+                s = pool[-1]
+            else:
+                s = fresh[zi]
+                fresh[zi] = s + 1
+                self.handles[s] = ObjectHandle(s, slots)
+                pool.append(s)
+                reused -= 1
+            self._reused[zi] += reused
+            self._expired[zi] += int(np.count_nonzero(ends[in_zone] & EXPIRE))
+            in_zone &= (ends & ACCESS) != 0
+            a = last - int(in_zone[::-1].argmax())
+            if in_zone[a]:
+                # record_event's reset of a stale slot, then its one access
+                j = 2 * s
+                start = (ops0 + 2 * a + 1) * spo
+                slots.window_start[j] = slots.window_start[j + 1] = start
+                slots.count[j] = slots.count[j + 1] = 0
+                slots.count[j + _ACCESS_ENTRY] = 1
+                slots.ema[j] = slots.ema[j + 1] = NAN
+            slots.stale[s] = 0 if ends[k] & ACCESS else 1
+            slots.site_tag[s] = tags[sites[k]]
+            slots.allocated_at[s] = slots.last_event_at[s] = (ops0 + 2 * k + 1) * spo
+            slots.size[s] = slots.fan_out[s] = slots.complexity_weight[s] = 0.0
+            slots.alive[s] = 0
+            self._states[s] = _IDLE
+        clock.ops = ops0 + 2 * n
 
     # -- queries ------------------------------------------------------------
 

@@ -450,3 +450,40 @@ class ArenaModel:
         """(total, real, reused, expired, pool size) of a zone."""
         real, reused = self.real[zone], self.reused[zone]
         return real + reused, real, reused, self.expired[zone], len(self.pools[zone])
+
+
+# -- the allocation schedules' request loop ---------------------------------
+
+
+def request_loop_oracle(arena, zones, sites, ends, tags, *, zone_ids, access,
+                        record_event) -> None:
+    """The schedules' request loop from before the planned batch, frozen:
+    end(allocate(zone, site)) for each request, one call at a time, with
+    the end closures the schedules built on the arena.
+
+    Request k allocates in zone_ids[zones[k]] for the site tags[sites[k]].
+    End code 0 releases the object and 1 expires it; 2 and 3 first record
+    an `access` event at the clock's time, then release or expire; 4 marks
+    it expired (0b111), sweeps and expires what the sweep reclaims, which
+    must be only its own slot. This is the old path itself, so it drives the
+    arena's own methods; the package's record_event and enums are passed in,
+    as this module imports nothing of the package.
+    """
+    clock = arena.clock
+
+    def used(free):
+        def end(handle):
+            record_event(handle, access, clock.now)
+            free(handle)
+        return end
+
+    def sweep(handle):
+        arena.table.set_state(handle.slot_index, 0b111)
+        live = {handle.slot_index: handle}
+        for idx in arena.run_sweep().reclaimed:
+            arena.expire(live[idx])
+
+    end_of = (arena.release, arena.expire, used(arena.release), used(arena.expire), sweep)
+    allocate = arena.allocate
+    for zone, site, end in zip(zones.tolist(), sites.tolist(), ends.tolist()):
+        end_of[end](allocate(zone_ids[zone], tags[site]))

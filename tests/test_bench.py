@@ -159,6 +159,14 @@ def test_allocation_kinds_reject_partitions(kind, capsys):
         "", f"error: partitions apply only to the timed kinds; {kind} takes 1\n")
 
 
+def test_negative_seed_is_one_error_line(capsys):
+    for kind in bench.KINDS:
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            WorkloadSpec(kind, 0, seed=-3)
+    assert cli.main(["zone_pressure", "--size", "5", "--seed", "-3"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must be >= 0\n")
+
+
 @pytest.mark.parametrize("kind", [k for k in bench.KINDS if k not in bench.DEFAULT_CHUNK])
 def test_chunk_rejected_without_recursion(kind, capsys):
     with pytest.raises(ValueError, match="chunk"):
@@ -641,38 +649,43 @@ def span_calls(tracer) -> dict[str, int]:
 
 @pytest.mark.parametrize("kind, n, interval", [
     ("expiration", 11, 500), ("checkpoint_lifecycle", 23, 7), ("checkpoint_lifecycle", 5, 500),
+    ("alloc_reuse", 37, 500), ("zone_pressure", 37, 500), ("zone_imbalance", 137, 500),
 ])
 def test_perfbench_tracer_sees_the_schedule_calls(kind, n, interval, tracer, tmp_path):
-    # The tracer wraps run_alloc_experiments and record_event by module
-    # attribute; a stream that bound either at import would run unseen and
-    # the traced benchmark would report 0 for those layers.
+    # The tracer wraps run_alloc_experiments by module attribute; a caller
+    # that bound it at import would run unseen. Each run serves its stream
+    # in one ZoneArena.serve call, which makes no traced call but for a
+    # sweep request: one allocate, set_state, sweep and expire each. So no
+    # kind records an event or releases through a traced name.
     conf = tmp_path / "run.conf"
     conf.write_text(f"sweep_interval = {interval}\n")
     for _ in range(2):
         assert cli.main([kind, "--size", str(n), "--config", str(conf),
                          "--output", str(tmp_path / "out.csv")]) == 0
+    sweeps = n // interval if kind == "checkpoint_lifecycle" else 0
     calls = span_calls(tracer)
-    assert calls["bench.run_alloc_experiments"] == 2
-    if kind == "expiration":
-        assert calls["objects.record_event"] == 2 * 3 * n
-    else:
-        assert calls["checkpoint.set_state"] == 2 * (n + n // interval)
-        # the closed forms: red expires every request and blue at each
-        # sweep; green and the other blue requests release, and an expiry
-        # is not also counted as a release
-        assert calls["zones.expire"] == 2 * (n + n // interval)
-        assert calls["zones.release"] == 2 * (2 * n - n // interval)
+    assert {name: calls[name] for name in (
+        "bench.run_alloc_experiments", "zones.allocate", "checkpoint.set_state",
+        "checkpoint.first_sweep", "checkpoint.epoch_sweep", "zones.expire",
+        "zones.release", "objects.record_event")} == {
+        "bench.run_alloc_experiments": 2, "zones.allocate": 2 * sweeps,
+        "checkpoint.set_state": 2 * sweeps,
+        # each run's arena is a new table, so its first sweep is a first_sweep
+        "checkpoint.first_sweep": 2 * min(sweeps, 1),
+        "checkpoint.epoch_sweep": 2 * max(sweeps - 1, 0),
+        "zones.expire": 2 * sweeps, "zones.release": 0, "objects.record_event": 0}
 
 
 @pytest.mark.parametrize("n", [1, 37])
-def test_traced_alloc_reuse_is_one_allocate_and_one_release_per_request(n, tracer,
-                                                                        tmp_path):
-    # allocate and release do their work without calling another traced
-    # method, and the schedule calls each once per request
-    assert cli.main(["alloc_reuse", "--size", str(n),
-                     "--output", str(tmp_path / "out.csv")]) == 0
-    calls = span_calls(tracer)
-    assert (calls["zones.allocate"], calls["zones.release"]) == (n, n)
+def test_traced_alloc_reuse_is_one_allocate_and_one_release_per_request(n, tracer):
+    # alloc_reuse's requests made one call at a time, as live_set_sweep and
+    # promote still make them: allocate and release do their work without
+    # calling another traced method
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    for _ in range(n):
+        arena.release(arena.allocate(ZoneId.GREEN, "hot_loop"))
+    assert {name: c for name, c in span_calls(tracer).items() if c} == {
+        "zones.allocate": n, "zones.release": n}
 
 
 def test_traced_pause_moves_its_batch_without_per_object_calls(tracer):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from zonegc.checkpoint import StateCode
 from zonegc.errors import LifecycleError, ZoneCapacityError
-from zonegc.layout import ZoneId, ZoneLayout
+from zonegc.layout import ZONE_ORDER, ZoneId, ZoneLayout
 from zonegc.objects import (
     EmaConfig,
     EventKind,
@@ -26,7 +26,11 @@ from zonegc.objects import (
     record_event,
 )
 from zonegc.zones import (
+    ACCESS,
+    EXPIRE,
     POLICIES,
+    RELEASE,
+    SWEEP,
     CostParams,
     PoolStats,
     PredicateThresholds,
@@ -42,7 +46,7 @@ from zonegc.zones import (
     zone_cost,
 )
 
-from .oracles import ArenaModel, Refused
+from .oracles import ArenaModel, Refused, request_loop_oracle
 
 RATES = st.floats(min_value=0.0, max_value=500.0)
 
@@ -448,11 +452,22 @@ def test_arena_is_freed_by_reference_counting():
             gc.enable()
 
 
-def _arena_snapshot(arena: ZoneArena) -> tuple:
+def _arena_snapshot(arena: ZoneArena) -> dict:
+    """Everything the arena holds: states, every SlotTable column, pools,
+    fresh cursors, counters, the sweep epoch, the clock, and which slots
+    have a handle. Float columns compare as bytes, so NaNs compare too."""
     slots = arena.slots
-    return (arena.clock.ops, [arena.pool_stats(zone) for zone in ZoneId],
-            list(arena.table.states()), [list(pool) for pool in arena._pools],
-            bytes(slots.alive), bytes(slots.allocated_at), bytes(slots.last_event_at))
+    return {
+        "states": bytes(arena.table._states), "epoch": arena.table.epoch,
+        "ops": arena.clock.ops, "pools": [list(pool) for pool in arena._pools],
+        "fresh": list(arena._fresh_next), "reused": list(arena._reused),
+        "expired": list(arena._expired),
+        "handles": [h is not None and h.slot_index for h in arena.handles],
+        **{name: bytes(getattr(slots, name)) for name in (
+            "alive", "stale", "allocated_at", "last_event_at", "size", "fan_out",
+            "complexity_weight", "window_start", "ema")},
+        "site_tag": list(slots.site_tag), "count": list(slots.count),
+    }
 
 
 def test_move_into_a_full_zone_changes_nothing():
@@ -928,3 +943,101 @@ def test_real_allocations_equal_peak_live_count(ops, policy):
             lo, hi = arena.layout.span(zone)
             assert int(alive[lo:hi].sum()) == count[zone]
             assert arena.pool_stats(zone).real_allocations == peak[zone], op
+
+
+# -- a request stream served as a planned batch ------------------------------
+
+STREAM_TAGS = ("a", "b", "c")
+# Set-up steps that leave live objects, pooled slots, slots whose rate
+# entries hold earlier events, marked slots and full zones behind. No step
+# marks a slot 111: the old loop's sweep expires only its own object.
+SETUP_OPS = st.one_of(
+    st.tuples(st.just("alloc"), ZONE_PICK, st.sampled_from([0.0, 64.0])),
+    st.tuples(st.sampled_from(["release", "expire"]), st.integers(0, 31)),
+    st.tuples(st.just("event"), st.integers(0, 31), st.sampled_from(list(EventKind)),
+              st.sampled_from([0.0, 0.125, 3.0])),
+    st.tuples(st.just("mark"), st.integers(0, 31), st.integers(0, 6)),
+)
+STREAM = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                            st.sampled_from([RELEASE, EXPIRE, ACCESS | RELEASE,
+                                             ACCESS | EXPIRE, SWEEP])),
+                  max_size=200)
+
+
+def _prepared(sizes, setup, window: float, step: float) -> ZoneArena:
+    """An arena after the set-up steps; a refused step changes what it
+    changes before the refusal, the same on every call."""
+    arena = ZoneArena(ZoneLayout(*sizes), clock=LogicalClock(seconds_per_op=step),
+                      rate_window=window)
+    live: list[ObjectHandle] = []
+    for op in setup:
+        kind = op[0]
+        try:
+            if kind == "alloc":
+                live.append(arena.allocate(op[1], "setup", size=op[2], fan_out=op[2],
+                                           complexity_weight=op[2]))
+            elif kind == "mark":
+                arena.table.set_state(op[1] % arena.layout.total, op[2])
+            elif live and kind == "event":
+                record_event(live[op[1] % len(live)], op[2], arena.clock.now + op[3])
+            elif live:
+                handle = live.pop(op[1] % len(live))
+                (arena.release if kind == "release" else arena.expire)(handle)
+        except (ZoneCapacityError, ValueError):
+            pass
+    return arena
+
+
+def _raised(call):
+    """None, or the type and message of what call raised."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001  any difference is the finding
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # green is full with no pooled slot: the stream fails at its first green request
+    sizes=(1, 2, 1), setup=[("alloc", ZoneId.GREEN, 0.0)] * 2,
+    stream=[(0, 0, ACCESS | EXPIRE), (2, 1, SWEEP), (0, 2, RELEASE), (1, 0, RELEASE),
+            (2, 1, RELEASE)], window=1.0, step=0.125)
+@example(  # pooled slots with earlier events and features; after blue's sweep,
+    # its last access is not its last request
+    sizes=(2, 2, 2), setup=[("alloc", ZoneId.BLUE, 64.0),
+                            ("event", 0, EventKind.MUTATION, 3.0), ("release", 0),
+                            ("alloc", ZoneId.GREEN, 64.0), ("release", 0)],
+    stream=[(2, 0, ACCESS | RELEASE), (2, 0, SWEEP), (2, 1, ACCESS | EXPIRE),
+            (2, 2, RELEASE), (1, 2, EXPIRE)],
+    window=1.0, step=0.125)
+@given(sizes=st.tuples(*[st.integers(1, 8)] * 3), setup=st.lists(SETUP_OPS, max_size=40),
+       stream=STREAM, window=st.sampled_from([0.5, 1.0]),
+       step=st.sampled_from([1e-6, 0.125, 0.3]))
+def test_serve_matches_the_request_loop(sizes, setup, stream, window, step):
+    zones, sites, ends = (np.array(column, dtype=dtype) for column, dtype in
+                          zip(zip(*stream) if stream else ([], [], []),
+                              (np.int8, np.uint8, np.int8)))
+    loop, batch = _prepared(sizes, setup, window, step), _prepared(sizes, setup, window, step)
+    assert _arena_snapshot(loop) == _arena_snapshot(batch)
+    raised = _raised(lambda: request_loop_oracle(
+        loop, zones, sites, ends, STREAM_TAGS, zone_ids=ZONE_ORDER,
+        access=EventKind.ACCESS, record_event=record_event))
+    assert _raised(lambda: batch.serve(zones, sites, ends, STREAM_TAGS)) == raised
+    assert _arena_snapshot(batch) == _arena_snapshot(loop)
+
+
+def test_serve_rejects_a_malformed_stream():
+    arena = small_arena()
+    before = _arena_snapshot(arena)
+    codes = np.zeros(3, np.int8)
+    for zones, sites, ends in [
+        (codes, np.zeros(2, np.uint8), codes),  # one array short
+        (codes + 3, codes.view(np.uint8), codes),  # zone ordinal 3
+        (codes - 1, codes.view(np.uint8), codes),  # zone ordinal -1
+        (codes, codes.view(np.uint8), codes + 5),  # end code 5
+        (codes, codes.view(np.uint8), codes - 1),  # end code -1
+        (codes, codes.view(np.uint8) + 1, codes),  # site 1 of one tag
+    ]:
+        with pytest.raises(ValueError):
+            arena.serve(zones, sites, ends, ("t",))
+    assert _arena_snapshot(arena) == before
