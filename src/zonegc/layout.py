@@ -87,9 +87,6 @@ class ZoneLayout:
         lo, hi = self.span(zone)
         return hi - lo
 
-    def start(self, zone: ZoneId) -> int:
-        return self.bounds[zone.ordinal]
-
     def span(self, zone: ZoneId) -> tuple[int, int]:
         """Half-open [start, stop) index range of a zone."""
         z = zone.ordinal

@@ -5,7 +5,7 @@ lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
 the way the checkpoint table keeps one byte of state per slot: liveness,
 allocation and last-event times, static features (size, fan-out, complexity
 weight), the allocation site tag and windowed mutation and access rates.
-The arena writes a claim's entries itself and leaves the rate entries as
+A claim writes the new object's own entries and leaves the rate entries as
 the slot's last object left them, marked stale; record_event resets them on
 the object's first event. A slot's one Python object is its ObjectHandle,
 which reads those arrays.
@@ -77,15 +77,19 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
     open count. The first closed window holds `count` events; its rate seeds
     a NaN ema and is smoothed into any other. The windows after it saw no
     events, and k zero samples compose to ema * (1 - weight) ** k, so the
-    cost does not grow with the idle run. Returns the new ema and window
-    start.
+    cost does not grow with the idle run. A window below the float spacing
+    of its start cannot advance it, so the window then restarts at `now`.
+    Returns the new ema and window start.
     """
     closed = 0
     if now - start > STEPPED_WINDOWS * window:
         closed = int((now - start) // window) - 1
         start += closed * window
-    while now >= start + window:
-        start += window
+    while now >= (stop := start + window):
+        if stop == start:
+            start = now
+            break
+        start = stop
         closed += 1
     sample = count / window
     ema = sample if ema != ema else ema_update(ema, sample, cfg)
@@ -127,7 +131,7 @@ class RateTracker:
     tracer, which wraps record.
     """
 
-    __slots__ = ("window", "cfg", "window_start", "count", "total", "ema")
+    __slots__ = ("window", "cfg", "window_start", "count", "ema")
 
     def __init__(self, window: float = 1.0, cfg: EmaConfig | None = None,
                  start: float = 0.0) -> None:
@@ -140,7 +144,6 @@ class RateTracker:
     def reset(self, start: float) -> None:
         self.window_start = start
         self.count = 0
-        self.total = 0
         self.ema = NAN
 
     def record(self, now: float) -> None:
@@ -150,7 +153,6 @@ class RateTracker:
             )
             self.count = 0
         self.count += 1
-        self.total += 1
 
     @property
     def raw_rate(self) -> float:
@@ -201,6 +203,37 @@ class SlotTable:
         self.window = window
         self.cfg = cfg
         self.layout = layout
+
+    def claim(self, i: int, site_tag: str | None, now: float, size: float,
+              fan_out: float, complexity_weight: float) -> None:
+        """Bind slot i to a new object made at `now`. The rate entries are
+        left as they are and marked stale, which reads as fresh rates."""
+        self.alive[i] = 1
+        self.stale[i] = 1
+        self.site_tag[i] = site_tag
+        self.allocated_at[i] = self.last_event_at[i] = now
+        self.size[i] = size
+        self.fan_out[i] = fan_out
+        self.complexity_weight[i] = complexity_weight
+
+    def move(self, src: list[int], dst: list[int], now: np.ndarray) -> None:
+        """End the object of each slot in src and claim slot dst[k] at
+        now[k] for a copy of src[k]'s: its site and static features, and
+        stale rate entries. The ends come before the claims, as a slot that
+        one move frees another may claim."""
+        for i, d in zip(src, dst):
+            self.site_tag[d] = self.site_tag[i]
+        s = np.array(src, dtype=np.intp)
+        d = np.array(dst, dtype=np.intp)
+        alive = np.frombuffer(self.alive, dtype=np.uint8)
+        alive[s] = 0
+        alive[d] = 1
+        np.frombuffer(self.stale, dtype=np.uint8)[d] = 1
+        for name in ("size", "fan_out", "complexity_weight"):
+            column = np.frombuffer(getattr(self, name))
+            column[d] = column[s]
+        np.frombuffer(self.allocated_at)[d] = now
+        np.frombuffer(self.last_event_at)[d] = now
 
     def rates(self, j: np.ndarray) -> np.ndarray:
         """Smoothed rate of each tracker entry in j: 0.0 for a stale slot's

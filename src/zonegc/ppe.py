@@ -51,14 +51,10 @@ def make_partitions(n: int, p: int) -> PartitionPlan:
     return PartitionPlan(n, ranges)
 
 
-def sync_checkpoint(states: int, zone_mask: int, pending: int, width: int) -> int:
-    """Lanewise retention merge for one worker's entries.
-
-    Same formula as the liveness gate; the aggregator concatenates per-worker
-    results in worker order, which run_parallel's range-ordered reduce
-    provides.
-    """
-    return eval_liveness_gate(states, zone_mask, pending, width)
+# Lanewise retention merge for one worker's entries: the same formula as the
+# liveness gate. The aggregator concatenates per-worker results in worker
+# order, which run_parallel's range-ordered reduce provides.
+sync_checkpoint = eval_liveness_gate
 
 
 @dataclass(frozen=True)

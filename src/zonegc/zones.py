@@ -3,10 +3,12 @@
 Objects live in one of three zones for their whole life. Re-zoning never
 moves a slot: the object expires in place and a fresh request claims a slot
 in the target zone. Per-zone LIFO free pools absorb repeat requests, which is
-what keeps real allocations bounded by the peak concurrent live count. The
-arena writes ACTIVE and IDLE straight into the checkpoint table's bytes, and
-each object's metadata into the SlotTable's arrays at the same index; a
-slot's zone is its region, read from the layout's bounds. Each policy has
+what keeps real allocations bounded by the peak concurrent live count. One
+pool policy serves every claim and free: a claim takes the zone's pool top,
+or else its next fresh slot, and a free pushes the slot onto the pool of its
+zone, which is its region, read from the layout's bounds. The arena writes
+ACTIVE and IDLE straight into the checkpoint table's bytes, and has the
+SlotTable write each object's metadata at the same index. Each policy has
 one rule, written with & and | so that it reads a FeatureVector or
 FeatureColumns alike, and two pickers over it: a scalar classifier for one
 object, and a batched one that a sweep pause runs over all its candidates'
@@ -14,12 +16,11 @@ feature columns at once. The type of the thresholds an arena is given
 selects its policy. A move whose target zone has no slot left changes
 nothing; in a pause the object stays and the rest move. A pause moves its
 objects as one batch: it replays their pool pushes and pops over plain ints,
-then writes each metadata column once for all of them. A claim leaves the
-slot's rate entries as they were and marks them stale, so it writes only
-the new object's own columns. A request stream, in which every object ends
-right after its request, is served as a planned batch: the requests of a
-zone between two sweeps all reuse one pooled slot, so the arena counts them
-and makes only the writes of the last one.
+then writes each metadata column once for all of them. A request stream, in
+which every object ends right after its request, is served as a planned
+batch: the requests of a zone between two sweeps all reuse one pooled slot,
+so the arena counts them and makes only the requests whose writes outlast
+the run.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .checkpoint import CheckpointTable, StateCode, SweepReport
 from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
-    NAN,
     EmaConfig,
     EventKind,
     FeatureColumns,
@@ -43,6 +43,9 @@ from .objects import (
     SlotTable,
     feature_columns,
     feature_snapshot,  # noqa: F401  perfbench's tracer wraps zones.feature_snapshot
+    # serve records through this binding, which a tracer that wraps
+    # objects.record_event leaves as it is
+    record_event,
 )
 
 # Argmin preference when zone costs tie: green, then blue, then red.
@@ -59,7 +62,6 @@ _IDLE = int(StateCode.IDLE)
 # ends. ACCESS is a flag on RELEASE and EXPIRE.
 RELEASE, EXPIRE, ACCESS, SWEEP = 0, 1, 2, 4
 _SWEEP_BYTE = bytes([SWEEP])
-_ACCESS_ENTRY = EventKind.ACCESS.ordinal
 
 
 @dataclass(frozen=True)
@@ -334,36 +336,23 @@ class ZoneArena:
         clock = self.clock
         clock.ops += 1
         now = clock.ops * clock.seconds_per_op
-        zi = zone.ordinal
-        pool = self._pools[zi]
-        slots = self.slots
-        if pool:
-            idx = pool.pop()
-            self._reused[zi] += 1
-        else:
-            idx = self._fresh_next[zi]
-            if idx >= self.layout.bounds[zi + 1]:
-                raise ZoneCapacityError(
-                    f"zone {zone} exhausted at {self.layout.size(zone)} slots"
-                )
-            self._fresh_next[zi] = idx + 1
-            self.handles[idx] = ObjectHandle(idx, slots)
-        # Bind the slot to the new object. Its rate entries are left as they
-        # are and marked stale, which reads as fresh rates.
-        slots.alive[idx] = 1
-        slots.stale[idx] = 1
-        slots.site_tag[idx] = site_tag
-        slots.allocated_at[idx] = slots.last_event_at[idx] = now
-        slots.size[idx] = size
-        slots.fan_out[idx] = fan_out
-        slots.complexity_weight[idx] = complexity_weight
+        idx = self._take(zone.ordinal)
+        self.slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.
         self._states[idx] = _ACTIVE
         return self.handles[idx]
 
+    _allocate = allocate  # see _free
+
     def release(self, handle: ObjectHandle) -> None:
         """Return a live slot to its zone's pool."""
+        self._free(handle)
+
+    def _free(self, handle: ObjectHandle) -> int:
+        """release, which returns the slot's zone ordinal. expire and serve
+        free through this name and serve allocates through _allocate, so a
+        traced release or allocate counts only its own calls."""
         idx = handle.slot_index
         alive = self.slots.alive
         if not (0 <= idx < len(alive) and alive[idx]):
@@ -371,21 +360,45 @@ class ZoneArena:
         self.clock.ops += 1
         alive[idx] = 0
         self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
-        # The zone is the slot's region; two compares, as this runs on every
-        # release and expiry.
-        bounds = self.layout.bounds
-        self._pools[0 if idx < bounds[1] else 1 if idx < bounds[2] else 2].append(idx)
-
-    # expire frees through this name, so a traced release counts releases
-    # only.
-    _free = release
+        return self._give(idx)
 
     def expire(self, handle: ObjectHandle) -> None:
         """Terminal expiry: reclaim the slot into its pool and count it."""
-        self._free(handle)
-        idx = handle.slot_index
+        self._expired[self._free(handle)] += 1
+
+    # -- the pool policy: every claim and free of a slot goes through these --
+
+    def _room(self, zi: int) -> bool:
+        """Whether the zone of ordinal zi has a pooled or a fresh slot."""
+        return bool(self._pools[zi]) or (
+            self._fresh_next[zi] < self.layout.bounds[zi + 1])
+
+    def _take(self, zi: int) -> int:
+        """Claim a slot of the zone of ordinal zi: its pool top, counted as a
+        reuse, or else its next fresh slot, whose handle is made here."""
+        pool = self._pools[zi]
+        if pool:
+            self._reused[zi] += 1
+            return pool.pop()
+        if not self._room(zi):
+            zone = ZONE_ORDER[zi]
+            raise ZoneCapacityError(
+                f"zone {zone} exhausted at {self.layout.size(zone)} slots")
+        idx = self._fresh_next[zi]
+        self._fresh_next[zi] = idx + 1
+        self.handles[idx] = ObjectHandle(idx, self.slots)
+        return idx
+
+    def _give(self, idx: int) -> int:
+        """Push slot idx onto its zone's pool; returns the zone's ordinal.
+        The zone is the slot's region: two compares, as this runs on every
+        free."""
         bounds = self.layout.bounds
-        self._expired[0 if idx < bounds[1] else 1 if idx < bounds[2] else 2] += 1
+        zi = 0 if idx < bounds[1] else 1 if idx < bounds[2] else 2
+        self._pools[zi].append(idx)
+        return zi
+
+    # -- re-zoning and request streams ---------------------------------------
 
     def expire_and_reallocate(self, handle: ObjectHandle, new_zone: ZoneId) -> ObjectHandle:
         """Re-zone by expiry plus fresh request; same-zone calls are no-ops.
@@ -402,8 +415,7 @@ class ZoneArena:
             raise LifecycleError(f"slot {idx} holds no live object")
         if new_zone is self.layout.zone_of_index(idx):
             return handle
-        ni = new_zone.ordinal
-        if not (self._pools[ni] or self._fresh_next[ni] < self.layout.bounds[ni + 1]):
+        if not self._room(new_zone.ordinal):
             raise ZoneCapacityError(f"zone {new_zone} has no slot for slot {idx}")
         self.expire(handle)
         return self.allocate(
@@ -424,8 +436,8 @@ class ZoneArena:
         The arena ends as allocate plus the end's calls would leave it, one
         request at a time, and a zone with no slot left raises
         ZoneCapacityError at the same request and in the same state. Only a
-        sweep request makes those calls; the runs between sweeps are served
-        by _plan.
+        sweep request makes those calls by their traced names; the runs
+        between sweeps are served by _plan.
         """
         n = len(zones)
         if len(sites) != n or len(ends) != n:
@@ -449,33 +461,28 @@ class ZoneArena:
         """serve of a run of requests with no sweep among them.
 
         Each request frees its slot before the next one is made, and the
-        pools are LIFO, so a zone's first request takes its pool top, or
-        its next fresh slot, and every later one takes that slot again.
-        Per zone, the counters are counted and only the writes that last
-        are made: the object columns of the zone's last request, made at
-        the clock's (2k + 1)-th tick from now for the k-th request of the
-        run, as allocate and the end tick once each, and record_event's
-        rate-entry reset of its last request with the ACCESS flag. A zone
+        pools are LIFO, so a zone's requests all take one slot: the pool top
+        or the next fresh slot. Per zone, the reused and expired requests
+        are counted, and only the requests whose writes outlast the run are
+        made, each at its tick of the request loop (allocate and the free
+        tick once each): the zone's last request with the ACCESS flag, whose
+        event leaves the slot's rate entries, when that is not its last
+        request; and its last request, whose object columns last. A zone
         with no slot fails at its first request: the requests before it are
         served, then its allocate raises.
         """
         n = len(zones)
         if not n:
             return
-        pools, fresh, bounds = self._pools, self._fresh_next, self.layout.bounds
-        fail = n
-        for zi in range(3):
-            if not (pools[zi] or fresh[zi] < bounds[zi + 1]):
-                in_zone = zones == zi
-                first = int(in_zone.argmax())
-                if in_zone[first]:
-                    fail = min(fail, first)
-        if fail < n:
+        full = [not self._room(zi) for zi in range(3)]
+        if any(full) and (blocked := np.array(full)[zones]).any():
+            fail = int(blocked.argmax())
             self._plan(zones[:fail], sites[:fail], ends[:fail], tags)
-            self.allocate(ZONE_ORDER[zones[fail]], tags[sites[fail]])  # raises
+            self._allocate(ZONE_ORDER[zones[fail]], tags[sites[fail]])  # raises
 
-        clock, slots = self.clock, self.slots
-        ops0, spo, last = clock.ops, clock.seconds_per_op, n - 1
+        clock = self.clock
+        ops0, last = clock.ops, n - 1
+        accessed = (ends & ACCESS) != 0
         for zi in range(3):
             in_zone = zones == zi
             # Reversed argmax: the zone's last request, without an array of
@@ -483,34 +490,17 @@ class ZoneArena:
             k = last - int(in_zone[::-1].argmax())
             if not in_zone[k]:
                 continue
-            reused = int(np.count_nonzero(in_zone))
-            pool = pools[zi]
-            if pool:
-                s = pool[-1]
-            else:
-                s = fresh[zi]
-                fresh[zi] = s + 1
-                self.handles[s] = ObjectHandle(s, slots)
-                pool.append(s)
-                reused -= 1
-            self._reused[zi] += reused
+            in_zone_accessed = in_zone & accessed
+            a = last - int(in_zone_accessed[::-1].argmax())
+            made = (a, k) if in_zone_accessed[a] and a != k else (k,)
+            self._reused[zi] += int(np.count_nonzero(in_zone)) - len(made)
             self._expired[zi] += int(np.count_nonzero(ends[in_zone] & EXPIRE))
-            in_zone &= (ends & ACCESS) != 0
-            a = last - int(in_zone[::-1].argmax())
-            if in_zone[a]:
-                # record_event's reset of a stale slot, then its one access
-                j = 2 * s
-                start = (ops0 + 2 * a + 1) * spo
-                slots.window_start[j] = slots.window_start[j + 1] = start
-                slots.count[j] = slots.count[j + 1] = 0
-                slots.count[j + _ACCESS_ENTRY] = 1
-                slots.ema[j] = slots.ema[j + 1] = NAN
-            slots.stale[s] = 0 if ends[k] & ACCESS else 1
-            slots.site_tag[s] = tags[sites[k]]
-            slots.allocated_at[s] = slots.last_event_at[s] = (ops0 + 2 * k + 1) * spo
-            slots.size[s] = slots.fan_out[s] = slots.complexity_weight[s] = 0.0
-            slots.alive[s] = 0
-            self._states[s] = _IDLE
+            for r in made:
+                clock.ops = ops0 + 2 * r
+                handle = self._allocate(ZONE_ORDER[zi], tags[sites[r]])
+                if accessed[r]:
+                    record_event(handle, EventKind.ACCESS, clock.now)
+                self._free(handle)
         clock.ops = ops0 + 2 * n
 
     # -- queries ------------------------------------------------------------
@@ -583,42 +573,23 @@ class ZoneArena:
         made at the clock's 2k-th tick from now, as expire and allocate tick
         once each. Returns the (old index, new handle) pairs.
         """
-        pools, fresh, bounds = self._pools, self._fresh_next, self.layout.bounds
-        handles, slots, site_tag = self.handles, self.slots, self.slots.site_tag
+        take, give, expired = self._take, self._give, self._expired
         src: list[int] = []
         dst: list[int] = []
         for i, t in zip(movers, targets):
-            pool = pools[t]
-            if not (pool or fresh[t] < bounds[t + 1]):
+            try:
+                dst.append(take(t))
+            except ZoneCapacityError:
                 continue  # the target zone is full: the object stays
-            zi = 0 if i < bounds[1] else 1 if i < bounds[2] else 2
-            pools[zi].append(i)
-            self._expired[zi] += 1
-            if pool:
-                d = pool.pop()
-                self._reused[t] += 1
-            else:
-                d = fresh[t]
-                fresh[t] = d + 1
-                handles[d] = ObjectHandle(d, slots)
-            site_tag[d] = site_tag[i]
+            # i is not in zone t, so its free and the claim commute
+            expired[give(i)] += 1
             src.append(i)
-            dst.append(d)
-        s = np.array(src, dtype=np.intp)
-        d = np.array(dst, dtype=np.intp)
-        alive = np.frombuffer(slots.alive, dtype=np.uint8)
         states = np.frombuffer(self._states, dtype=np.uint8)
-        alive[s] = 0
-        states[s] = _IDLE
-        alive[d] = 1
-        states[d] = _ACTIVE
-        np.frombuffer(slots.stale, dtype=np.uint8)[d] = 1
-        for name in ("size", "fan_out", "complexity_weight"):
-            column = np.frombuffer(getattr(slots, name))
-            column[d] = column[s]
+        states[src] = _IDLE
+        states[dst] = _ACTIVE
         clock = self.clock
         now = (clock.ops + 2 * np.arange(1, len(src) + 1)) * clock.seconds_per_op
         clock.ops += 2 * len(src)
-        np.frombuffer(slots.allocated_at)[d] = now
-        np.frombuffer(slots.last_event_at)[d] = now
+        self.slots.move(src, dst, now)
+        handles = self.handles
         return list(zip(src, [handles[k] for k in dst]))

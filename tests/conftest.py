@@ -3,7 +3,15 @@ acceptance criterion so a run's verdict can be read at a glance."""
 
 from __future__ import annotations
 
+import os
 import re
+from pathlib import Path
+
+# pyproject's pythonpath puts src/ on the test process's sys.path; the
+# tests that run `python -m zonegc` in a child process need it there too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                  os.environ.get("PYTHONPATH")]))
 
 _ACCEPTANCE_FILE = "test_acceptance.py"
 _NAME_RE = re.compile(r"test_c(\d+)_(\w+)")

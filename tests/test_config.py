@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import subprocess
+import sys
 
 import pytest
 
@@ -224,3 +226,18 @@ def test_cli_accepts_valid_config_in_any_line_order(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["checkpoint_lifecycle", "--size", "10", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_returns_with_a_rate_window_below_the_time_spacing(tmp_path):
+    # expiration records an access on its requests; a window of 1e-300 adds
+    # nothing to a window start of the logical clock, and the run must still
+    # end, with the counters the default window gives
+    path = tmp_path / "runtime.conf"
+    path.write_text("rate_window = 1e-300\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "zonegc", "expiration", "--size", "3", "--config", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "zone,total_requests,real_allocations,reused_objects,expired_objects,pool_size",
+        "G,3,1,2,1,1", "B,3,1,2,1,1", "R,3,1,2,3,1"]

@@ -34,7 +34,7 @@ def test_layout_regions_are_contiguous_in_order():
     assert layout.span(ZoneId.RED) == (0, 5)
     assert layout.span(ZoneId.GREEN) == (5, 12)
     assert layout.span(ZoneId.BLUE) == (12, 15)
-    assert layout.start(ZoneId.BLUE) == 12
+    assert layout.span(ZoneId.BLUE)[0] == 12
     assert layout.size(ZoneId.GREEN) == 7
 
 

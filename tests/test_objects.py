@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -137,7 +139,6 @@ def test_tracker_matches_replay_oracle(times, window, omega):
     raw, smoothed = rate_replay_oracle(ordered, window, omega, 0.0)
     assert math.isclose(tracker.raw_rate, raw, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(tracker.smoothed, smoothed, rel_tol=1e-9, abs_tol=1e-12)
-    assert tracker.total == len(ordered)
 
 
 @pytest.mark.parametrize("window, omega, idle", [
@@ -163,6 +164,36 @@ def test_long_idle_roll_matches_replay_oracle(window, omega, idle):
     assert smoothed > 0.0
 
 
+@contextlib.contextmanager
+def _returns_within(seconds: int):
+    """Fail the test, rather than hang it, when the body runs too long."""
+    def stop(signum, frame):
+        raise AssertionError(f"no return within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_roll_returns_when_the_window_is_below_the_time_spacing():
+    # start + 1e-300 == start for every start after the clock's first tick,
+    # so adding the window cannot close one: the window restarts at the
+    # event, by both the tracker and the slot path
+    arena = ZoneArena(ZoneLayout(4, 4, 4), rate_window=1e-300)
+    header = arena.allocate(ZoneId.RED, "tiny")
+    tracker = RateTracker(window=1e-300)
+    with _returns_within(10):
+        for t in (header.allocated_at, 0.5, 0.5, 0.75):
+            record_event(header, EventKind.ACCESS, t)
+            tracker.record(t)
+    j = 2 * header.slot_index + EventKind.ACCESS.ordinal
+    assert (arena.slots.window_start[j], arena.slots.count[j]) == (0.75, 1)
+    assert (tracker.window_start, tracker.count) == (0.75, 1)
+
+
 def test_tracker_reset_clears_history():
     tracker = RateTracker(window=1.0, cfg=EmaConfig(0.5), start=0.0)
     for t in (0.5, 1.5, 2.5):
@@ -171,7 +202,6 @@ def test_tracker_reset_clears_history():
     tracker.reset(10.0)
     assert math.isnan(tracker.ema)
     assert tracker.count == 0
-    assert tracker.total == 0
     assert tracker.window_start == 10.0
 
 

@@ -1010,6 +1010,19 @@ def _raised(call):
     stream=[(2, 0, ACCESS | RELEASE), (2, 0, SWEEP), (2, 1, ACCESS | EXPIRE),
             (2, 2, RELEASE), (1, 2, EXPIRE)],
     window=1.0, step=0.125)
+@example(  # green's last access is not its last request, so both are made,
+    # on a pooled slot whose rate entries hold its last object's event
+    sizes=(1, 1, 1), setup=[("alloc", ZoneId.GREEN, 64.0),
+                            ("event", 0, EventKind.ACCESS, 3.0), ("release", 0)],
+    stream=[(1, 0, ACCESS | RELEASE), (0, 1, ACCESS | EXPIRE), (1, 1, ACCESS | EXPIRE),
+            (0, 2, RELEASE), (1, 2, RELEASE), (1, 0, EXPIRE)],
+    window=0.5, step=0.3)
+@example(  # red is full and fails at its first request, partway through the
+    # run, after green has served an access and a later request
+    sizes=(1, 2, 1), setup=[("alloc", ZoneId.RED, 0.0)],
+    stream=[(1, 0, ACCESS | RELEASE), (2, 1, ACCESS | EXPIRE), (1, 1, RELEASE),
+            (0, 2, RELEASE), (1, 2, ACCESS | RELEASE)],
+    window=1.0, step=0.125)
 @given(sizes=st.tuples(*[st.integers(1, 8)] * 3), setup=st.lists(SETUP_OPS, max_size=40),
        stream=STREAM, window=st.sampled_from([0.5, 1.0]),
        step=st.sampled_from([1e-6, 0.125, 0.3]))
