@@ -7,6 +7,7 @@ import math
 import statistics
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,31 @@ def test_loop_partial_matches_series(lo, span):
 
 def test_loop_partial_empty_range():
     assert loop_partial(7, 7) == 0
+
+
+# loop_partial walks its range in blocks of _LOOP_BLOCK indices; these spans
+# and starts put the range's ends on, just before and just after a block edge.
+_B = bench._LOOP_BLOCK
+
+
+@pytest.mark.parametrize("span", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("lo", [0, 1, _B - 1, _B, _B + 1, 5 * _B - 1, 5 * _B,
+                                5 * _B + 1])
+def test_loop_partial_matches_series_across_blocks(lo, span):
+    hi = lo + span
+    assert loop_partial(lo, hi) == loop_total_oracle(hi) - loop_total_oracle(lo)
+
+
+# numpy reports its data buffers to tracemalloc. The whole 4M range as one
+# int64 array would be 30.5 MiB; two reused blocks are 2 MiB.
+def test_loop_partial_memory_does_not_grow_with_range():
+    tracemalloc.start()
+    try:
+        loop_partial(0, 4_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 50, 1000])
@@ -258,6 +284,14 @@ def test_run_matrix_matches_sum_identity(n, monkeypatch):
         report = run_bench(WorkloadSpec("matrix", n, attempts=1, partitions=p))
         assert totals == [expected, expected], f"n={n} p={p}"
         assert [r.checksum for r in report.records] == [wrap16(expected)]
+
+
+@pytest.mark.parametrize("size", [2 * _B - 1, 2 * _B, 2 * _B + 1, 4_000_000])
+def test_loop_checksum_matches_oracle_at_every_partition_count(size):
+    for p in (1, 2, 3, 4, 5, 7):
+        report = run_bench(WorkloadSpec("loop", size, partitions=p, attempts=1))
+        assert [r.checksum for r in report.records] == [
+            wrap16(loop_total_oracle(size))], f"size={size} p={p}"
 
 
 def test_partition_count_does_not_change_checksum_small():
