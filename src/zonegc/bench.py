@@ -160,10 +160,11 @@ def summarize(spec: WorkloadSpec, records: list[AttemptRecord]) -> BenchReport:
 # -- kernels ----------------------------------------------------------------
 
 
-# Indices per loop_partial block: 1 MiB of int64. A worker's two block
-# buffers then fit the 2 MiB per-core L2 of the 2-core reference host, where
-# 1 << 18 ran the 4M loop slower.
-_LOOP_BLOCK = 1 << 17
+# Indices per loop_partial block: 512 KiB of int64, 1 MiB for a worker's two
+# buffers. Chosen by timing the 4M loop at 1 and 2 partitions on a 2-core
+# host: 1 << 17 ran p1 slower, and 1 << 15 ran p2 slower, since its workers
+# hand the GIL over once per ufunc call and so four times as often.
+_LOOP_BLOCK = 1 << 16
 
 
 def loop_partial(lo: int, hi: int) -> int:

@@ -1,9 +1,10 @@
 """Partitioned parallel execution: range decomposition, worker threads and
 zone-aware thread budgeting.
 
-Work is split into disjoint contiguous ranges, one worker per range, partial
-results merged in range order so the reduced value never depends on thread
-interleaving. Workers share nothing but a write-once result slot each.
+Work is split into disjoint contiguous ranges, one worker per range, each
+worker bound to one core, partial results merged in range order so the
+reduced value never depends on thread interleaving. Workers share nothing
+but a write-once result slot each.
 """
 
 from __future__ import annotations
@@ -21,12 +22,18 @@ from .layout import ZONE_ORDER
 Triple = tuple[float, float, float]  # per-zone values in red, green, blue order
 
 
+def _usable_cores() -> list[int]:
+    """The cores the calling thread may run on, in order; empty where the
+    platform has no affinity probe."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return []
+
+
 def probe_cores() -> int:
     """Usable core count of this process."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+    return len(_usable_cores()) or os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -174,12 +181,23 @@ def run_parallel(
     kernel(lo, hi) must be a pure function of its range. A failing worker
     does not stop the others: after the join, their partials are delivered
     inside the fault error.
+
+    Worker i binds itself to the caller's i-th usable core, round robin.
+    Where the OS does not balance load between cores (a cpuset with
+    sched_load_balance off), a new thread stays on its creator's core, and
+    unbound workers would take turns on that one core.
     """
     workers = plan.workers
     results: list[Any] = [None] * workers
     failures: list[tuple[tuple[int, int], BaseException] | None] = [None] * workers
+    cores = _usable_cores()
 
     def body(i: int, lo: int, hi: int) -> None:
+        if cores:
+            try:
+                os.sched_setaffinity(0, (cores[i % len(cores)],))
+            except OSError:
+                pass  # the worker runs unbound
         try:
             results[i] = kernel(lo, hi)
         except BaseException as exc:  # noqa: BLE001  (isolated per partition)

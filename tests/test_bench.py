@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonegc import bench, cli
@@ -77,6 +77,19 @@ def test_wrap16_matches_byte_oracle(x):
 # -- kernels ----------------------------------------------------------------
 
 
+# loop_partial walks its range in blocks of _LOOP_BLOCK indices. The explicit
+# examples put the range's ends on, just before and just after a block edge.
+_B = bench._LOOP_BLOCK
+
+
+def _at_block_edges(test):
+    for lo in (0, 1, _B - 1, _B, _B + 1, 5 * _B - 1, 5 * _B, 5 * _B + 1):
+        for span in (0, 1, _B - 1, _B, _B + 1, 3 * _B + 5):
+            test = example(lo, span)(test)
+    return test
+
+
+@_at_block_edges
 @given(st.integers(0, 5000), st.integers(0, 500))
 def test_loop_partial_matches_series(lo, span):
     hi = lo + span
@@ -88,21 +101,8 @@ def test_loop_partial_empty_range():
     assert loop_partial(7, 7) == 0
 
 
-# loop_partial walks its range in blocks of _LOOP_BLOCK indices; these spans
-# and starts put the range's ends on, just before and just after a block edge.
-_B = bench._LOOP_BLOCK
-
-
-@pytest.mark.parametrize("span", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
-@pytest.mark.parametrize("lo", [0, 1, _B - 1, _B, _B + 1, 5 * _B - 1, 5 * _B,
-                                5 * _B + 1])
-def test_loop_partial_matches_series_across_blocks(lo, span):
-    hi = lo + span
-    assert loop_partial(lo, hi) == loop_total_oracle(hi) - loop_total_oracle(lo)
-
-
 # numpy reports its data buffers to tracemalloc. The whole 4M range as one
-# int64 array would be 30.5 MiB; two reused blocks are 2 MiB.
+# int64 array would be 30.5 MiB; two reused blocks are 1 MiB.
 def test_loop_partial_memory_does_not_grow_with_range():
     tracemalloc.start()
     try:

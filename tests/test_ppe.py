@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 
@@ -224,6 +225,17 @@ def test_run_parallel_worker_stack_override():
         assert got == depth
     finally:
         sys.setrecursionlimit(old_limit)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="platform has no CPU affinity call")
+def test_run_parallel_binds_each_worker_to_one_core():
+    cores = sorted(os.sched_getaffinity(0))
+    got = run_parallel(make_partitions(10, 5),
+                       lambda lo, hi: [sorted(os.sched_getaffinity(0))],
+                       lambda acc, v: acc + v, [])
+    assert got == [[cores[i % len(cores)]] for i in range(5)]
+    assert sorted(os.sched_getaffinity(0)) == cores  # the caller stays unbound
 
 
 def test_run_parallel_restores_default_stack_size():
