@@ -8,12 +8,12 @@ before/after. The checksum is the determinism witness: identical across
 attempts and across partition counts by construction.
 
 Allocation kinds (alloc_reuse, zone_pressure, zone_imbalance, expiration,
-checkpoint_lifecycle) each build a request stream as arrays, one entry per
-request: an int8 zone ordinal, a uint8 index into the stream's site tags and
-an int8 end code (release or expire, optionally after one access, or a
-sweep). One ZoneArena.serve call serves it, as a planned batch between
-sweeps: every object ends before the next request, so each zone reuses one
-pooled slot. They report the per-zone pool counters.
+checkpoint_lifecycle) each build a request stream as two arrays, one entry
+per request: an int8 zone ordinal and an int8 end code (release or expire,
+optionally after one access, or a sweep); each zone has one site tag. One
+ZoneArena.serve call serves it, as a planned batch between sweeps: every
+object ends before the next request, so each zone reuses one pooled slot.
+They report the per-zone pool counters.
 """
 
 from __future__ import annotations
@@ -300,13 +300,6 @@ def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Bench
 # -- allocation experiments -------------------------------------------------
 
 
-def _stream(zones: np.ndarray, ends: np.ndarray, tags: dict[ZoneId, str]) -> tuple:
-    """The arrays ZoneArena.serve takes for a stream whose zones each have
-    one site, tags[zone]: the site tags are listed by zone ordinal, so the
-    zone ordinals serve as the site indices too."""
-    return zones, zones.view(np.uint8), ends, tuple(tags.get(z) for z in ZONE_ORDER)
-
-
 def _per_zone(n: int, green: int, blue: int, red: int) -> tuple:
     """n green requests, then n blue, then n red, ending by the given codes."""
     return (np.repeat(np.array([_GREEN, _BLUE, _RED], np.int8), n),
@@ -315,8 +308,8 @@ def _per_zone(n: int, green: int, blue: int, red: int) -> tuple:
 
 def _alloc_reuse(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     n = spec.size
-    return _stream(np.full(n, _GREEN, np.int8), np.full(n, RELEASE, np.int8),
-                   {ZoneId.GREEN: "hot_loop"})
+    return (np.full(n, _GREEN, np.int8), np.full(n, RELEASE, np.int8),
+            (None, "hot_loop", None))
 
 
 def _zone_pressure(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
@@ -324,16 +317,14 @@ def _zone_pressure(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     zones = np.full(spec.size, _RED, np.int8)
     zones[u < 0.9] = _BLUE
     zones[u < 0.7] = _GREEN
-    return _stream(zones, np.full(spec.size, RELEASE, np.int8),
-                   {ZoneId.GREEN: "pressure_green", ZoneId.BLUE: "pressure_blue",
-                    ZoneId.RED: "pressure_red"})
+    return (zones, np.full(spec.size, RELEASE, np.int8),
+            ("pressure_red", "pressure_green", "pressure_blue"))
 
 
 def _zone_imbalance(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     block = np.repeat(np.array([_GREEN, _BLUE, _RED], np.int8), (90, 9, 1))
-    return _stream(np.resize(block, spec.size), np.full(spec.size, RELEASE, np.int8),
-                   {ZoneId.GREEN: "imbalance_green", ZoneId.BLUE: "imbalance_blue",
-                    ZoneId.RED: "imbalance_red"})
+    return (np.resize(block, spec.size), np.full(spec.size, RELEASE, np.int8),
+            ("imbalance_red", "imbalance_green", "imbalance_blue"))
 
 
 def _expiration(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
@@ -347,8 +338,7 @@ def _expiration(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     zones, ends = _per_zone(n, ACCESS | RELEASE, ACCESS | RELEASE, ACCESS | RELEASE)
     for zone_ends, ttl in ((ends[:n], n or 1), (ends[n:2 * n], 2), (ends[2 * n:], 1)):
         zone_ends[ttl - 1::ttl] |= EXPIRE
-    return _stream(zones, ends, {ZoneId.GREEN: "expiry_green", ZoneId.BLUE: "expiry_blue",
-                                 ZoneId.RED: "expiry_red"})
+    return zones, ends, ("expiry_red", "expiry_green", "expiry_blue")
 
 
 def _checkpoint_lifecycle(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
@@ -362,13 +352,13 @@ def _checkpoint_lifecycle(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     n, k = spec.size, cfg.sweep_interval
     zones, ends = _per_zone(n, RELEASE, RELEASE, EXPIRE)
     ends[n:2 * n][k - 1::k] = SWEEP
-    return _stream(zones, ends, {ZoneId.GREEN: "pinned_green", ZoneId.BLUE: "swept_blue",
-                                 ZoneId.RED: "per_use_red"})
+    return zones, ends, ("per_use_red", "pinned_green", "swept_blue")
 
 
 # kind -> (schedule note, stream builder). A note may name the sweep
-# interval as {interval}. A builder returns the kind's requests in order, as
-# the arrays ZoneArena.serve takes, which a make_partitions range can slice.
+# interval as {interval}. A builder returns what ZoneArena.serve takes: the
+# kind's requests in order, as zone and end arrays, and the site tags of red,
+# green and blue.
 SCHEDULES = {
     "alloc_reuse": ("sequential acquire/release cycles on one green site", _alloc_reuse),
     "zone_pressure": ("seeded zone draws with probabilities green 0.7, blue 0.2, red 0.1",

@@ -1,12 +1,14 @@
-"""3-bit checkpoint table and its state machine.
+"""3-bit checkpoint table and its sweep.
 
 Every tracked object owns one 3-bit entry in a global table laid out as
 [red | green | blue] regions, one byte per entry. Entry state encodes the
-lifecycle phase as a StateCode, the one type for a 3-bit code; step_state
-gives an entry's next code from its observed signals. The sweep scans the
-bytes with numpy and decides from the state bits alone, so per-entry work is
-constant and no object graph is traversed. The table maps a slot's index to
-its 16-byte-aligned address above the table's base and back.
+lifecycle phase as a StateCode, the one type for a 3-bit code. The slot's
+owner writes the codes (the arena on allocation, free and sweep requests, a
+yield scope on promotion); nothing derives a code from observed signals.
+The sweep scans the bytes with numpy and decides from the state bits alone,
+so per-entry work is constant and no object graph is traversed. The table
+maps a slot's index to its 16-byte-aligned address above the table's base
+and back.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AlignmentError, IndexRangeError, SignalConflictError
+from .errors import AlignmentError, IndexRangeError
 from .gates import eval_liveness_gate  # noqa: F401  (perfbench/tracer.py wraps this name)
 from .layout import SLOT_BYTES, ZoneLayout
 
@@ -34,38 +36,6 @@ class StateCode(enum.IntEnum):
     DEFERRED = 0b101  # defer to a later sweep
     MARKED = 0b110  # prepare for deletion
     EXPIRED = 0b111  # reclaim immediately
-
-
-@dataclass(frozen=True)
-class Signals:
-    """Lifecycle signals observed for one object since the last step."""
-
-    accessed: bool = False
-    persistent: bool = False
-    sweep_scheduled: bool = False
-    expired: bool = False
-
-
-def step_state(current: StateCode, signals: Signals) -> StateCode:
-    """The entry's next state under the observed signals.
-
-    Signal priority is expired, then sweep_scheduled, then persistent, then
-    accessed. With no signal the entry falls back to idle, except a deferred
-    entry, which holds its state until confirmation.
-    """
-    if signals.expired and signals.accessed:
-        raise SignalConflictError("object signalled both expired and accessed")
-    if signals.expired:
-        return StateCode.EXPIRED
-    if signals.sweep_scheduled:
-        return StateCode.MARKED
-    if signals.persistent:
-        return StateCode.PERSISTENT
-    if signals.accessed:
-        return StateCode.ACTIVE
-    if current is StateCode.DEFERRED:
-        return StateCode.DEFERRED
-    return StateCode.IDLE
 
 
 @dataclass

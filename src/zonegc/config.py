@@ -31,7 +31,7 @@ a broken rule as ConfigError naming a line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -181,17 +181,17 @@ _GROUP_FIELDS = _group_fields()
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
-def _problems(base: RuntimeConfig, values: dict) -> tuple[str, ...]:
-    """Messages of the checks `base` with `values` applied fails; empty if none."""
+def _problems(values: dict) -> tuple[str, ...]:
+    """Messages of the checks the defaults with `values` applied fail; empty
+    if none."""
     try:
-        replace(base, **values)
+        RuntimeConfig(**values)
     except ConfigError as exc:
         return exc.args
     return ()
 
 
-def _line_of(problem: str, base: RuntimeConfig, values: dict,
-             lines: dict[str, int]) -> int:
+def _line_of(problem: str, values: dict, lines: dict[str, int]) -> int:
     """Line of a key that `problem` involves.
 
     A line is involved when dropping it clears the problem. Among those, a
@@ -201,21 +201,19 @@ def _line_of(problem: str, base: RuntimeConfig, values: dict,
     ordered = sorted(lines, key=lines.get)
     involved = [
         name for name in ordered
-        if problem not in _problems(
-            base, {n: v for n, v in values.items() if n != name})
+        if problem not in _problems({n: v for n, v in values.items() if n != name})
     ]
-    alone = [name for name in involved if _problems(base, {name: values[name]})]
+    alone = [name for name in involved if _problems({name: values[name]})]
     return lines[(alone or involved or ordered)[0]]
 
 
-def parse_config(text: str, base: RuntimeConfig | None = None) -> RuntimeConfig:
-    """Apply key-value overrides from `text` on top of `base` (or defaults).
+def parse_config(text: str) -> RuntimeConfig:
+    """Apply key-value overrides from `text` on top of the defaults.
 
     The overrides are checked together, so a valid file parses whatever its
     line order; a broken rule raises ConfigError at the line of a key it
     involves. A repeated key keeps its last value.
     """
-    base = base or RuntimeConfig()
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -236,11 +234,11 @@ def parse_config(text: str, base: RuntimeConfig | None = None) -> RuntimeConfig:
                 f"line {lineno}: bad value for {key!r}: {raw!r}") from None
         lines[field.name] = lineno
     try:
-        return replace(base, **values)
+        return RuntimeConfig(**values)
     except ConfigError as exc:
         problem = exc.args[0]
-    raise ConfigError(f"line {_line_of(problem, base, values, lines)}: {problem}")
+    raise ConfigError(f"line {_line_of(problem, values, lines)}: {problem}")
 
 
-def load_config(path: str | Path, base: RuntimeConfig | None = None) -> RuntimeConfig:
-    return parse_config(Path(path).read_text(), base)
+def load_config(path: str | Path) -> RuntimeConfig:
+    return parse_config(Path(path).read_text())

@@ -17,10 +17,6 @@ class IndexRangeError(ZonegcError):
     """Index or address falls outside the table or zone it must lie in."""
 
 
-class SignalConflictError(ZonegcError):
-    """Contradictory lifecycle signals presented in a single step."""
-
-
 class ShapeError(ZonegcError):
     """Bit-vector operands do not share the declared width."""
 

@@ -282,11 +282,6 @@ class ObjectHandle:
     def zone(self) -> ZoneId:
         return self.slots.layout.zone_of_index(self.slot_index)
 
-    @property
-    def lifetime(self) -> float:
-        """Seconds from allocation to the last recorded event."""
-        return self.last_event_at - self.allocated_at
-
 
 def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHandle:
     """Count one event on a live object; its lifetime now ends at `now`."""

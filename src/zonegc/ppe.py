@@ -38,9 +38,8 @@ def probe_cores() -> int:
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Disjoint half-open ranges covering [0, total_work) exactly."""
+    """Disjoint half-open ranges covering [0, n) exactly, in order."""
 
-    total_work: int
     ranges: tuple[tuple[int, int], ...]
 
     @property
@@ -55,7 +54,7 @@ def make_partitions(n: int, p: int) -> PartitionPlan:
     if n < 0:
         raise PartitionPlanError(f"work count must be >= 0, got {n}")
     ranges = tuple(((i * n) // p, ((i + 1) * n) // p) for i in range(p))
-    return PartitionPlan(n, ranges)
+    return PartitionPlan(ranges)
 
 
 # Lanewise retention merge for one worker's entries: the same formula as the

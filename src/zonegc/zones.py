@@ -423,15 +423,16 @@ class ZoneArena:
             fan_out=slots.fan_out[idx], complexity_weight=slots.complexity_weight[idx],
         )
 
-    def serve(self, zones: np.ndarray, sites: np.ndarray, ends: np.ndarray,
+    def serve(self, zones: np.ndarray, ends: np.ndarray,
               tags: Sequence[str | None]) -> None:
         """Serve a request stream, given as arrays with one entry per request.
 
         Request k allocates in the zone of ordinal zones[k] (int8) for the
-        site tags[sites[k]] (uint8) and ends its object at once, as the
-        code ends[k] (int8) says: RELEASE or EXPIRE, each after recording
-        one access at the allocation time when the ACCESS flag is set; or
-        SWEEP, which marks the object expired, runs a sweep and expires it.
+        zone's site, tags[zones[k]], as tags holds one site tag per zone in
+        red, green, blue order. It ends its object at once, as the code
+        ends[k] (int8) says: RELEASE or EXPIRE, each after recording one
+        access at the allocation time when the ACCESS flag is set; or SWEEP,
+        which marks the object expired, runs a sweep and expires it.
 
         The arena ends as allocate plus the end's calls would leave it, one
         request at a time, and a zone with no slot left raises
@@ -440,23 +441,24 @@ class ZoneArena:
         between sweeps are served by _plan.
         """
         n = len(zones)
-        if len(sites) != n or len(ends) != n:
-            raise ValueError("zones, sites and ends need one entry per request")
+        if len(ends) != n or len(tags) != 3:
+            raise ValueError("zones and ends need one entry per request, "
+                             "and tags one per zone")
         if n and (zones.min() < 0 or zones.max() > 2 or ends.min() < 0
-                  or ends.max() > SWEEP or sites.max() >= len(tags)):
-            raise ValueError("a request names no zone, site tag or end code")
+                  or ends.max() > SWEEP):
+            raise ValueError("a request names no zone or end code")
         marks = ends.tobytes()
         start = 0
         while (stop := marks.find(_SWEEP_BYTE, start)) >= 0:
-            self._plan(zones[start:stop], sites[start:stop], ends[start:stop], tags)
-            handle = self.allocate(ZONE_ORDER[zones[stop]], tags[sites[stop]])
+            self._plan(zones[start:stop], ends[start:stop], tags)
+            handle = self.allocate(ZONE_ORDER[zones[stop]], tags[zones[stop]])
             self.table.set_state(handle.slot_index, StateCode.EXPIRED)
             self.run_sweep()  # reports the slot reclaimable, so it expires
             self.expire(handle)
             start = stop + 1
-        self._plan(zones[start:], sites[start:], ends[start:], tags)
+        self._plan(zones[start:], ends[start:], tags)
 
-    def _plan(self, zones: np.ndarray, sites: np.ndarray, ends: np.ndarray,
+    def _plan(self, zones: np.ndarray, ends: np.ndarray,
               tags: Sequence[str | None]) -> None:
         """serve of a run of requests with no sweep among them.
 
@@ -477,8 +479,8 @@ class ZoneArena:
         full = [not self._room(zi) for zi in range(3)]
         if any(full) and (blocked := np.array(full)[zones]).any():
             fail = int(blocked.argmax())
-            self._plan(zones[:fail], sites[:fail], ends[:fail], tags)
-            self._allocate(ZONE_ORDER[zones[fail]], tags[sites[fail]])  # raises
+            self._plan(zones[:fail], ends[:fail], tags)
+            self._allocate(ZONE_ORDER[zones[fail]], tags[zones[fail]])  # raises
 
         clock = self.clock
         ops0, last = clock.ops, n - 1
@@ -497,7 +499,7 @@ class ZoneArena:
             self._expired[zi] += int(np.count_nonzero(ends[in_zone] & EXPIRE))
             for r in made:
                 clock.ops = ops0 + 2 * r
-                handle = self._allocate(ZONE_ORDER[zi], tags[sites[r]])
+                handle = self._allocate(ZONE_ORDER[zi], tags[zi])
                 if accessed[r]:
                     record_event(handle, EventKind.ACCESS, clock.now)
                 self._free(handle)

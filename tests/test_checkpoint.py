@@ -1,4 +1,4 @@
-"""Checkpoint state machine, byte-per-entry table, and vectorized sweep."""
+"""Checkpoint byte-per-entry table, address arithmetic, and vectorized sweep."""
 
 from __future__ import annotations
 
@@ -9,51 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonegc.checkpoint import CheckpointTable, Signals, StateCode, step_state
-from zonegc.errors import (
-    AlignmentError,
-    IndexRangeError,
-    SignalConflictError,
-)
+from zonegc.checkpoint import CheckpointTable, StateCode
+from zonegc.errors import AlignmentError, IndexRangeError
 from zonegc.layout import ZoneLayout
 
 from .oracles import zone_scan_oracle
-
-
-def oracle_step(current: int, accessed: bool, persistent: bool,
-                sweep_scheduled: bool, expired: bool) -> int:
-    """Re-derived signal priority, highest first."""
-    if expired:
-        return 0b111
-    if sweep_scheduled:
-        return 0b110
-    if persistent:
-        return 0b100
-    if accessed:
-        return 0b001
-    if current == 0b101:
-        return 0b101
-    return 0b000
-
-
-def test_step_state_exhaustive():
-    for current in StateCode:
-        for acc, per, swp, exp in itertools.product((False, True), repeat=4):
-            signals = Signals(accessed=acc, persistent=per,
-                              sweep_scheduled=swp, expired=exp)
-            if exp and acc:
-                with pytest.raises(SignalConflictError):
-                    step_state(current, signals)
-                continue
-            nxt = step_state(current, signals)
-            assert nxt == oracle_step(int(current), acc, per, swp, exp)
-
-
-def test_deferred_holds_only_without_signals():
-    held = step_state(StateCode.DEFERRED, Signals())
-    assert held is StateCode.DEFERRED
-    woken = step_state(StateCode.DEFERRED, Signals(accessed=True))
-    assert woken is StateCode.ACTIVE
 
 
 # -- address arithmetic -----------------------------------------------------

@@ -42,12 +42,6 @@ def test_parse_overrides_and_comments():
     assert cfg.sweep_interval == 100
 
 
-def test_parse_stacks_on_base():
-    base = parse_config("zones.red = 10")
-    cfg = parse_config("zones.blue = 20", base)
-    assert (cfg.zone_red, cfg.zone_blue) == (10, 20)
-
-
 def test_parse_rejects_unknown_key_and_bad_values():
     with pytest.raises(ConfigError):
         parse_config("zones.purple = 7")

@@ -218,9 +218,9 @@ def test_record_event_updates_lifetime_and_counts():
     # tracker would roll an empty window first and smooth toward zero
     _, header = make_header()
     record_event(header, EventKind.ACCESS, 0.5)
-    assert header.lifetime == 0.5
     assert header.last_event_at == 0.5
     f = feature_snapshot(header)
+    assert f.lifetime == 0.5
     assert f.access_rate == 1.0  # partial-window fallback, 1 event / window
     assert f.mutation_rate == 0.0
 

@@ -38,7 +38,6 @@ def test_make_partitions_frozen_cases():
 @given(n=st.integers(0, 5000), p=st.integers(1, 64))
 def test_make_partitions_tiles_the_range(n, p):
     plan = make_partitions(n, p)
-    assert plan.total_work == n
     assert plan.workers == p
     check_partition_properties(n, plan.ranges)
 

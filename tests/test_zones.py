@@ -367,7 +367,7 @@ def test_reuse_resets_object_identity():
     header = arena.header_of(h2)
     assert header.site_tag == "new_site"
     assert header.size == 8.0
-    assert header.lifetime == 0.0
+    assert feature_snapshot(header).lifetime == 0.0
 
 
 def test_capacity_error_when_zone_exhausted():
@@ -854,11 +854,10 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
             view = arena.header_of(by_slot[slot])
             assert view is by_slot[slot]
             assert (LETTER[view.zone], view.site_tag, view.alive, view.allocated_at,
-                    view.last_event_at, view.lifetime, view.size, view.fan_out,
+                    view.last_event_at, view.size, view.fan_out,
                     view.complexity_weight) == (
                 h.zone, h.site_tag, h.alive, h.allocated_at, h.last_event_at,
-                h.last_event_at - h.allocated_at, h.size, h.fan_out,
-                h.complexity_weight)
+                h.size, h.fan_out, h.complexity_weight)
             f = feature_snapshot(view)
             for name, value in arena_features(model.features(slot)).items():
                 assert math.isclose(getattr(f, name), value, rel_tol=1e-9,
@@ -958,7 +957,7 @@ SETUP_OPS = st.one_of(
               st.sampled_from([0.0, 0.125, 3.0])),
     st.tuples(st.just("mark"), st.integers(0, 31), st.integers(0, 6)),
 )
-STREAM = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+STREAM = st.lists(st.tuples(st.integers(0, 2),
                             st.sampled_from([RELEASE, EXPIRE, ACCESS | RELEASE,
                                              ACCESS | EXPIRE, SWEEP])),
                   max_size=200)
@@ -1000,42 +999,42 @@ def _raised(call):
 @settings(max_examples=200, deadline=None)
 @example(  # green is full with no pooled slot: the stream fails at its first green request
     sizes=(1, 2, 1), setup=[("alloc", ZoneId.GREEN, 0.0)] * 2,
-    stream=[(0, 0, ACCESS | EXPIRE), (2, 1, SWEEP), (0, 2, RELEASE), (1, 0, RELEASE),
-            (2, 1, RELEASE)], window=1.0, step=0.125)
+    stream=[(0, ACCESS | EXPIRE), (2, SWEEP), (0, RELEASE), (1, RELEASE), (2, RELEASE)],
+    window=1.0, step=0.125)
 @example(  # pooled slots with earlier events and features; after blue's sweep,
     # its last access is not its last request
     sizes=(2, 2, 2), setup=[("alloc", ZoneId.BLUE, 64.0),
                             ("event", 0, EventKind.MUTATION, 3.0), ("release", 0),
                             ("alloc", ZoneId.GREEN, 64.0), ("release", 0)],
-    stream=[(2, 0, ACCESS | RELEASE), (2, 0, SWEEP), (2, 1, ACCESS | EXPIRE),
-            (2, 2, RELEASE), (1, 2, EXPIRE)],
+    stream=[(2, ACCESS | RELEASE), (2, SWEEP), (2, ACCESS | EXPIRE), (2, RELEASE),
+            (1, EXPIRE)],
     window=1.0, step=0.125)
 @example(  # green's last access is not its last request, so both are made,
     # on a pooled slot whose rate entries hold its last object's event
     sizes=(1, 1, 1), setup=[("alloc", ZoneId.GREEN, 64.0),
                             ("event", 0, EventKind.ACCESS, 3.0), ("release", 0)],
-    stream=[(1, 0, ACCESS | RELEASE), (0, 1, ACCESS | EXPIRE), (1, 1, ACCESS | EXPIRE),
-            (0, 2, RELEASE), (1, 2, RELEASE), (1, 0, EXPIRE)],
+    stream=[(1, ACCESS | RELEASE), (0, ACCESS | EXPIRE), (1, ACCESS | EXPIRE),
+            (0, RELEASE), (1, RELEASE), (1, EXPIRE)],
     window=0.5, step=0.3)
 @example(  # red is full and fails at its first request, partway through the
     # run, after green has served an access and a later request
     sizes=(1, 2, 1), setup=[("alloc", ZoneId.RED, 0.0)],
-    stream=[(1, 0, ACCESS | RELEASE), (2, 1, ACCESS | EXPIRE), (1, 1, RELEASE),
-            (0, 2, RELEASE), (1, 2, ACCESS | RELEASE)],
+    stream=[(1, ACCESS | RELEASE), (2, ACCESS | EXPIRE), (1, RELEASE), (0, RELEASE),
+            (1, ACCESS | RELEASE)],
     window=1.0, step=0.125)
 @given(sizes=st.tuples(*[st.integers(1, 8)] * 3), setup=st.lists(SETUP_OPS, max_size=40),
        stream=STREAM, window=st.sampled_from([0.5, 1.0]),
        step=st.sampled_from([1e-6, 0.125, 0.3]))
 def test_serve_matches_the_request_loop(sizes, setup, stream, window, step):
-    zones, sites, ends = (np.array(column, dtype=dtype) for column, dtype in
-                          zip(zip(*stream) if stream else ([], [], []),
-                              (np.int8, np.uint8, np.int8)))
+    zones, ends = (np.array(column, dtype=np.int8)
+                   for column in (zip(*stream) if stream else ([], [])))
     loop, batch = _prepared(sizes, setup, window, step), _prepared(sizes, setup, window, step)
     assert _arena_snapshot(loop) == _arena_snapshot(batch)
+    # Each zone's one site: the oracle's site index is the zone ordinal.
     raised = _raised(lambda: request_loop_oracle(
-        loop, zones, sites, ends, STREAM_TAGS, zone_ids=ZONE_ORDER,
+        loop, zones, zones.view(np.uint8), ends, STREAM_TAGS, zone_ids=ZONE_ORDER,
         access=EventKind.ACCESS, record_event=record_event))
-    assert _raised(lambda: batch.serve(zones, sites, ends, STREAM_TAGS)) == raised
+    assert _raised(lambda: batch.serve(zones, ends, STREAM_TAGS)) == raised
     assert _arena_snapshot(batch) == _arena_snapshot(loop)
 
 
@@ -1043,14 +1042,15 @@ def test_serve_rejects_a_malformed_stream():
     arena = small_arena()
     before = _arena_snapshot(arena)
     codes = np.zeros(3, np.int8)
-    for zones, sites, ends in [
-        (codes, np.zeros(2, np.uint8), codes),  # one array short
-        (codes + 3, codes.view(np.uint8), codes),  # zone ordinal 3
-        (codes - 1, codes.view(np.uint8), codes),  # zone ordinal -1
-        (codes, codes.view(np.uint8), codes + 5),  # end code 5
-        (codes, codes.view(np.uint8), codes - 1),  # end code -1
-        (codes, codes.view(np.uint8) + 1, codes),  # site 1 of one tag
+    tags = ("r", "g", "b")
+    for zones, ends, zone_tags in [
+        (codes, codes[:2], tags),  # one array short
+        (codes + 3, codes, tags),  # zone ordinal 3
+        (codes - 1, codes, tags),  # zone ordinal -1
+        (codes, codes + 5, tags),  # end code 5
+        (codes, codes - 1, tags),  # end code -1
+        (codes, codes, ("t",)),  # one tag for three zones
     ]:
         with pytest.raises(ValueError):
-            arena.serve(zones, sites, ends, ("t",))
+            arena.serve(zones, ends, zone_tags)
     assert _arena_snapshot(arena) == before
