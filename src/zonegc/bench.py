@@ -22,11 +22,11 @@ import operator
 import statistics
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import RuntimeConfig
+from .config import DEFAULT_CONFIG, RuntimeConfig
 from .errors import DepthLimitError
 from .layout import ZONE_ORDER, ZoneId
 from .objects import record_event  # noqa: F401  perfbench's tracer wraps bench.record_event
@@ -47,6 +47,8 @@ _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
 ZONE_LABELS = {ZoneId.RED: "Red", ZoneId.GREEN: "Green", ZoneId.BLUE: "Blue"}
 # Reports list zones in the order the experiment tables use.
 REPORT_ZONE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
+# The columns after the zone: PoolStats' fields, read without astuple's deep copy.
+_POOL_COLUMNS = operator.attrgetter(*(f.name for f in fields(PoolStats)))
 
 def wrap16(value: int) -> int:
     """Wrap an integer accumulator to 16-bit two's complement."""
@@ -249,7 +251,7 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
     """size logical steps as size/chunk chains, chains split across workers."""
     if spec.kind not in ("recursion", "deep_recursion"):
         raise ValueError(f"run_recursion got kind {spec.kind!r}")
-    cfg = config or RuntimeConfig()
+    cfg = config or DEFAULT_CONFIG
     chunk = spec.effective_chunk
     if chunk > cfg.max_recursion_depth:
         raise DepthLimitError(
@@ -386,7 +388,7 @@ def run_alloc_experiments(spec: WorkloadSpec,
     """
     if spec.kind not in ALLOC_KINDS:
         raise ValueError(f"run_alloc_experiments got kind {spec.kind!r}")
-    cfg = config or RuntimeConfig()
+    cfg = config or DEFAULT_CONFIG
     arena = cfg.build_arena()
     arena.serve(*SCHEDULES[spec.kind][1](spec, cfg))
     return {zone: arena.pool_stats(zone) for zone in REPORT_ZONE_ORDER}
@@ -460,7 +462,7 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
 
 
 def schedule_note(kind: str, config: RuntimeConfig | None = None) -> str:
-    return SCHEDULES[kind][0].format(interval=(config or RuntimeConfig()).sweep_interval)
+    return SCHEDULES[kind][0].format(interval=(config or DEFAULT_CONFIG).sweep_interval)
 
 
 def emit_pool_stats(stats: dict[ZoneId, PoolStats], fmt: str = "csv", *,
@@ -475,8 +477,7 @@ def emit_pool_stats(stats: dict[ZoneId, PoolStats], fmt: str = "csv", *,
         title, label, num = f"{kind}: {note}", ZONE_LABELS.get, "{:,}".format
         header = ("Zone", "Total Requests", "Real Allocations", "Reused Objects",
                   "Expired Objects", "Pool Size")
-    # PoolStats' fields, in declaration order, are the columns after the zone.
-    rows = ([label(zone), *map(num, astuple(stats[zone]))] for zone in REPORT_ZONE_ORDER)
+    rows = ([label(zone), *map(num, _POOL_COLUMNS(stats[zone]))] for zone in REPORT_ZONE_ORDER)
     return _table(fmt, title, header, rows)
 
 

@@ -11,6 +11,7 @@ per-zone counter table. Exit status 0 on success, 1 on any reported error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bench import (
@@ -22,10 +23,11 @@ from .bench import (
     emit_report,
     run_bench,
 )
-from .config import RuntimeConfig, load_config
+from .config import DEFAULT_CONFIG, load_config
 from .errors import ZonegcError
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bench",
@@ -52,10 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else RuntimeConfig()
+        config = load_config(args.config) if args.config else DEFAULT_CONFIG
         spec = WorkloadSpec(
             kind=args.kind,
             size=args.size,

@@ -1,5 +1,5 @@
 """Runtime configuration: one flat dataclass, a plain-text key-value loader,
-and factory helpers that assemble the configured runtime pieces.
+and factories that hand out the runtime pieces a config builds once.
 
 File format: one `key = value` per line, `#` starts a comment, blank lines
 ignored. A key is its field's name with the group prefix dotted off, for
@@ -20,7 +20,7 @@ sets RateThresholds.access_red and cost.red.mark the red ZoneWeights.mark.
 build_arena hands the arena only the active policy's thresholds, whose type
 selects the policy.
 
-A config is checked as a whole when it is built. The pieces it assembles
+A config is checked as a whole when it is built. The pieces it builds and keeps
 (ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
 apply their own rules; RuntimeConfig adds the rules no piece owns: policy
 takes one of its allowed values, sweep_interval and max_recursion_depth are
@@ -35,9 +35,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .layout import ZONE_ORDER, ZoneLayout
+from .layout import ZONE_ORDER, ZoneId, ZoneLayout
 from .objects import EmaConfig, LogicalClock
 from .zones import (
+    DEFAULT_WEIGHTS,
     POLICIES,
     CostParams,
     PredicateThresholds,
@@ -56,34 +57,34 @@ class RuntimeConfig:
     # metrics and lifecycle
     policy: str = "simple"
     rate_window: float = 1.0
-    ema_weight: float = 0.5
-    seconds_per_op: float = 1e-6
+    ema_weight: float = EmaConfig.weight
+    seconds_per_op: float = LogicalClock.seconds_per_op
     sweep_interval: int = 500
     # rate-policy thresholds
-    simple_access_red: float = 10.0
-    simple_access_green: float = 100.0
-    simple_mutation_red: float = 10.0
-    simple_mutation_green: float = 100.0
+    simple_access_red: float = RateThresholds.access_red
+    simple_access_green: float = RateThresholds.access_green
+    simple_mutation_red: float = RateThresholds.mutation_red
+    simple_mutation_green: float = RateThresholds.mutation_green
     # predicate-policy thresholds
-    predicate_lifetime_red: float = 0.1
-    predicate_lifetime_green: float = 10.0
-    predicate_mutation_red: float = 100.0
-    predicate_mutation_green: float = 10.0
-    predicate_access_red: float = 100.0
-    predicate_access_green: float = 10.0
-    predicate_size_red: float = 256.0
-    predicate_size_green: float = 4096.0
+    predicate_lifetime_red: float = PredicateThresholds.lifetime_red
+    predicate_lifetime_green: float = PredicateThresholds.lifetime_green
+    predicate_mutation_red: float = PredicateThresholds.mutation_red
+    predicate_mutation_green: float = PredicateThresholds.mutation_green
+    predicate_access_red: float = PredicateThresholds.access_red
+    predicate_access_green: float = PredicateThresholds.access_green
+    predicate_size_red: float = PredicateThresholds.size_red
+    predicate_size_green: float = PredicateThresholds.size_green
     # cost model
-    cost_red_mark: float = 1.0
-    cost_red_scan: float = 1.0
-    cost_red_stage: float = 4.0
-    cost_green_mark: float = 1.0
-    cost_green_scan: float = 0.8
-    cost_green_stage: float = 2.0
-    cost_blue_mark: float = 0.5
-    cost_blue_scan: float = 0.5
-    cost_blue_stage: float = 1.0
-    cost_mark_tolerance: float = 0.25
+    cost_red_mark: float = DEFAULT_WEIGHTS[ZoneId.RED].mark
+    cost_red_scan: float = DEFAULT_WEIGHTS[ZoneId.RED].scan
+    cost_red_stage: float = DEFAULT_WEIGHTS[ZoneId.RED].stage
+    cost_green_mark: float = DEFAULT_WEIGHTS[ZoneId.GREEN].mark
+    cost_green_scan: float = DEFAULT_WEIGHTS[ZoneId.GREEN].scan
+    cost_green_stage: float = DEFAULT_WEIGHTS[ZoneId.GREEN].stage
+    cost_blue_mark: float = DEFAULT_WEIGHTS[ZoneId.BLUE].mark
+    cost_blue_scan: float = DEFAULT_WEIGHTS[ZoneId.BLUE].scan
+    cost_blue_stage: float = DEFAULT_WEIGHTS[ZoneId.BLUE].stage
+    cost_mark_tolerance: float = CostParams.mark_tolerance
     # bench harness
     max_recursion_depth: int = 32000
 
@@ -96,22 +97,26 @@ class RuntimeConfig:
             (0 < self.seconds_per_op < math.inf, "seconds_per_op must be finite and > 0"),
         )
         problems = [message for ok, message in own_rules if not ok]
-        for factory in (self.layout, self.ema, self.rate_thresholds,
-                        self.predicate_thresholds, self.cost_params):
+        # The piece fields above default to the pieces' own defaults. The
+        # pieces are kept: they are frozen, so every arena shares them.
+        for name, build in (
+            ("_layout", lambda: ZoneLayout(self.zone_red, self.zone_green, self.zone_blue)),
+            ("_ema", lambda: EmaConfig(self.ema_weight)),
+            ("_rate_thresholds", lambda: RateThresholds(**self._group("simple"))),
+            ("_predicate_thresholds", lambda: PredicateThresholds(**self._group("predicate"))),
+            ("_cost_params", lambda: CostParams(
+                weights={zone: ZoneWeights(**self._group(f"cost.{zone.name.lower()}"))
+                         for zone in ZONE_ORDER},
+                **self._group("cost"))),
+        ):
             try:
-                factory()
+                object.__setattr__(self, name, build())
             except ValueError as exc:
                 problems.append(str(exc))
         if problems:
             raise ConfigError(*problems)
 
-    # -- factories ----------------------------------------------------------
-
-    def layout(self) -> ZoneLayout:
-        return ZoneLayout(self.zone_red, self.zone_green, self.zone_blue)
-
-    def ema(self) -> EmaConfig:
-        return EmaConfig(self.ema_weight)
+    # -- factories: the pieces built at construction, and a new clock --------
 
     def clock(self) -> LogicalClock:
         return LogicalClock(self.seconds_per_op)
@@ -122,28 +127,20 @@ class RuntimeConfig:
         return {name: getattr(self, field) for name, field in _GROUP_FIELDS[group].items()}
 
     def rate_thresholds(self) -> RateThresholds:
-        return RateThresholds(**self._group("simple"))
+        return self._rate_thresholds
 
     def predicate_thresholds(self) -> PredicateThresholds:
-        return PredicateThresholds(**self._group("predicate"))
+        return self._predicate_thresholds
 
     def cost_params(self) -> CostParams:
-        return CostParams(
-            weights={zone: ZoneWeights(**self._group(f"cost.{zone.name.lower()}"))
-                     for zone in ZONE_ORDER},
-            **self._group("cost"),
-        )
+        return self._cost_params
 
     def build_arena(self) -> ZoneArena:
-        return ZoneArena(
-            self.layout(),
-            clock=self.clock(),
-            rate_window=self.rate_window,
-            ema=self.ema(),
-            thresholds=(self.rate_thresholds() if self.policy == "simple"
-                        else self.predicate_thresholds()),
-            costs=self.cost_params(),
-        )
+        """A new arena on this config's pieces, with a clock of its own."""
+        thresholds = (self.rate_thresholds() if self.policy == "simple"
+                      else self.predicate_thresholds())
+        return ZoneArena(self._layout, clock=self.clock(), rate_window=self.rate_window,
+                         ema=self._ema, thresholds=thresholds, costs=self.cost_params())
 
 
 # Groups whose keys are dotted: field cost_red_mark is key cost.red.mark and
@@ -176,8 +173,10 @@ def _group_fields() -> dict[str, dict[str, str]]:
     return groups
 
 
-# Built once: scanning fields() on every factory call tripled a config build.
+# Built once: scanning fields() on every piece build tripled a config build.
 _GROUP_FIELDS = _group_fields()
+# The config of every run without --config: frozen, so one serves them all.
+DEFAULT_CONFIG = RuntimeConfig()
 _PARSERS = {"int": int, "float": float, "str": str}
 
 

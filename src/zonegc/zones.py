@@ -122,12 +122,10 @@ class ZoneWeights:
             raise ValueError("cost weights must be non-negative")
 
 
-def _default_weights() -> dict[ZoneId, ZoneWeights]:
-    return {
-        ZoneId.RED: ZoneWeights(1.0, 1.0, 4.0),
-        ZoneId.GREEN: ZoneWeights(1.0, 0.8, 2.0),
-        ZoneId.BLUE: ZoneWeights(0.5, 0.5, 1.0),
-    }
+# The weights of CostParams(), and the defaults of the config's cost.<zone> keys.
+DEFAULT_WEIGHTS = {ZoneId.RED: ZoneWeights(1.0, 1.0, 4.0),
+                   ZoneId.GREEN: ZoneWeights(1.0, 0.8, 2.0),
+                   ZoneId.BLUE: ZoneWeights(0.5, 0.5, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ class CostParams:
     exceed blue; scan weight is non-increasing red to blue.
     """
 
-    weights: dict[ZoneId, ZoneWeights] = field(default_factory=_default_weights)
+    weights: dict[ZoneId, ZoneWeights] = field(default_factory=DEFAULT_WEIGHTS.copy)
     mark_tolerance: float = 0.25
 
     def __post_init__(self) -> None:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import importlib
 import math
+import re
 import statistics
+import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +224,71 @@ def test_unallocatable_matrix_is_one_error_line(monkeypatch, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# -- cli.main called again and again in one process ----------------------------
+
+# Sizes that take each kind's branches: checkpoint_lifecycle runs sweep
+# requests at the default sweep_interval of 500.
+REUSE_ARGV = {
+    "alloc_reuse": ["--size", "2000"], "zone_pressure": ["--size", "2000", "--seed", "7"],
+    "zone_imbalance": ["--size", "2000"], "expiration": ["--size", "700"],
+    "checkpoint_lifecycle": ["--size", "1200"], "loop": ["--size", "200000"],
+    "recursion": ["--size", "4000"], "deep_recursion": ["--size", "8000"],
+    "matrix": ["--size", "16", "--partitions", "2"],
+}
+REUSE_RUNS = [(kind, fmt) for kind in REUSE_ARGV for fmt in ("csv", "markdown")]
+
+
+def _reuse_argv(kind: str, fmt: str) -> list[str]:
+    return [kind, *REUSE_ARGV[kind], "--attempts", "2", "--format", fmt]
+
+
+def _comparable(kind: str, text: str) -> str | list[str]:
+    """The whole output, or for a timed kind the checksum column: the third
+    cell of each row in either format, which times and memory do not touch."""
+    if kind not in bench.TIMED_KINDS:
+        return text
+    return [(re.split(r" *[,|] *", line.strip("| ")) + ["", "", ""])[2]
+            for line in text.splitlines()]
+
+
+@pytest.fixture(scope="module")
+def fresh_outputs() -> dict[tuple[str, str], str]:
+    """The stdout of each (kind, format) run, each in its own new
+    `python -m zonegc` process, two at a time."""
+    def run(key: tuple[str, str]) -> str:
+        return subprocess.run([sys.executable, "-m", "zonegc", *_reuse_argv(*key)],
+                              capture_output=True, text=True, timeout=120,
+                              check=True).stdout
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(zip(REUSE_RUNS, pool.map(run, REUSE_RUNS)))
+
+
+@pytest.mark.parametrize("kind, fmt", REUSE_RUNS)
+def test_repeated_cli_calls_match_a_fresh_process(kind, fmt, fresh_outputs,
+                                                  tmp_path, capsys):
+    # cli.main builds its parser and its default config once per process;
+    # no call may leave state behind that shows in a later call's output,
+    # whatever the earlier call did: fail to parse, fail with exit 1, or run
+    # on a config file of non-default keys
+    conf = tmp_path / "other.conf"
+    conf.write_text("zones.green = 64\nsweep_interval = 7\npolicy = predicates\n"
+                    "ema_weight = 0.25\ncost.red.mark = 1.1\nmax_recursion_depth = 5000\n")
+    disturbances = [
+        lambda: pytest.raises(SystemExit, cli.main, [kind, "--size", "ten"]).value.code == 2,
+        lambda: cli.main([kind, "--size", "-1"]) == 1,
+        lambda: cli.main([kind, *REUSE_ARGV[kind], "--config", str(conf)]) == 0,
+    ]
+    expected = _comparable(kind, fresh_outputs[kind, fmt])
+    for disturb in [None, None, *disturbances]:
+        if disturb is not None:
+            assert disturb()
+            capsys.readouterr()
+        assert cli.main(_reuse_argv(kind, fmt)) == 0
+        out, err = capsys.readouterr()
+        assert (_comparable(kind, out), err) == (expected, "")
 
 
 def test_kind_dispatch_guards():

@@ -8,10 +8,13 @@ import sys
 
 import pytest
 
+import zonegc.config as zconfig
 from zonegc.cli import main
-from zonegc.config import RuntimeConfig, load_config, parse_config
+from zonegc.config import DEFAULT_CONFIG, RuntimeConfig, load_config, parse_config
 from zonegc.errors import ConfigError
 from zonegc.layout import MAX_ZONE_SLOTS, ZoneId
+from zonegc.objects import EmaConfig
+from zonegc.zones import CostParams, PredicateThresholds, RateThresholds
 
 
 def test_defaults_assemble_a_runtime():
@@ -134,6 +137,71 @@ def test_load_config_reads_file(tmp_path):
     cfg = load_config(path)
     assert cfg.zone_red == 33
     assert cfg.seconds_per_op == 0.5
+
+
+def test_config_defaults_are_the_pieces_defaults():
+    cfg = RuntimeConfig()
+    assert CostParams() == cfg.cost_params()
+    assert RateThresholds() == cfg.rate_thresholds()
+    assert PredicateThresholds() == cfg.predicate_thresholds()
+    assert EmaConfig().weight == cfg.ema_weight
+    assert DEFAULT_CONFIG == cfg
+
+
+def test_every_broken_rule_is_listed_in_one_error():
+    # one rule of each kind: two of the config's own, and one per piece
+    with pytest.raises(ConfigError) as info:
+        RuntimeConfig(policy="bogus", rate_window=0.0, zone_green=0, ema_weight=1.0,
+                      simple_access_red=500.0, predicate_size_red=1e9,
+                      cost_blue_mark=-1.0)
+    assert [message.split()[0] for message in info.value.args] == [
+        "policy", "rate_window", "zone", "EMA", "rate", "predicate", "cost"]
+
+
+def test_build_arena_takes_the_pieces_validation_built(monkeypatch):
+    names = ("ZoneLayout", "EmaConfig", "RateThresholds", "PredicateThresholds",
+             "CostParams")
+    built: dict[str, list] = {}
+    for name in names:
+        def record(*args, _piece=getattr(zconfig, name), _name=name, **kwargs):
+            built.setdefault(_name, []).append(_piece(*args, **kwargs))
+            return built[_name][-1]
+        monkeypatch.setattr(zconfig, name, record)
+    cfg = RuntimeConfig(policy="predicates")
+    first, second = cfg.build_arena(), cfg.build_arena()
+    # each piece was built once, by the validation, and is handed out as is
+    assert {name: len(made) for name, made in built.items()} == dict.fromkeys(names, 1)
+    pieces = {name: made[0] for name, made in built.items()}
+    for arena in (first, second):
+        assert arena.layout is pieces["ZoneLayout"]
+        assert arena.slots.cfg is pieces["EmaConfig"]
+        assert arena.thresholds is pieces["PredicateThresholds"]
+        assert arena.costs is pieces["CostParams"]
+    assert cfg.rate_thresholds() is pieces["RateThresholds"]
+    assert cfg.predicate_thresholds() is pieces["PredicateThresholds"]
+    assert cfg.cost_params() is pieces["CostParams"]
+
+
+def test_arenas_from_one_config_share_no_mutable_part():
+    first, second = DEFAULT_CONFIG.build_arena(), DEFAULT_CONFIG.build_arena()
+    assert first.clock is not second.clock
+    assert first.table is not second.table
+    assert first.slots is not second.slots
+    first.release(first.allocate(ZoneId.GREEN, "t"))
+    assert (second.clock.ops, second.slots.site_tag.count("t")) == (0, 0)
+    assert not any(second.table.states())
+    assert second.pool_stats(ZoneId.GREEN).total_requests == 0
+
+
+def test_replace_revalidates_and_rebuilds_the_pieces():
+    with pytest.raises(ConfigError, match="zone R needs at least one entry"):
+        dataclasses.replace(DEFAULT_CONFIG, zone_red=0)
+    small = dataclasses.replace(DEFAULT_CONFIG, zone_red=8, cost_red_mark=1.1)
+    assert small.build_arena().layout.n_red == 8
+    assert small.cost_params().weights[ZoneId.RED].mark == 1.1
+    # the source config keeps its own pieces
+    assert DEFAULT_CONFIG.build_arena().layout.n_red == 1024
+    assert DEFAULT_CONFIG.cost_params() == CostParams()
 
 
 def test_config_is_frozen():

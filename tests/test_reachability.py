@@ -71,7 +71,6 @@ ALLOW = {
     "ppe.probe_cores": "c12: skips the speedup check on a single usable core",
     "zones.ZoneArena.release": C13,
     "zones.ZoneArena.expire_and_reallocate": C13,
-    "zones._default_weights": "c13: the fuzz's arena takes the default cost weights",
     "yield_memory.YieldScope.__enter__": C14,
     "yield_memory.YieldScope.__exit__": C14,
     "yield_memory.YieldScope.close": C14,
