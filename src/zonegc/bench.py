@@ -30,7 +30,7 @@ from .config import DEFAULT_CONFIG, RuntimeConfig
 from .errors import DepthLimitError
 from .layout import ZONE_ORDER, ZoneId
 from .objects import record_event  # noqa: F401  perfbench's tracer wraps bench.record_event
-from .ppe import PartitionPlan, make_partitions, run_parallel
+from .ppe import make_partitions, run_parallel
 from .zones import ACCESS, EXPIRE, RELEASE, SWEEP, PoolStats
 
 _RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
@@ -47,8 +47,11 @@ _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
 ZONE_LABELS = {ZoneId.RED: "Red", ZoneId.GREEN: "Green", ZoneId.BLUE: "Blue"}
 # Reports list zones in the order the experiment tables use.
 REPORT_ZONE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
-# The columns after the zone: PoolStats' fields, read without astuple's deep copy.
-_POOL_COLUMNS = operator.attrgetter(*(f.name for f in fields(PoolStats)))
+# The pool table's columns after the zone are PoolStats' fields, read without
+# astuple's deep copy. Its headers name them, title-cased in markdown.
+_POOL_CSV_HEADER = ("zone", *(f.name for f in fields(PoolStats)))
+_POOL_MARKDOWN_HEADER = tuple(name.replace("_", " ").title() for name in _POOL_CSV_HEADER)
+_POOL_COLUMNS = operator.attrgetter(*_POOL_CSV_HEADER[1:])
 
 def wrap16(value: int) -> int:
     """Wrap an integer accumulator to 16-bit two's complement."""
@@ -126,6 +129,9 @@ class AttemptRecord:
             and self.delta_kb != self.mem_after_kb - self.mem_before_kb
         ):
             raise ValueError("delta_kb must equal mem_after_kb - mem_before_kb")
+
+
+_ATTEMPT_CSV_HEADER = tuple(f.name for f in fields(AttemptRecord))
 
 
 @dataclass(frozen=True)
@@ -217,13 +223,13 @@ def matrix_operands(n: int) -> tuple[np.ndarray, np.ndarray]:
 # -- timed workloads --------------------------------------------------------
 
 
-def _timed_run(spec: WorkloadSpec, plan: PartitionPlan, kernel,
+def _timed_run(spec: WorkloadSpec, ranges: tuple[tuple[int, int], ...], kernel,
                stack_bytes: int | None = None) -> BenchReport:
     records = []
     for attempt in range(spec.attempts + 1):  # attempt 0 is discarded warmup
         mem_before = measure_memory()
         t0 = time.perf_counter_ns()
-        total = run_parallel(plan, kernel, operator.add, 0, stack_bytes=stack_bytes)
+        total = sum(run_parallel(ranges, kernel, stack_bytes=stack_bytes))
         elapsed_ms = (time.perf_counter_ns() - t0) / 1e6
         mem_after = measure_memory()
         if attempt == 0:
@@ -243,8 +249,7 @@ def _timed_run(spec: WorkloadSpec, plan: PartitionPlan, kernel,
 def run_loop(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
     if spec.kind != "loop":
         raise ValueError(f"run_loop got kind {spec.kind!r}")
-    plan = make_partitions(spec.size, spec.partitions)
-    return _timed_run(spec, plan, loop_partial)
+    return _timed_run(spec, make_partitions(spec.size, spec.partitions), loop_partial)
 
 
 def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
@@ -258,7 +263,7 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
             f"chunk {chunk} exceeds safe recursion depth {cfg.max_recursion_depth}"
         )
     chains = spec.size // chunk
-    plan = make_partitions(chains, spec.partitions)
+    ranges = make_partitions(chains, spec.partitions)
 
     def kernel(lo: int, hi: int) -> int:
         total = 0
@@ -269,7 +274,7 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, chunk + 1000))
     try:
-        return _timed_run(spec, plan, kernel, stack_bytes=_WORKER_STACK_BYTES)
+        return _timed_run(spec, ranges, kernel, stack_bytes=_WORKER_STACK_BYTES)
     finally:
         sys.setrecursionlimit(old_limit)
 
@@ -291,12 +296,11 @@ def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Bench
         raise ValueError(f"run_matrix got kind {spec.kind!r}")
     n = spec.size
     a, b = matrix_operands(n)
-    plan = make_partitions(n, spec.partitions)
 
     def kernel(lo: int, hi: int) -> int:
         return int(np.einsum("ij,jk->ik", a[lo:hi], b).sum(dtype=np.int64))
 
-    return _timed_run(spec, plan, kernel)
+    return _timed_run(spec, make_partitions(n, spec.partitions), kernel)
 
 
 # -- allocation experiments -------------------------------------------------
@@ -451,8 +455,7 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
         stddev = report.stddev_time_ms if report.stddev_defined else None
         rows.append(["stddev" if csv else "StdDev", num(stddev), "", "", "", ""])
     if csv:
-        return _table(fmt, None, ("attempt", "time_ms", "checksum", "mem_before_kb",
-                                  "mem_after_kb", "delta_kb"), rows)
+        return _table(fmt, None, _ATTEMPT_CSV_HEADER, rows)
     spec = report.spec
     title = f"{spec.kind} size={spec.size} partitions={spec.partitions}"
     if spec.kind in DEFAULT_CHUNK:
@@ -471,12 +474,10 @@ def emit_pool_stats(stats: dict[ZoneId, PoolStats], fmt: str = "csv", *,
     note = schedule_note(kind, config)
     if fmt == "csv":
         title, label, num = f"# workload={kind} schedule={note}", str, str
-        header = ("zone", "total_requests", "real_allocations", "reused_objects",
-                  "expired_objects", "pool_size")
+        header = _POOL_CSV_HEADER
     else:
         title, label, num = f"{kind}: {note}", ZONE_LABELS.get, "{:,}".format
-        header = ("Zone", "Total Requests", "Real Allocations", "Reused Objects",
-                  "Expired Objects", "Pool Size")
+        header = _POOL_MARKDOWN_HEADER
     rows = ([label(zone), *map(num, _POOL_COLUMNS(stats[zone]))] for zone in REPORT_ZONE_ORDER)
     return _table(fmt, title, header, rows)
 

@@ -4,8 +4,9 @@
                  [--seed S] [--format csv|markdown] [--config FILE]
                  [--output FILE]
 
-Timed kinds print the attempt/summary table; allocation kinds print the
-per-zone counter table. Exit status 0 on success, 1 on any reported error.
+An omitted workload option takes WorkloadSpec's default. Timed kinds print
+the attempt/summary table; allocation kinds print the per-zone counter
+table. Exit status 0 on success, 1 on any reported error.
 """
 
 from __future__ import annotations
@@ -32,17 +33,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bench",
         description="Zone lifecycle and kernel benchmarks.",
+        argument_default=argparse.SUPPRESS,  # an omitted option is not set
     )
     parser.add_argument("kind", choices=KINDS, help="workload to run")
     parser.add_argument("--size", type=int, required=True,
                         help="iterations, steps, matrix dimension, or requests")
-    parser.add_argument("--chunk", type=int, default=None,
+    parser.add_argument("--chunk", type=int,
                         help="recursion depth per chain (recursion kinds)")
-    parser.add_argument("--partitions", type=int, default=1,
+    parser.add_argument("--partitions", type=int,
                         help=f"parallel partitions for timed kinds, at most {MAX_PARTITIONS}")
-    parser.add_argument("--attempts", type=int, default=5,
+    parser.add_argument("--attempts", type=int,
                         help="recorded attempts after the discarded warmup")
-    parser.add_argument("--seed", type=int, default=42,
+    parser.add_argument("--seed", type=int,
                         help="seed for randomized schedules")
     parser.add_argument("--format", choices=("csv", "markdown"), default="csv",
                         dest="fmt", help="report format")
@@ -54,25 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    fmt, config_path, output = args.pop("fmt"), args.pop("config"), args.pop("output")
     try:
-        config = load_config(args.config) if args.config else DEFAULT_CONFIG
-        spec = WorkloadSpec(
-            kind=args.kind,
-            size=args.size,
-            chunk=args.chunk,
-            partitions=args.partitions,
-            attempts=args.attempts,
-            seed=args.seed,
-        )
+        config = load_config(config_path) if config_path else DEFAULT_CONFIG
+        spec = WorkloadSpec(**args)  # the options left are the given spec fields
         result = run_bench(spec, config)
-        if args.kind in TIMED_KINDS:
-            text = emit_report(result, args.fmt)
+        if spec.kind in TIMED_KINDS:
+            text = emit_report(result, fmt)
         else:
-            text = emit_pool_stats(result, args.fmt, kind=args.kind,
-                                   config=config)
-        if args.output:
-            with open(args.output, "w") as fh:
+            text = emit_pool_stats(result, fmt, kind=spec.kind, config=config)
+        if output:
+            with open(output, "w") as fh:
                 fh.write(text + "\n")
         else:
             print(text)

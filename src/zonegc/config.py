@@ -36,7 +36,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .layout import ZONE_ORDER, ZoneId, ZoneLayout
-from .objects import EmaConfig, LogicalClock
+from .objects import RATE_WINDOW, EmaConfig, LogicalClock
 from .zones import (
     DEFAULT_WEIGHTS,
     POLICIES,
@@ -56,7 +56,7 @@ class RuntimeConfig:
     zone_blue: int = 1024
     # metrics and lifecycle
     policy: str = "simple"
-    rate_window: float = 1.0
+    rate_window: float = RATE_WINDOW
     ema_weight: float = EmaConfig.weight
     seconds_per_op: float = LogicalClock.seconds_per_op
     sweep_interval: int = 500

@@ -18,6 +18,7 @@ consumes, as columns (feature_columns) or as the one-row case of them
 from __future__ import annotations
 
 import enum
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,6 +29,8 @@ from .errors import LifecycleError
 from .layout import ZoneId, ZoneLayout
 
 NAN = float("nan")  # an EMA no window has closed into yet
+
+RATE_WINDOW = 1.0  # default rate window, in logical seconds
 
 # A roll over more windows than this advances the window start in one
 # multiplication; up to it, one addition per window, which puts the window
@@ -69,6 +72,13 @@ def ema_update(prev: float, sample: float, cfg: EmaConfig) -> float:
     return cfg.weight * sample + (1.0 - cfg.weight) * prev
 
 
+def _check_window(window: float) -> float:
+    """The one rule for a rate window: finite and > 0."""
+    if not 0.0 < window < math.inf:
+        raise ValueError(f"rate window must be finite and > 0, got {window}")
+    return window
+
+
 def roll(ema: float, start: float, count: int, now: float, window: float,
          cfg: EmaConfig) -> tuple[float, float]:
     """Close every window that ended at or before `now`.
@@ -77,13 +87,18 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
     open count. The first closed window holds `count` events; its rate seeds
     a NaN ema and is smoothed into any other. The windows after it saw no
     events, and k zero samples compose to ema * (1 - weight) ** k, so the
-    cost does not grow with the idle run. A window below the float spacing
-    of its start cannot advance it, so the window then restarts at `now`.
-    Returns the new ema and window start.
+    cost does not grow with the idle run; a decay that underflows leaves 0.0,
+    also from an infinite rate. The window restarts at `now` when it is
+    below the float spacing of its start, and when the count of closed
+    windows overflows a float, which also leaves an ema of 0.0. Returns the
+    new ema and window start.
     """
     closed = 0
     if now - start > STEPPED_WINDOWS * window:
-        closed = int((now - start) // window) - 1
+        windows = (now - start) // window
+        if windows == math.inf:
+            return 0.0, now
+        closed = int(windows) - 1
         start += closed * window
     while now >= (stop := start + window):
         if stop == start:
@@ -94,7 +109,8 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
     sample = count / window
     ema = sample if ema != ema else ema_update(ema, sample, cfg)
     if closed > 1:
-        ema *= (1.0 - cfg.weight) ** (closed - 1)
+        decay = (1.0 - cfg.weight) ** (closed - 1)
+        ema = ema * decay if decay else 0.0
     return ema, start
 
 
@@ -133,11 +149,9 @@ class RateTracker:
 
     __slots__ = ("window", "cfg", "window_start", "count", "ema")
 
-    def __init__(self, window: float = 1.0, cfg: EmaConfig | None = None,
+    def __init__(self, window: float = RATE_WINDOW, cfg: EmaConfig | None = None,
                  start: float = 0.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
+        self.window = _check_window(window)
         self.cfg = cfg or EmaConfig()
         self.reset(start)
 
@@ -186,6 +200,7 @@ class SlotTable:
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
+        self.window = _check_window(window)
         n = layout.total
         self.alive = bytearray(n)
         self.stale = bytearray(n)
@@ -200,7 +215,6 @@ class SlotTable:
         # memoryview('q') store, and record_event stores here.
         self.count = [0] * (2 * n)
         self.ema = _doubles(2 * n, NAN)
-        self.window = window
         self.cfg = cfg
         self.layout = layout
 

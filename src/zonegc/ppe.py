@@ -2,9 +2,9 @@
 zone-aware thread budgeting.
 
 Work is split into disjoint contiguous ranges, one worker per range, each
-worker bound to one core, partial results merged in range order so the
-reduced value never depends on thread interleaving. Workers share nothing
-but a write-once result slot each.
+worker bound to one core. The partial results come back in range order, so
+a value reduced from them never depends on thread interleaving. Workers
+share nothing but a write-once result slot each.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import ObjectiveUndefinedError, PartitionFaultError, PartitionPlanError
 from .gates import eval_liveness_gate
@@ -36,30 +36,19 @@ def probe_cores() -> int:
     return len(_usable_cores()) or os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Disjoint half-open ranges covering [0, n) exactly, in order."""
-
-    ranges: tuple[tuple[int, int], ...]
-
-    @property
-    def workers(self) -> int:
-        return len(self.ranges)
-
-
-def make_partitions(n: int, p: int) -> PartitionPlan:
-    """Split [0, n) into p contiguous ranges differing in size by at most 1."""
+def make_partitions(n: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Split [0, n) into p contiguous half-open ranges, in order, differing in
+    size by at most 1."""
     if p < 1:
         raise PartitionPlanError(f"partition count must be >= 1, got {p}")
     if n < 0:
         raise PartitionPlanError(f"work count must be >= 0, got {n}")
-    ranges = tuple(((i * n) // p, ((i + 1) * n) // p) for i in range(p))
-    return PartitionPlan(ranges)
+    return tuple(((i * n) // p, ((i + 1) * n) // p) for i in range(p))
 
 
 # Lanewise retention merge for one worker's entries: the same formula as the
 # liveness gate. The aggregator concatenates per-worker results in worker
-# order, which run_parallel's range-ordered reduce provides.
+# order, which run_parallel's range-ordered results provide.
 sync_checkpoint = eval_liveness_gate
 
 
@@ -168,14 +157,13 @@ def optimize_thread_allocation(pauses: Triple, k: int, pi: Triple,
 
 
 def run_parallel(
-    plan: PartitionPlan,
+    ranges: Sequence[tuple[int, int]],
     kernel: Callable[[int, int], Any],
-    combine: Callable[[Any, Any], Any],
-    identity: Any,
     *,
     stack_bytes: int | None = None,
-) -> Any:
-    """Run the kernel over every range on its own thread and reduce in order.
+) -> list[Any]:
+    """Run the kernel over every range on its own thread; return the partial
+    results in range order.
 
     kernel(lo, hi) must be a pure function of its range. A failing worker
     does not stop the others: after the join, their partials are delivered
@@ -186,7 +174,7 @@ def run_parallel(
     sched_load_balance off), a new thread stays on its creator's core, and
     unbound workers would take turns on that one core.
     """
-    workers = plan.workers
+    workers = len(ranges)
     results: list[Any] = [None] * workers
     failures: list[tuple[tuple[int, int], BaseException] | None] = [None] * workers
     cores = _usable_cores()
@@ -207,7 +195,7 @@ def run_parallel(
         old_stack = threading.stack_size(stack_bytes)
     try:
         threads = []
-        for i, (lo, hi) in enumerate(plan.ranges):
+        for i, (lo, hi) in enumerate(ranges):
             t = threading.Thread(target=body, args=(i, lo, hi), name=f"ppe-worker-{i}")
             t.start()
             threads.append(t)
@@ -220,13 +208,9 @@ def run_parallel(
     failed = [f for f in failures if f is not None]
     if failed:
         partials = {
-            plan.ranges[i]: results[i]
+            ranges[i]: results[i]
             for i in range(workers)
             if failures[i] is None
         }
         raise PartitionFaultError(failed, partials)
-
-    acc = identity
-    for value in results:
-        acc = combine(acc, value)
-    return acc
+    return results

@@ -34,6 +34,7 @@ from .checkpoint import CheckpointTable, StateCode, SweepReport
 from .errors import LifecycleError, ZoneCapacityError
 from .layout import ZoneId, ZoneLayout, ZONE_ORDER
 from .objects import (
+    RATE_WINDOW,
     EmaConfig,
     EventKind,
     FeatureColumns,
@@ -291,10 +292,10 @@ class ZoneArena:
 
     def __init__(
         self,
-        layout: ZoneLayout | None = None,
+        layout: ZoneLayout,
         *,
         clock: LogicalClock | None = None,
-        rate_window: float = 1.0,
+        rate_window: float = RATE_WINDOW,
         ema: EmaConfig | None = None,
         thresholds: RateThresholds | PredicateThresholds | None = None,
         costs: CostParams | None = None,
@@ -306,7 +307,7 @@ class ZoneArena:
         except KeyError:
             raise ValueError(
                 f"no policy takes {type(self.thresholds).__name__} thresholds") from None
-        self.layout = layout or ZoneLayout(1024, 1024, 1024)
+        self.layout = layout
         self.table = CheckpointTable(self.layout)
         self.clock = clock or LogicalClock()
         self.costs = costs or CostParams()

@@ -335,19 +335,22 @@ def test_run_matrix_produces_frozen_checksum():
 # 1376 is the smallest n at which a dot product of A @ A leaves int16 (one
 # reaches -33048), so a 16-bit operand or accumulator cannot pass. Such a
 # kernel is still right modulo 2**16, so the unwrapped totals are compared
-# too, as run_parallel returns them, and not only the 16-bit checksums.
+# too, summed from the partials run_parallel returns, and not only the
+# 16-bit checksums. n = 1376 runs at 1 and 2 partitions, as one product
+# there takes a second; the smaller sizes cover 3 to 5.
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 17, 255, 256, 257, 1376])
 def test_run_matrix_matches_sum_identity(n, monkeypatch):
     totals = []
     run_parallel = bench.run_parallel
 
     def recording_run_parallel(*args, **kwargs):
-        totals.append(run_parallel(*args, **kwargs))
-        return totals[-1]
+        partials = run_parallel(*args, **kwargs)
+        totals.append(sum(partials))
+        return partials
 
     monkeypatch.setattr(bench, "run_parallel", recording_run_parallel)
     expected = matrix_total_by_sums(n)
-    for p in (1, 2, 3, 4, 5):
+    for p in (1, 2) if n == 1376 else (1, 2, 3, 4, 5):
         totals.clear()
         report = run_bench(WorkloadSpec("matrix", n, attempts=1, partitions=p))
         assert totals == [expected, expected], f"n={n} p={p}"

@@ -14,7 +14,7 @@ from zonegc.config import DEFAULT_CONFIG, RuntimeConfig, load_config, parse_conf
 from zonegc.errors import ConfigError
 from zonegc.layout import MAX_ZONE_SLOTS, ZoneId
 from zonegc.objects import EmaConfig
-from zonegc.zones import CostParams, PredicateThresholds, RateThresholds
+from zonegc.zones import CostParams, PredicateThresholds, RateThresholds, ZoneArena
 
 
 def test_defaults_assemble_a_runtime():
@@ -146,6 +146,18 @@ def test_config_defaults_are_the_pieces_defaults():
     assert PredicateThresholds() == cfg.predicate_thresholds()
     assert EmaConfig().weight == cfg.ema_weight
     assert DEFAULT_CONFIG == cfg
+
+
+def test_default_config_arena_matches_the_arena_defaults():
+    # ZoneArena defaults its policy, thresholds, costs, EMA, window and clock
+    # apart from RuntimeConfig's fields: the two arenas must agree
+    built, bare = DEFAULT_CONFIG.build_arena(), ZoneArena(DEFAULT_CONFIG._layout)
+    assert built.policy == bare.policy == DEFAULT_CONFIG.policy
+    assert built.thresholds == bare.thresholds
+    assert built.costs == bare.costs
+    assert built.slots.cfg == bare.slots.cfg
+    assert built.slots.window == bare.slots.window
+    assert built.clock.seconds_per_op == bare.clock.seconds_per_op
 
 
 def test_every_broken_rule_is_listed_in_one_error():

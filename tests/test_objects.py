@@ -194,6 +194,38 @@ def test_roll_returns_when_the_window_is_below_the_time_spacing():
     assert (tracker.window_start, tracker.count) == (0.75, 1)
 
 
+def test_roll_restarts_the_window_when_the_closed_count_overflows():
+    # (0.5 - 1e-6) // 5e-324 is inf, so no float counts the windows closed
+    # since the allocation at tick 1: the EMA becomes 0.0 and the window
+    # restarts at the event, by both the tracker and the slot path, and so
+    # again at the second event
+    arena = ZoneArena(ZoneLayout(4, 4, 4), rate_window=5e-324)
+    header = arena.allocate(ZoneId.RED, "tiny")
+    tracker = RateTracker(window=5e-324, start=header.allocated_at)
+    j = 2 * header.slot_index + EventKind.ACCESS.ordinal
+    slots = arena.slots
+    for t in (0.5, 0.75):
+        record_event(header, EventKind.ACCESS, t)
+        tracker.record(t)
+        assert (slots.ema[j], slots.window_start[j], slots.count[j]) == (0.0, t, 1)
+        assert (tracker.ema, tracker.window_start, tracker.count) == (0.0, t, 1)
+    assert feature_snapshot(header).access_rate == tracker.smoothed == 0.0
+
+
+def test_roll_decay_below_the_float_range_gives_zero_not_nan():
+    # one event in a 1e-320 window is an infinite rate, and the 1e308 empty
+    # windows after it decay it by a factor that underflows to 0.0: the EMA
+    # is 0.0, where inf * 0.0 would make it NaN
+    _, header = make_header(window=1e-320)
+    tracker = RateTracker(window=1e-320, start=0.0)
+    for t in (0.0, 1e-12):
+        record_event(header, EventKind.MUTATION, t)
+        tracker.record(t)
+    j = 2 * header.slot_index + EventKind.MUTATION.ordinal
+    assert (header.slots.ema[j], header.slots.count[j]) == (0.0, 1)
+    assert (tracker.ema, tracker.count) == (0.0, 1)
+
+
 def test_tracker_reset_clears_history():
     tracker = RateTracker(window=1.0, cfg=EmaConfig(0.5), start=0.0)
     for t in (0.5, 1.5, 2.5):
@@ -205,9 +237,12 @@ def test_tracker_reset_clears_history():
     assert tracker.window_start == 10.0
 
 
-def test_tracker_rejects_bad_window():
-    with pytest.raises(ValueError):
-        RateTracker(window=0.0)
+@pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+def test_tracker_and_arena_reject_a_bad_window(window):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        RateTracker(window=window)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ZoneArena(ZoneLayout(4, 4, 4), rate_window=window)
 
 
 # -- record_event -----------------------------------------------------------

@@ -32,14 +32,14 @@ POS = st.floats(min_value=0.0, max_value=1000.0)
 
 def test_make_partitions_frozen_cases():
     for (n, p), expected in PARTITION_CASES.items():
-        assert make_partitions(n, p).ranges == expected
+        assert make_partitions(n, p) == expected
 
 
 @given(n=st.integers(0, 5000), p=st.integers(1, 64))
 def test_make_partitions_tiles_the_range(n, p):
-    plan = make_partitions(n, p)
-    assert plan.workers == p
-    check_partition_properties(n, plan.ranges)
+    ranges = make_partitions(n, p)
+    assert len(ranges) == p
+    check_partition_properties(n, ranges)
 
 
 def test_make_partitions_validation():
@@ -166,32 +166,28 @@ def test_optimize_requires_enough_threads():
 # -- parallel runner --------------------------------------------------------
 
 
-def test_run_parallel_reduces_in_range_order():
-    plan = make_partitions(10, 4)
-    got = run_parallel(plan, lambda lo, hi: [(lo, hi)],
-                       lambda acc, v: acc + v, [])
-    assert got == list(plan.ranges)
+def test_run_parallel_returns_partials_in_range_order():
+    ranges = make_partitions(10, 4)
+    assert run_parallel(ranges, lambda lo, hi: (lo, hi)) == list(ranges)
 
 
 def test_run_parallel_sums_match_serial():
-    plan = make_partitions(1000, 7)
-    total = run_parallel(plan, lambda lo, hi: sum(range(lo, hi)),
-                         lambda a, b: a + b, 0)
+    ranges = make_partitions(1000, 7)
+    total = sum(run_parallel(ranges, lambda lo, hi: sum(range(lo, hi))))
     assert total == sum(range(1000))
 
 
 def test_run_parallel_repeated_runs_identical():
-    plan = make_partitions(200, 3)
+    ranges = make_partitions(200, 3)
     outs = {
-        run_parallel(plan, lambda lo, hi: sum(i * i for i in range(lo, hi)),
-                     lambda a, b: a + b, 0)
+        tuple(run_parallel(ranges, lambda lo, hi: sum(i * i for i in range(lo, hi))))
         for _ in range(5)
     }
     assert len(outs) == 1
 
 
 def test_run_parallel_collects_failures_with_partials():
-    plan = make_partitions(9, 3)
+    ranges = make_partitions(9, 3)
 
     def kernel(lo, hi):
         if lo == 3:
@@ -199,7 +195,7 @@ def test_run_parallel_collects_failures_with_partials():
         return hi - lo
 
     with pytest.raises(PartitionFaultError) as exc_info:
-        run_parallel(plan, kernel, lambda a, b: a + b, 0)
+        run_parallel(ranges, kernel)
     err = exc_info.value
     assert len(err.failed) == 1
     assert err.failed[0][0] == (3, 6)
@@ -217,11 +213,9 @@ def test_run_parallel_worker_stack_override():
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 1000)
     try:
-        plan = make_partitions(1, 1)
-        got = run_parallel(plan, lambda lo, hi: deep(depth),
-                           lambda a, b: a + b, 0,
+        got = run_parallel(make_partitions(1, 1), lambda lo, hi: deep(depth),
                            stack_bytes=64 * 1024 * 1024)
-        assert got == depth
+        assert got == [depth]
     finally:
         sys.setrecursionlimit(old_limit)
 
@@ -231,15 +225,13 @@ def test_run_parallel_worker_stack_override():
 def test_run_parallel_binds_each_worker_to_one_core():
     cores = sorted(os.sched_getaffinity(0))
     got = run_parallel(make_partitions(10, 5),
-                       lambda lo, hi: [sorted(os.sched_getaffinity(0))],
-                       lambda acc, v: acc + v, [])
+                       lambda lo, hi: sorted(os.sched_getaffinity(0)))
     assert got == [[cores[i % len(cores)]] for i in range(5)]
     assert sorted(os.sched_getaffinity(0)) == cores  # the caller stays unbound
 
 
 def test_run_parallel_restores_default_stack_size():
     before = threading.stack_size()
-    run_parallel(make_partitions(4, 2), lambda lo, hi: hi - lo,
-                 lambda a, b: a + b, 0, stack_bytes=1024 * 1024)
+    run_parallel(make_partitions(4, 2), lambda lo, hi: hi - lo, stack_bytes=1024 * 1024)
     assert threading.stack_size() == before
 
