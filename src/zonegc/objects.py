@@ -5,10 +5,9 @@ lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
 the way the checkpoint table keeps one byte of state per slot: liveness,
 allocation and last-event times, static features (size, fan-out, complexity
 weight), the allocation site tag and windowed mutation and access rates.
-A claim writes the new object's own entries and leaves the rate entries as
-the slot's last object left them, marked stale; record_event resets them on
-the object's first event. A slot's one Python object is its ObjectHandle,
-which reads those arrays.
+A claim writes every entry of the new object, its rate windows included,
+which open at the claim with no events. A slot's one Python object is its
+ObjectHandle, which reads those arrays.
 Rates are counted over a fixed logical-time window and smoothed with an
 exponential moving average; the smoothed view is what classification
 consumes, as columns (feature_columns) or as the one-row case of them
@@ -193,9 +192,7 @@ class SlotTable:
     slot's entries describe its current object while alive[i] is set, and
     its last one after release. Mutation and access rates keep a window
     start, an open count and an EMA (NaN until a window closes) at entry
-    2 * i + kind.ordinal. A claim does not reset them: it sets stale[i],
-    which makes them read as a fresh object's (no events, rate 0.0), and
-    the slot's first record_event resets both from allocated_at[i]. The
+    2 * i + kind.ordinal; a claim opens both windows at the claim time. The
     zone is not stored: it is the slot's region in `layout`.
     """
 
@@ -203,7 +200,6 @@ class SlotTable:
         self.window = _check_window(window)
         n = layout.total
         self.alive = bytearray(n)
-        self.stale = bytearray(n)
         self.allocated_at = _doubles(n)
         self.last_event_at = _doubles(n)
         self.size = _doubles(n)
@@ -211,30 +207,31 @@ class SlotTable:
         self.complexity_weight = _doubles(n)
         self.site_tag: list[str | None] = [None] * n
         self.window_start = _doubles(2 * n)
-        # A list, not a typed column: a list item store is ~3x cheaper than a
-        # memoryview('q') store, and record_event stores here.
-        self.count = [0] * (2 * n)
+        self.count = memoryview(array("q", [0]) * (2 * n))
         self.ema = _doubles(2 * n, NAN)
         self.cfg = cfg
         self.layout = layout
 
     def claim(self, i: int, site_tag: str | None, now: float, size: float,
               fan_out: float, complexity_weight: float) -> None:
-        """Bind slot i to a new object made at `now`. The rate entries are
-        left as they are and marked stale, which reads as fresh rates."""
+        """Bind slot i to a new object made at `now`, whose rate windows open
+        at `now` with no events."""
         self.alive[i] = 1
-        self.stale[i] = 1
         self.site_tag[i] = site_tag
         self.allocated_at[i] = self.last_event_at[i] = now
         self.size[i] = size
         self.fan_out[i] = fan_out
         self.complexity_weight[i] = complexity_weight
+        j = 2 * i
+        self.window_start[j] = self.window_start[j + 1] = now
+        self.count[j] = self.count[j + 1] = 0
+        self.ema[j] = self.ema[j + 1] = NAN
 
     def move(self, src: list[int], dst: list[int], now: np.ndarray) -> None:
         """End the object of each slot in src and claim slot dst[k] at
-        now[k] for a copy of src[k]'s: its site and static features, and
-        stale rate entries. The ends come before the claims, as a slot that
-        one move frees another may claim."""
+        now[k] for a copy of src[k]'s site and static features. The ends
+        come before the claims, as a slot that one move frees another may
+        claim."""
         for i, d in zip(src, dst):
             self.site_tag[d] = self.site_tag[i]
         s = np.array(src, dtype=np.intp)
@@ -242,25 +239,22 @@ class SlotTable:
         alive = np.frombuffer(self.alive, dtype=np.uint8)
         alive[s] = 0
         alive[d] = 1
-        np.frombuffer(self.stale, dtype=np.uint8)[d] = 1
         for name in ("size", "fan_out", "complexity_weight"):
             column = np.frombuffer(getattr(self, name))
             column[d] = column[s]
         np.frombuffer(self.allocated_at)[d] = now
         np.frombuffer(self.last_event_at)[d] = now
+        # rows of a slot's two rate entries
+        np.frombuffer(self.window_start).reshape(-1, 2)[d] = now[:, None]
+        np.frombuffer(self.count, dtype=np.int64).reshape(-1, 2)[d] = 0
+        np.frombuffer(self.ema).reshape(-1, 2)[d] = NAN
 
     def rates(self, j: np.ndarray) -> np.ndarray:
-        """Smoothed rate of each tracker entry in j: 0.0 for a stale slot's
-        entries, else the EMA, or the open window's rate before a window
-        closes. Only the fresh entries whose EMA is still NaN read the open
-        count."""
+        """Smoothed rate of each tracker entry in j: the EMA, or the open
+        window's rate before a window closes."""
         r = np.frombuffer(self.ema)[j]
-        r[np.frombuffer(self.stale, dtype=np.uint8)[j >> 1] != 0] = 0.0
-        cold = np.flatnonzero(r != r)
-        if cold.size:
-            count = self.count
-            r[cold] = np.array([count[k] for k in j[cold].tolist()],
-                               dtype=np.float64) / self.window
+        cold = r != r
+        r[cold] = np.frombuffer(self.count, dtype=np.int64)[j[cold]] / self.window
         return r
 
 
@@ -308,14 +302,6 @@ def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHan
         raise ValueError(f"event time {now} precedes previous event at {last[i]}")
     start = slots.window_start
     count = slots.count
-    if slots.stale[i]:
-        # The first event since the claim: both kinds' windows open at the
-        # allocation time, with no events and no EMA.
-        j = 2 * i
-        start[j] = start[j + 1] = slots.allocated_at[i]
-        count[j] = count[j + 1] = 0
-        slots.ema[j] = slots.ema[j + 1] = NAN
-        slots.stale[i] = 0
     j = 2 * i + kind.ordinal
     if now >= start[j] + slots.window:
         ema = slots.ema

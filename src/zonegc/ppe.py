@@ -172,12 +172,16 @@ def run_parallel(
     Worker i binds itself to the caller's i-th usable core, round robin.
     Where the OS does not balance load between cores (a cpuset with
     sched_load_balance off), a new thread stays on its creator's core, and
-    unbound workers would take turns on that one core.
+    unbound workers would take turns on that one core. The kernels start
+    together, once the caller has started every thread: the unbound caller
+    shares a core with the workers, and a running kernel would delay the
+    next start.
     """
     workers = len(ranges)
     results: list[Any] = [None] * workers
     failures: list[tuple[tuple[int, int], BaseException] | None] = [None] * workers
     cores = _usable_cores()
+    go = threading.Event()
 
     def body(i: int, lo: int, hi: int) -> None:
         if cores:
@@ -185,6 +189,7 @@ def run_parallel(
                 os.sched_setaffinity(0, (cores[i % len(cores)],))
             except OSError:
                 pass  # the worker runs unbound
+        go.wait()
         try:
             results[i] = kernel(lo, hi)
         except BaseException as exc:  # noqa: BLE001  (isolated per partition)
@@ -200,6 +205,7 @@ def run_parallel(
             t.start()
             threads.append(t)
     finally:
+        go.set()  # after a failed start too, so no started worker waits forever
         if old_stack is not None:
             threading.stack_size(old_stack)
     for t in threads:

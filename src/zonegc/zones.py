@@ -19,8 +19,8 @@ objects as one batch: it replays their pool pushes and pops over plain ints,
 then writes each metadata column once for all of them. A request stream, in
 which every object ends right after its request, is served as a planned
 batch: the requests of a zone between two sweeps all reuse one pooled slot,
-so the arena counts them and makes only the requests whose writes outlast
-the run.
+and a claim rewrites all of a slot's entries, so the arena counts them and
+makes only the zone's last request.
 """
 
 from __future__ import annotations
@@ -463,14 +463,12 @@ class ZoneArena:
 
         Each request frees its slot before the next one is made, and the
         pools are LIFO, so a zone's requests all take one slot: the pool top
-        or the next fresh slot. Per zone, the reused and expired requests
-        are counted, and only the requests whose writes outlast the run are
-        made, each at its tick of the request loop (allocate and the free
-        tick once each): the zone's last request with the ACCESS flag, whose
-        event leaves the slot's rate entries, when that is not its last
-        request; and its last request, whose object columns last. A zone
-        with no slot fails at its first request: the requests before it are
-        served, then its allocate raises.
+        or the next fresh slot. A claim writes every entry of the slot, so
+        per zone the reused and expired requests are counted and only the
+        last request is made, at its tick of the request loop (allocate and
+        the free tick once each). A zone with no slot fails at its first
+        request: the requests before it are served, then its allocate
+        raises.
         """
         n = len(zones)
         if not n:
@@ -483,7 +481,6 @@ class ZoneArena:
 
         clock = self.clock
         ops0, last = clock.ops, n - 1
-        accessed = (ends & ACCESS) != 0
         for zi in range(3):
             in_zone = zones == zi
             # Reversed argmax: the zone's last request, without an array of
@@ -491,17 +488,13 @@ class ZoneArena:
             k = last - int(in_zone[::-1].argmax())
             if not in_zone[k]:
                 continue
-            in_zone_accessed = in_zone & accessed
-            a = last - int(in_zone_accessed[::-1].argmax())
-            made = (a, k) if in_zone_accessed[a] and a != k else (k,)
-            self._reused[zi] += int(np.count_nonzero(in_zone)) - len(made)
+            self._reused[zi] += int(np.count_nonzero(in_zone)) - 1
             self._expired[zi] += int(np.count_nonzero(ends[in_zone] & EXPIRE))
-            for r in made:
-                clock.ops = ops0 + 2 * r
-                handle = self._allocate(ZONE_ORDER[zi], tags[zi])
-                if accessed[r]:
-                    record_event(handle, EventKind.ACCESS, clock.now)
-                self._free(handle)
+            clock.ops = ops0 + 2 * k
+            handle = self._allocate(ZONE_ORDER[zi], tags[zi])
+            if ends[k] & ACCESS:
+                record_event(handle, EventKind.ACCESS, clock.now)
+            self._free(handle)
         clock.ops = ops0 + 2 * n
 
     # -- queries ------------------------------------------------------------

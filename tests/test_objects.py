@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,15 +297,17 @@ def _reused_slot(step: float):
 
 def _rate_entries(slots, i: int) -> tuple:
     j = 2 * i
-    return (slots.stale[i], *slots.window_start[j:j + 2], *slots.count[j:j + 2],
+    return (*slots.window_start[j:j + 2], *slots.count[j:j + 2],
             *(repr(e) for e in slots.ema[j:j + 2]))  # repr: NaN equals itself
 
 
-def test_refused_event_leaves_a_stale_slot_as_it_is():
+def test_refused_event_leaves_a_reclaimed_slot_as_it_is():
     arena, header = _reused_slot(0.125)
     slots, i = arena.slots, header.slot_index
     before = _rate_entries(slots, i)
-    assert before[0] == 1
+    # the claim opened both windows, with no events and no EMA
+    t = header.allocated_at
+    assert before == (t, t, 0, 0, "nan", "nan")
     with pytest.raises(ValueError):  # a time before the last event
         record_event(header, EventKind.ACCESS, header.last_event_at - 0.5)
     assert _rate_entries(slots, i) == before
@@ -316,19 +319,41 @@ def test_refused_event_leaves_a_stale_slot_as_it_is():
 
 @pytest.mark.parametrize("step", [0.0, 0.125])
 def test_reclaimed_slot_reads_fresh_rates_before_its_first_event(step):
-    # The rate entries still hold the last object's closed windows; the
-    # stale byte, not a time, makes them read as a fresh object's. A clock
-    # that stands still gives both objects the same allocation time.
+    # The last object closed windows at this slot; the claim reset its rate
+    # entries, so they read as a fresh object's. A clock that stands still
+    # gives both objects the same allocation time.
     arena, header = _reused_slot(step)
     f = feature_snapshot(header)
     assert (f.access_rate, f.mutation_rate, f.lifetime) == (0.0, 0.0, 0.0)
     cols = feature_columns(arena.slots, np.array([0, header.slot_index], dtype=np.intp))
     assert cols.access_rate.tolist() == [0.0, 0.0]
     assert cols.mutation_rate.tolist() == [0.0, 0.0]
-    # its first event resets both kinds from the allocation time
+    # its first event counts in the window the claim opened
     record_event(header, EventKind.MUTATION, header.allocated_at + 0.5)
     f = feature_snapshot(header)
     assert (f.access_rate, f.mutation_rate) == (0.0, 1.0)
+
+
+def test_open_counts_take_no_memory_as_they_grow():
+    """A slot's open count is stored in the table: counting 300 events on
+    each of 1,000 live objects within one window allocates nothing that
+    lasts, as an int object per count above 256 would."""
+    arena = ZoneArena(ZoneLayout(1000, 1, 1), clock=LogicalClock(seconds_per_op=0.0))
+    handles = [arena.allocate(ZoneId.RED, "t") for _ in range(1000)]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            for handle in handles:
+                record_event(handle, EventKind.ACCESS, 0.0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert arena.slots.count[2 * handles[-1].slot_index] == 300
+    assert grown < 4 * len(handles)
 
 
 def test_record_event_never_touches_placement():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -235,3 +236,36 @@ def test_run_parallel_restores_default_stack_size():
     run_parallel(make_partitions(4, 2), lambda lo, hi: hi - lo, stack_bytes=1024 * 1024)
     assert threading.stack_size() == before
 
+
+
+def _paced_starts(monkeypatch, fail_at: int | None = None) -> list[int]:
+    """Make Thread.start record when it returns, then pause 10 ms, long
+    enough for a started worker to run; the start numbered fail_at raises
+    instead. Returns the list of return times."""
+    returned: list[int] = []
+    start = threading.Thread.start
+
+    def paced(thread):
+        if len(returned) == fail_at:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+        returned.append(time.perf_counter_ns())
+        time.sleep(0.01)
+
+    monkeypatch.setattr(threading.Thread, "start", paced)
+    return returned
+
+
+def test_run_parallel_starts_no_kernel_before_the_last_thread(monkeypatch):
+    returned = _paced_starts(monkeypatch)
+    began = run_parallel(make_partitions(4, 4), lambda lo, hi: time.perf_counter_ns())
+    assert len(returned) == 4
+    assert min(began) > max(returned)
+
+
+def test_run_parallel_failed_start_leaves_no_worker_waiting(monkeypatch):
+    done = threading.Event()
+    _paced_starts(monkeypatch, fail_at=2)
+    with pytest.raises(RuntimeError, match="can't start"):
+        run_parallel(make_partitions(4, 4), lambda lo, hi: lo == 1 and done.set())
+    assert done.wait(10.0)  # the second worker ran its kernel

@@ -455,18 +455,19 @@ def test_arena_is_freed_by_reference_counting():
 def _arena_snapshot(arena: ZoneArena) -> dict:
     """Everything the arena holds: states, every SlotTable column, pools,
     fresh cursors, counters, the sweep epoch, the clock, and which slots
-    have a handle. Float columns compare as bytes, so NaNs compare too."""
-    slots = arena.slots
+    have a handle. The columns are the table's bytearray, memoryview and
+    list attributes, so a column added or dropped is compared too. Typed
+    columns compare as bytes, so NaNs compare too."""
+    columns = {name: list(value) if isinstance(value, list) else bytes(value)
+               for name, value in vars(arena.slots).items()
+               if isinstance(value, (bytearray, memoryview, list))}
     return {
         "states": bytes(arena.table._states), "epoch": arena.table.epoch,
         "ops": arena.clock.ops, "pools": [list(pool) for pool in arena._pools],
         "fresh": list(arena._fresh_next), "reused": list(arena._reused),
         "expired": list(arena._expired),
         "handles": [h is not None and h.slot_index for h in arena.handles],
-        **{name: bytes(getattr(slots, name)) for name in (
-            "alive", "stale", "allocated_at", "last_event_at", "size", "fan_out",
-            "complexity_weight", "window_start", "ema")},
-        "site_tag": list(slots.site_tag), "count": list(slots.count),
+        "columns": columns,
     }
 
 
@@ -700,7 +701,8 @@ REFUSAL = {LifecycleError: "lifecycle", ZoneCapacityError: "capacity",
 # and in one step (the arena) must assign each event to the same window.
 # Offsets up to 1,200 windows take the one-step path. A step of 0.0 stops
 # the clock: a reused slot's last and new objects then share an allocation
-# time, and only the stale byte tells their rates apart.
+# time, and only the claim's reset of the rate entries tells their rates
+# apart.
 ZONE_PICK = st.sampled_from([ZoneId.RED, ZoneId.GREEN, ZoneId.BLUE])
 ARENA_OPS = st.one_of(
     st.tuples(st.just("alloc"), ZONE_PICK, st.sampled_from(["a", "b"]),
@@ -766,6 +768,27 @@ def _outcome(call):
     # zero rates send green slot 4 to red. Slot 0 moves to green first and
     # frees red slot 0, which slot 4 then claims in the same pause.
     ("pause", [2, 6], StateCode.PROMOTE_CANDIDATE)],
+    window=1.0, omega=0.5, step=0.125, policy="simple")
+@example(ops=[  # one pause gathers every kind of rate entry at once
+    ("alloc", ZoneId.RED, "a", 0.0), ("event", 2, EventKind.ACCESS, 0.0),
+    ("event", 2, EventKind.ACCESS, 3.0), ("release", 2),  # a closed window
+    *[("alloc", ZoneId.RED, "a", 0.0)] * 3,  # red slot 0's new object: no event
+    ("event", 4, EventKind.ACCESS, 0.0),  # red slot 1: an open window only
+    ("event", 5, EventKind.ACCESS, 0.0),  # red slot 2: a closed window
+    ("event", 5, EventKind.ACCESS, 3.0),
+    ("pause", [3, 4, 5], StateCode.PROMOTE_CANDIDATE)],  # slot 1 moves to blue
+    window=1.0, omega=0.5, step=0.125, policy="simple")
+@example(ops=[  # a pause's move resets the rate entries of the slot it claims
+    ("alloc", ZoneId.GREEN, "a", 0.0), ("event", 2, EventKind.MUTATION, 0.0),
+    ("event", 2, EventKind.ACCESS, 0.0),
+    ("event", 2, EventKind.ACCESS, 3.0),  # green slot 4: a closed access window
+    ("release", 2),
+    ("alloc", ZoneId.RED, "a", 0.0),
+    *[("event", 3, EventKind.ACCESS, 0.0)] * 4,  # red slot 0 reaches the green cut
+    ("pause", [3], StateCode.PROMOTE_CANDIDATE),  # slot 0 moves to green slot 4
+    # inside the window the move opened, but over a window after the one
+    # the last object's mutation opened
+    ("event", 4, EventKind.MUTATION, 0.75)],
     window=1.0, omega=0.5, step=0.125, policy="simple")
 @given(ops=st.lists(ARENA_OPS, max_size=80),
        window=st.sampled_from([0.5, 1.0, 2.0]),
@@ -1009,8 +1032,8 @@ def _raised(call):
     stream=[(2, ACCESS | RELEASE), (2, SWEEP), (2, ACCESS | EXPIRE), (2, RELEASE),
             (1, EXPIRE)],
     window=1.0, step=0.125)
-@example(  # green's last access is not its last request, so both are made,
-    # on a pooled slot whose rate entries hold its last object's event
+@example(  # green's last access is not its last request, on a pooled slot
+    # whose rate entries hold its last object's event until a claim resets them
     sizes=(1, 1, 1), setup=[("alloc", ZoneId.GREEN, 64.0),
                             ("event", 0, EventKind.ACCESS, 3.0), ("release", 0)],
     stream=[(1, ACCESS | RELEASE), (0, ACCESS | EXPIRE), (1, ACCESS | EXPIRE),
