@@ -11,9 +11,9 @@ Allocation kinds (alloc_reuse, zone_pressure, zone_imbalance, expiration,
 checkpoint_lifecycle) each build a request stream as two arrays, one entry
 per request: an int8 zone ordinal and an int8 end code (release or expire,
 optionally after one access, or a sweep); each zone has one site tag. One
-ZoneArena.serve call serves it, as a planned batch between sweeps: every
-object ends before the next request, so each zone reuses one pooled slot.
-They report the per-zone pool counters.
+ZoneArena.serve call serves it in one pass: every object ends before the
+next request, so each zone reuses one pooled slot and only its last and
+sweep requests are made. They report the per-zone pool counters.
 """
 
 from __future__ import annotations

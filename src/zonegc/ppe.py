@@ -167,7 +167,8 @@ def run_parallel(
 
     kernel(lo, hi) must be a pure function of its range. A failing worker
     does not stop the others: after the join, their partials are delivered
-    inside the fault error.
+    inside the fault error, as they are when a thread fails to start: each
+    range left without a worker fails with the start's error.
 
     Worker i binds itself to the caller's i-th usable core, round robin.
     Where the OS does not balance load between cores (a cpuset with
@@ -198,18 +199,20 @@ def run_parallel(
     old_stack = None
     if stack_bytes is not None:
         old_stack = threading.stack_size(stack_bytes)
+    threads: list[threading.Thread] = []
     try:
-        threads = []
         for i, (lo, hi) in enumerate(ranges):
             t = threading.Thread(target=body, args=(i, lo, hi), name=f"ppe-worker-{i}")
             t.start()
             threads.append(t)
+    except RuntimeError as exc:  # can't start new thread: this range and the rest have none
+        failures[len(threads):] = [(r, exc) for r in ranges[len(threads):]]
     finally:
         go.set()  # after a failed start too, so no started worker waits forever
         if old_stack is not None:
             threading.stack_size(old_stack)
-    for t in threads:
-        t.join()
+        for t in threads:
+            t.join()
 
     failed = [f for f in failures if f is not None]
     if failed:

@@ -17,10 +17,10 @@ selects its policy. A move whose target zone has no slot left changes
 nothing; in a pause the object stays and the rest move. A pause moves its
 objects as one batch: it replays their pool pushes and pops over plain ints,
 then writes each metadata column once for all of them. A request stream, in
-which every object ends right after its request, is served as a planned
-batch: the requests of a zone between two sweeps all reuse one pooled slot,
-and a claim rewrites all of a slot's entries, so the arena counts them and
-makes only the zone's last request.
+which every object ends right after its request, is served in one pass: a
+zone's requests all reuse one pooled slot, and a claim rewrites all of a
+slot's entries, so the arena counts them and makes only the sweep requests
+and each zone's last request.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ _IDLE = int(StateCode.IDLE)
 # End codes of a request stream (ZoneArena.serve): how each request's object
 # ends. ACCESS is a flag on RELEASE and EXPIRE.
 RELEASE, EXPIRE, ACCESS, SWEEP = 0, 1, 2, 4
-_SWEEP_BYTE = bytes([SWEEP])
 
 
 @dataclass(frozen=True)
@@ -433,68 +432,60 @@ class ZoneArena:
         access at the allocation time when the ACCESS flag is set; or SWEEP,
         which marks the object expired, runs a sweep and expires it.
 
-        The arena ends as allocate plus the end's calls would leave it, one
-        request at a time, and a zone with no slot left raises
-        ZoneCapacityError at the same request and in the same state. Only a
-        sweep request makes those calls by their traced names; the runs
-        between sweeps are served by _plan.
+        The arena ends as one call per request would leave it, and a zone
+        with no slot left raises ZoneCapacityError at the same request and
+        in the same state. As each request frees its slot before the next,
+        no request changes which zones have room, and a zone's requests all
+        take one pooled slot, whose claim rewrites all its entries. So only
+        the sweep requests, by their traced names, and each zone's last
+        request, through _allocate and _free, are made, at their ticks of
+        the request loop; the others are counted.
         """
         n = len(zones)
         if len(ends) != n or len(tags) != 3:
             raise ValueError("zones and ends need one entry per request, "
                              "and tags one per zone")
+        if zones.dtype != np.int8 or ends.dtype != np.int8:
+            raise ValueError("zones and ends must be int8 arrays")
         if n and (zones.min() < 0 or zones.max() > 2 or ends.min() < 0
                   or ends.max() > SWEEP):
             raise ValueError("a request names no zone or end code")
-        marks = ends.tobytes()
-        start = 0
-        while (stop := marks.find(_SWEEP_BYTE, start)) >= 0:
-            self._plan(zones[start:stop], ends[start:stop], tags)
-            handle = self.allocate(ZONE_ORDER[zones[stop]], tags[zones[stop]])
-            self.table.set_state(handle.slot_index, StateCode.EXPIRED)
-            self.run_sweep()  # reports the slot reclaimable, so it expires
-            self.expire(handle)
-            start = stop + 1
-        self._plan(zones[start:], ends[start:], tags)
-
-    def _plan(self, zones: np.ndarray, ends: np.ndarray,
-              tags: Sequence[str | None]) -> None:
-        """serve of a run of requests with no sweep among them.
-
-        Each request frees its slot before the next one is made, and the
-        pools are LIFO, so a zone's requests all take one slot: the pool top
-        or the next fresh slot. A claim writes every entry of the slot, so
-        per zone the reused and expired requests are counted and only the
-        last request is made, at its tick of the request loop (allocate and
-        the free tick once each). A zone with no slot fails at its first
-        request: the requests before it are served, then its allocate
-        raises.
-        """
-        n = len(zones)
-        if not n:
-            return
         full = [not self._room(zi) for zi in range(3)]
         if any(full) and (blocked := np.array(full)[zones]).any():
-            fail = int(blocked.argmax())
-            self._plan(zones[:fail], ends[:fail], tags)
-            self._allocate(ZONE_ORDER[zones[fail]], tags[zones[fail]])  # raises
+            n = int(blocked.argmax())  # the failing request, made last
+        codes, marks = zones.tobytes(), ends.tobytes()
+        sweeps, k = [], marks.find(SWEEP, 0, n)
+        while k >= 0:
+            sweeps.append(k)
+            k = marks.find(SWEEP, k + 1, n)
+        lasts = {codes.rfind(zi, 0, n) for zi in range(3)} - {-1}
+        made = sorted(lasts.union(sweeps))
+        made_zones = [codes[k] for k in made]
+        zones, expiring = zones[:n], (ends[:n] & EXPIRE).view(np.bool_)
+        # A made request counts itself: _take counts its reuse, and expire
+        # a sweep request's expiry (SWEEP has no EXPIRE bit).
+        for zi in set(made_zones):
+            in_zone = zones == zi
+            self._reused[zi] += int(np.count_nonzero(in_zone)) - made_zones.count(zi)
+            self._expired[zi] += int(np.count_nonzero(in_zone & expiring))
+        if n < len(codes):
+            made.append(n)
 
         clock = self.clock
-        ops0, last = clock.ops, n - 1
-        for zi in range(3):
-            in_zone = zones == zi
-            # Reversed argmax: the zone's last request, without an array of
-            # positions.
-            k = last - int(in_zone[::-1].argmax())
-            if not in_zone[k]:
-                continue
-            self._reused[zi] += int(np.count_nonzero(in_zone)) - 1
-            self._expired[zi] += int(np.count_nonzero(ends[in_zone] & EXPIRE))
+        ops0 = clock.ops
+        for k in made:
+            zone, tag = ZONE_ORDER[codes[k]], tags[codes[k]]
             clock.ops = ops0 + 2 * k
-            handle = self._allocate(ZONE_ORDER[zi], tags[zi])
-            if ends[k] & ACCESS:
-                record_event(handle, EventKind.ACCESS, clock.now)
-            self._free(handle)
+            if marks[k] == SWEEP:
+                handle = self.allocate(zone, tag)
+                self.table.set_state(handle.slot_index, StateCode.EXPIRED)
+                self.run_sweep()  # reports the slot reclaimable, so it expires
+                self.expire(handle)
+            else:
+                handle = self._allocate(zone, tag)
+                if marks[k] & ACCESS:
+                    record_event(handle, EventKind.ACCESS, clock.now)
+                self._free(handle)
         clock.ops = ops0 + 2 * n
 
     # -- queries ------------------------------------------------------------

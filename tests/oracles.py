@@ -457,7 +457,7 @@ class ArenaModel:
 
 def request_loop_oracle(arena, zones, sites, ends, tags, *, zone_ids, access,
                         record_event) -> None:
-    """The schedules' request loop from before the planned batch, frozen:
+    """The schedules' request loop from before ZoneArena.serve, frozen:
     end(allocate(zone, site)) for each request, one call at a time, with
     the end closures the schedules built on the arena.
 

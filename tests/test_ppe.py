@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zonegc import cli
 from zonegc.errors import ObjectiveUndefinedError, PartitionFaultError, PartitionPlanError
 from zonegc.ppe import (
     ThreadAllocation,
@@ -263,9 +264,31 @@ def test_run_parallel_starts_no_kernel_before_the_last_thread(monkeypatch):
     assert min(began) > max(returned)
 
 
+def _workers_alive() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("ppe-worker")]
+
+
 def test_run_parallel_failed_start_leaves_no_worker_waiting(monkeypatch):
     done = threading.Event()
     _paced_starts(monkeypatch, fail_at=2)
-    with pytest.raises(RuntimeError, match="can't start"):
-        run_parallel(make_partitions(4, 4), lambda lo, hi: lo == 1 and done.set())
+    with pytest.raises(PartitionFaultError) as info:
+        try:
+            run_parallel(make_partitions(4, 4), lambda lo, hi: lo == 1 and done.set())
+        finally:
+            alive = _workers_alive()
     assert done.wait(10.0)  # the second worker ran its kernel
+    assert alive == []  # the started workers were joined before the error
+    assert [(r, str(exc)) for r, exc in info.value.failed] == [
+        ((2, 3), "can't start new thread"), ((3, 4), "can't start new thread")]
+    assert info.value.partials == {(0, 1): False, (1, 2): None}
+
+
+def test_cli_failed_start_is_one_error_line(monkeypatch, capsys):
+    _paced_starts(monkeypatch, fail_at=2)
+    assert cli.main(["loop", "--size", "100000", "--partitions", "4",
+                     "--attempts", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert _workers_alive() == []

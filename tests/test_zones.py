@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zonegc.bench import SCHEDULES, WorkloadSpec
 from zonegc.checkpoint import StateCode
+from zonegc.config import DEFAULT_CONFIG
 from zonegc.errors import LifecycleError, ZoneCapacityError
 from zonegc.layout import ZONE_ORDER, ZoneId, ZoneLayout
 from zonegc.objects import (
@@ -450,6 +453,45 @@ def test_arena_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+# The arena's footprint, in tracemalloc's traced bytes (CPython 3.11): a per
+# table slot, for the capacity-sized columns and lists, and b per slot ever
+# claimed, for its ObjectHandle, its index int and its pool entry.
+BYTES_PER_TABLE_SLOT = 106.1
+BYTES_PER_CLAIMED_SLOT = 88.5
+
+
+def _footprint(per_zone: int, claims: int, events: int) -> tuple[int, int]:
+    """Traced bytes of a new 3 x per_zone arena, and the bytes it holds more
+    once `claims` green slots are claimed, given `events` accesses each and
+    released."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arena = ZoneArena(ZoneLayout(per_zone, per_zone, per_zone))
+        built = tracemalloc.get_traced_memory()[0]
+        handles = [arena.allocate(ZoneId.GREEN, "g") for _ in range(claims)]
+        for handle in handles:
+            for _ in range(events):
+                record_event(handle, EventKind.ACCESS, arena.clock.now)
+            arena.release(handle)
+        del handles, handle
+        claimed = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert arena.pool_stats(ZoneId.GREEN).pool_size == claims
+    return built - before, claimed - built
+
+
+def test_arena_footprint_is_linear_in_capacity_and_claimed_slots():
+    for per_zone, claims in [(10_000, 5_000), (20_000, 10_000), (40_000, 5_000)]:
+        built, grown = _footprint(per_zone, claims, events=3)
+        assert built / (3 * per_zone) == pytest.approx(BYTES_PER_TABLE_SLOT, rel=0.03)
+        assert grown / claims == pytest.approx(BYTES_PER_CLAIMED_SLOT, rel=0.03)
 
 
 def _arena_snapshot(arena: ZoneArena) -> dict:
@@ -967,7 +1009,8 @@ def test_real_allocations_equal_peak_live_count(ops, policy):
             assert arena.pool_stats(zone).real_allocations == peak[zone], op
 
 
-# -- a request stream served as a planned batch ------------------------------
+# -- a request stream served in one pass: only the sweep requests and each ---
+# -- zone's last request are made -------------------------------------------
 
 STREAM_TAGS = ("a", "b", "c")
 # Set-up steps that leave live objects, pooled slots, slots whose rate
@@ -1045,6 +1088,24 @@ def _raised(call):
     stream=[(1, ACCESS | RELEASE), (2, ACCESS | EXPIRE), (1, RELEASE), (0, RELEASE),
             (1, ACCESS | RELEASE)],
     window=1.0, step=0.125)
+@example(  # blue's last request is a sweep request, after plain blue requests
+    sizes=(2, 2, 2), setup=[("alloc", ZoneId.BLUE, 64.0), ("release", 0)],
+    stream=[(2, ACCESS | RELEASE), (1, RELEASE), (2, EXPIRE), (2, SWEEP), (1, EXPIRE)],
+    window=1.0, step=0.125)
+@example(  # red's last request, a plain one, comes before green's sweep request
+    sizes=(2, 2, 2), setup=[],
+    stream=[(0, ACCESS | EXPIRE), (1, RELEASE), (0, ACCESS | RELEASE), (1, SWEEP),
+            (1, ACCESS | EXPIRE)],
+    window=1.0, step=0.3)
+@example(  # red's requests fall on both sides of green's sweep, whose scan sees
+    # red's fresh slot marked, as only red's last request is made
+    sizes=(1, 1, 1), setup=[("mark", 0, 2)],
+    stream=[(0, ACCESS | EXPIRE), (1, SWEEP), (0, RELEASE), (1, RELEASE)],
+    window=1.0, step=0.125)
+@example(  # blue is full, and its first request is a sweep request
+    sizes=(1, 1, 1), setup=[("alloc", ZoneId.BLUE, 0.0)],
+    stream=[(1, ACCESS | EXPIRE), (0, EXPIRE), (2, SWEEP), (1, RELEASE), (0, RELEASE)],
+    window=1.0, step=0.125)
 @given(sizes=st.tuples(*[st.integers(1, 8)] * 3), setup=st.lists(SETUP_OPS, max_size=40),
        stream=STREAM, window=st.sampled_from([0.5, 1.0]),
        step=st.sampled_from([1e-6, 0.125, 0.3]))
@@ -1066,7 +1127,15 @@ def test_serve_rejects_a_malformed_stream():
     before = _arena_snapshot(arena)
     codes = np.zeros(3, np.int8)
     tags = ("r", "g", "b")
+    # int64 streams, whose sweep codes a byte scan would find at offsets that
+    # are no request: a green stream with a blue sweep at request 3, and six
+    # green sweeps
+    wide_zones = np.where(np.arange(40) == 3, 2, 1)
+    wide_ends = np.where(np.arange(40) == 3, SWEEP, RELEASE)
     for zones, ends, zone_tags in [
+        (wide_zones, wide_ends, tags),
+        (np.ones(6, np.int64), np.full(6, SWEEP, np.int64), tags),
+        (wide_zones.astype(np.int8), wide_ends, tags),  # int64 ends only
         (codes, codes[:2], tags),  # one array short
         (codes + 3, codes, tags),  # zone ordinal 3
         (codes - 1, codes, tags),  # zone ordinal -1
@@ -1077,3 +1146,25 @@ def test_serve_rejects_a_malformed_stream():
         with pytest.raises(ValueError):
             arena.serve(zones, ends, zone_tags)
     assert _arena_snapshot(arena) == before
+
+
+def test_serve_makes_only_each_zones_last_plain_request(monkeypatch):
+    """checkpoint_lifecycle at 5,000 requests per zone has 10 blue sweep
+    requests, and blue's last request is one of them: of the rest, only
+    green's and red's last requests are made."""
+    made: list[ZoneId] = []
+    allocate = ZoneArena._allocate
+
+    def counted(arena, zone, *args, **kwargs):
+        made.append(zone)
+        return allocate(arena, zone, *args, **kwargs)
+
+    monkeypatch.setattr(ZoneArena, "_allocate", counted)
+    spec = WorkloadSpec("checkpoint_lifecycle", 5000)
+    zones, ends, tags = SCHEDULES[spec.kind][1](spec, DEFAULT_CONFIG)
+    assert np.count_nonzero(ends == SWEEP) == 10
+    assert ends[zones == ZoneId.BLUE.ordinal][-1] == SWEEP
+    arena = DEFAULT_CONFIG.build_arena()
+    arena.serve(zones, ends, tags)
+    assert made == [ZoneId.GREEN, ZoneId.RED]  # the stream's order
+    assert [arena.pool_stats(zone).total_requests for zone in ZONE_ORDER] == [5000] * 3
