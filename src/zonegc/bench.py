@@ -28,12 +28,10 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RuntimeConfig
 from .errors import DepthLimitError
-from .layout import ZONE_ORDER, ZoneId
+from .layout import ZoneId
 from .objects import record_event  # noqa: F401  perfbench's tracer wraps bench.record_event
 from .ppe import make_partitions, run_parallel
-from .zones import ACCESS, EXPIRE, RELEASE, SWEEP, PoolStats
-
-_RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
+from .zones import ACCESS, BLUE, EXPIRE, GREEN, RED, RELEASE, SWEEP, PoolStats
 
 TIMED_KINDS = ("loop", "recursion", "deep_recursion", "matrix")
 # ALLOC_KINDS, the keys of SCHEDULES, and KINDS are defined with the schedules.
@@ -44,7 +42,6 @@ DEFAULT_CHUNK = {"recursion": 1000, "deep_recursion": 4000}
 MAX_PARTITIONS = 64
 _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
 
-ZONE_LABELS = {ZoneId.RED: "Red", ZoneId.GREEN: "Green", ZoneId.BLUE: "Blue"}
 # Reports list zones in the order the experiment tables use.
 REPORT_ZONE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
 # The pool table's columns after the zone are PoolStats' fields, read without
@@ -308,27 +305,27 @@ def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Bench
 
 def _per_zone(n: int, green: int, blue: int, red: int) -> tuple:
     """n green requests, then n blue, then n red, ending by the given codes."""
-    return (np.repeat(np.array([_GREEN, _BLUE, _RED], np.int8), n),
+    return (np.repeat(np.array([GREEN, BLUE, RED], np.int8), n),
             np.repeat(np.array([green, blue, red], np.int8), n))
 
 
 def _alloc_reuse(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     n = spec.size
-    return (np.full(n, _GREEN, np.int8), np.full(n, RELEASE, np.int8),
+    return (np.full(n, GREEN, np.int8), np.full(n, RELEASE, np.int8),
             (None, "hot_loop", None))
 
 
 def _zone_pressure(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
     u = np.random.default_rng(spec.seed).random(spec.size)
-    zones = np.full(spec.size, _RED, np.int8)
-    zones[u < 0.9] = _BLUE
-    zones[u < 0.7] = _GREEN
+    zones = np.full(spec.size, RED, np.int8)
+    zones[u < 0.9] = BLUE
+    zones[u < 0.7] = GREEN
     return (zones, np.full(spec.size, RELEASE, np.int8),
             ("pressure_red", "pressure_green", "pressure_blue"))
 
 
 def _zone_imbalance(spec: WorkloadSpec, cfg: RuntimeConfig) -> tuple:
-    block = np.repeat(np.array([_GREEN, _BLUE, _RED], np.int8), (90, 9, 1))
+    block = np.repeat(np.array([GREEN, BLUE, RED], np.int8), (90, 9, 1))
     return (np.resize(block, spec.size), np.full(spec.size, RELEASE, np.int8),
             ("imbalance_red", "imbalance_green", "imbalance_blue"))
 
@@ -476,7 +473,7 @@ def emit_pool_stats(stats: dict[ZoneId, PoolStats], fmt: str = "csv", *,
         title, label, num = f"# workload={kind} schedule={note}", str, str
         header = _POOL_CSV_HEADER
     else:
-        title, label, num = f"{kind}: {note}", ZONE_LABELS.get, "{:,}".format
+        title, label, num = f"{kind}: {note}", lambda zone: zone.name.title(), "{:,}".format
         header = _POOL_MARKDOWN_HEADER
     rows = ([label(zone), *map(num, _POOL_COLUMNS(stats[zone]))] for zone in REPORT_ZONE_ORDER)
     return _table(fmt, title, header, rows)

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AlignmentError, IndexRangeError
-from .gates import eval_liveness_gate  # noqa: F401  (perfbench/tracer.py wraps this name)
+from .gates import eval_liveness_gate  # noqa: F401  perfbench's tracer wraps checkpoint.eval_liveness_gate
 from .layout import SLOT_BYTES, ZoneLayout
 
 

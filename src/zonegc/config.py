@@ -1,5 +1,5 @@
-"""Runtime configuration: one flat dataclass, a plain-text key-value loader,
-and factories that hand out the runtime pieces a config builds once.
+"""Runtime configuration: one flat dataclass, whose pieces every arena it
+builds shares, and a plain-text key-value loader.
 
 File format: one `key = value` per line, `#` starts a comment, blank lines
 ignored. A key is its field's name with the group prefix dotted off, for
@@ -21,11 +21,11 @@ build_arena hands the arena only the active policy's thresholds, whose type
 selects the policy.
 
 A config is checked as a whole when it is built. The pieces it builds and keeps
-(ZoneLayout, EmaConfig, RateThresholds, PredicateThresholds, CostParams)
-apply their own rules; RuntimeConfig adds the rules no piece owns: policy
-takes one of its allowed values, sweep_interval and max_recursion_depth are
->= 1, rate_window and seconds_per_op are finite and > 0. parse_config reports
-a broken rule as ConfigError naming a line.
+as immutable attributes (layout, ema, rate_thresholds, predicate_thresholds,
+cost_params) apply their own rules; RuntimeConfig adds the rules no piece
+owns: policy takes one of its allowed values, sweep_interval and
+max_recursion_depth are >= 1, rate_window and seconds_per_op are finite and
+> 0. parse_config reports a broken rule as ConfigError naming a line.
 """
 
 from __future__ import annotations
@@ -75,15 +75,15 @@ class RuntimeConfig:
     predicate_size_red: float = PredicateThresholds.size_red
     predicate_size_green: float = PredicateThresholds.size_green
     # cost model
-    cost_red_mark: float = DEFAULT_WEIGHTS[ZoneId.RED].mark
-    cost_red_scan: float = DEFAULT_WEIGHTS[ZoneId.RED].scan
-    cost_red_stage: float = DEFAULT_WEIGHTS[ZoneId.RED].stage
-    cost_green_mark: float = DEFAULT_WEIGHTS[ZoneId.GREEN].mark
-    cost_green_scan: float = DEFAULT_WEIGHTS[ZoneId.GREEN].scan
-    cost_green_stage: float = DEFAULT_WEIGHTS[ZoneId.GREEN].stage
-    cost_blue_mark: float = DEFAULT_WEIGHTS[ZoneId.BLUE].mark
-    cost_blue_scan: float = DEFAULT_WEIGHTS[ZoneId.BLUE].scan
-    cost_blue_stage: float = DEFAULT_WEIGHTS[ZoneId.BLUE].stage
+    cost_red_mark: float = DEFAULT_WEIGHTS[ZoneId.RED.ordinal].mark
+    cost_red_scan: float = DEFAULT_WEIGHTS[ZoneId.RED.ordinal].scan
+    cost_red_stage: float = DEFAULT_WEIGHTS[ZoneId.RED.ordinal].stage
+    cost_green_mark: float = DEFAULT_WEIGHTS[ZoneId.GREEN.ordinal].mark
+    cost_green_scan: float = DEFAULT_WEIGHTS[ZoneId.GREEN.ordinal].scan
+    cost_green_stage: float = DEFAULT_WEIGHTS[ZoneId.GREEN.ordinal].stage
+    cost_blue_mark: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].mark
+    cost_blue_scan: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].scan
+    cost_blue_stage: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].stage
     cost_mark_tolerance: float = CostParams.mark_tolerance
     # bench harness
     max_recursion_depth: int = 32000
@@ -98,15 +98,15 @@ class RuntimeConfig:
         )
         problems = [message for ok, message in own_rules if not ok]
         # The piece fields above default to the pieces' own defaults. The
-        # pieces are kept: they are frozen, so every arena shares them.
+        # pieces are kept as attributes, not fields; immutable, they are shared.
         for name, build in (
-            ("_layout", lambda: ZoneLayout(self.zone_red, self.zone_green, self.zone_blue)),
-            ("_ema", lambda: EmaConfig(self.ema_weight)),
-            ("_rate_thresholds", lambda: RateThresholds(**self._group("simple"))),
-            ("_predicate_thresholds", lambda: PredicateThresholds(**self._group("predicate"))),
-            ("_cost_params", lambda: CostParams(
-                weights={zone: ZoneWeights(**self._group(f"cost.{zone.name.lower()}"))
-                         for zone in ZONE_ORDER},
+            ("layout", lambda: ZoneLayout(self.zone_red, self.zone_green, self.zone_blue)),
+            ("ema", lambda: EmaConfig(self.ema_weight)),
+            ("rate_thresholds", lambda: RateThresholds(**self._group("simple"))),
+            ("predicate_thresholds", lambda: PredicateThresholds(**self._group("predicate"))),
+            ("cost_params", lambda: CostParams(
+                weights=tuple(ZoneWeights(**self._group(f"cost.{zone.name.lower()}"))
+                              for zone in ZONE_ORDER),
                 **self._group("cost"))),
         ):
             try:
@@ -116,9 +116,8 @@ class RuntimeConfig:
         if problems:
             raise ConfigError(*problems)
 
-    # -- factories: the pieces built at construction, and a new clock --------
-
     def clock(self) -> LogicalClock:
+        """A new clock per arena: a clock advances, so no two arenas share one."""
         return LogicalClock(self.seconds_per_op)
 
     def _group(self, group: str) -> dict:
@@ -126,21 +125,12 @@ class RuntimeConfig:
         which is the name of the piece field they set."""
         return {name: getattr(self, field) for name, field in _GROUP_FIELDS[group].items()}
 
-    def rate_thresholds(self) -> RateThresholds:
-        return self._rate_thresholds
-
-    def predicate_thresholds(self) -> PredicateThresholds:
-        return self._predicate_thresholds
-
-    def cost_params(self) -> CostParams:
-        return self._cost_params
-
     def build_arena(self) -> ZoneArena:
         """A new arena on this config's pieces, with a clock of its own."""
-        thresholds = (self.rate_thresholds() if self.policy == "simple"
-                      else self.predicate_thresholds())
-        return ZoneArena(self._layout, clock=self.clock(), rate_window=self.rate_window,
-                         ema=self._ema, thresholds=thresholds, costs=self.cost_params())
+        thresholds = (self.rate_thresholds if self.policy == "simple"
+                      else self.predicate_thresholds)
+        return ZoneArena(self.layout, clock=self.clock(), rate_window=self.rate_window,
+                         ema=self.ema, thresholds=thresholds, costs=self.cost_params)
 
 
 # Groups whose keys are dotted: field cost_red_mark is key cost.red.mark and
@@ -178,6 +168,8 @@ _GROUP_FIELDS = _group_fields()
 # The config of every run without --config: frozen, so one serves them all.
 DEFAULT_CONFIG = RuntimeConfig()
 _PARSERS = {"int": int, "float": float, "str": str}
+# A config file is a few dozen lines; load_config refuses one longer than this.
+MAX_CONFIG_CHARS = 1 << 20
 
 
 def _problems(values: dict) -> tuple[str, ...]:
@@ -240,4 +232,10 @@ def parse_config(text: str) -> RuntimeConfig:
 
 
 def load_config(path: str | Path) -> RuntimeConfig:
-    return parse_config(Path(path).read_text())
+    """parse_config of the UTF-8 file at `path`. The read is capped, so an
+    endless file such as /dev/zero fails instead of filling memory."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read(MAX_CONFIG_CHARS + 1)
+    if len(text) > MAX_CONFIG_CHARS:
+        raise ConfigError(f"{path}: config file longer than {MAX_CONFIG_CHARS} characters")
+    return parse_config(text)

@@ -46,9 +46,8 @@ def make_partitions(n: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(((i * n) // p, ((i + 1) * n) // p) for i in range(p))
 
 
-# Lanewise retention merge for one worker's entries: the same formula as the
-# liveness gate. The aggregator concatenates per-worker results in worker
-# order, which run_parallel's range-ordered results provide.
+# The liveness gate, named as the sync merge that acceptance check c07
+# (tests/test_acceptance.py) tests against its oracle. No run path calls it.
 sync_checkpoint = eval_liveness_gate
 
 

@@ -25,7 +25,7 @@ and each zone's last request.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +52,9 @@ from .objects import (
 # Argmin preference when zone costs tie: green, then blue, then red.
 _TIE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
 
-_RED, _GREEN, _BLUE = (zone.ordinal for zone in ZONE_ORDER)
+# Zone ordinals: the zone codes of a request stream and of the batched
+# classifiers' output.
+RED, GREEN, BLUE = (zone.ordinal for zone in ZONE_ORDER)
 
 # Plain-int state codes for the inlined table writes; storing a StateCode
 # member in the bytearray costs several times more per write.
@@ -122,26 +124,26 @@ class ZoneWeights:
             raise ValueError("cost weights must be non-negative")
 
 
-# The weights of CostParams(), and the defaults of the config's cost.<zone> keys.
-DEFAULT_WEIGHTS = {ZoneId.RED: ZoneWeights(1.0, 1.0, 4.0),
-                   ZoneId.GREEN: ZoneWeights(1.0, 0.8, 2.0),
-                   ZoneId.BLUE: ZoneWeights(0.5, 0.5, 1.0)}
+# CostParams()'s weights, by ZoneId.ordinal; the config's cost.<zone> defaults.
+DEFAULT_WEIGHTS = (ZoneWeights(1.0, 1.0, 4.0),
+                   ZoneWeights(1.0, 0.8, 2.0),
+                   ZoneWeights(0.5, 0.5, 1.0))
 
 
 @dataclass(frozen=True)
 class CostParams:
-    """Per-zone cost weights.
+    """Per-zone cost weights, indexed by ZoneId.ordinal.
 
     Orderings enforced at construction: staging strictly decreases red to
     blue; mark weight red and green agree within mark_tolerance and both
     exceed blue; scan weight is non-increasing red to blue.
     """
 
-    weights: dict[ZoneId, ZoneWeights] = field(default_factory=DEFAULT_WEIGHTS.copy)
+    weights: tuple[ZoneWeights, ZoneWeights, ZoneWeights] = DEFAULT_WEIGHTS
     mark_tolerance: float = 0.25
 
     def __post_init__(self) -> None:
-        r, g, b = (self.weights[z] for z in ZONE_ORDER)
+        r, g, b = self.weights
         if not r.stage > g.stage > b.stage:
             raise ValueError("staging weights must strictly decrease red > green > blue")
         if not (r.mark >= g.mark > b.mark and abs(r.mark - g.mark) <= self.mark_tolerance):
@@ -156,7 +158,7 @@ class CostParams:
 def zone_cost(zone: ZoneId, f: FeatureVector | FeatureColumns, costs: CostParams):
     """Expected per-object work of hosting f in zone: mark, scan, staging.
     A float for a FeatureVector, an array for FeatureColumns."""
-    w = costs.weights[zone]
+    w = costs.weights[zone.ordinal]
     return w.mark * f.complexity_weight + w.scan * f.fan_out + w.stage * f.size
 
 
@@ -213,7 +215,7 @@ def classify_simple_batch(f: FeatureColumns, th: RateThresholds,
                           costs: CostParams) -> np.ndarray:
     """classify_simple of each object, as zone ordinals."""
     return np.select(list(_simple_rules(f, th)),
-                     [_RED, _GREEN, argmin_cost_batch(f, costs)], _BLUE)
+                     [RED, GREEN, argmin_cost_batch(f, costs)], BLUE)
 
 
 def _eligible(f: FeatureVector | FeatureColumns, th: PredicateThresholds) -> tuple:
@@ -247,7 +249,7 @@ def classify_predicates_batch(f: FeatureColumns, th: PredicateThresholds,
     """classify_predicates of each object, as zone ordinals."""
     e_r, e_g, e_b = _eligible(f, th)
     return np.select([e_r.astype(np.int8) + e_g + e_b != 1, e_r, e_g],
-                     [argmin_cost_batch(f, costs), _RED, _GREEN], _BLUE)
+                     [argmin_cost_batch(f, costs), RED, GREEN], BLUE)
 
 
 # thresholds type -> (policy name, scalar classifier, batched classifier)

@@ -217,9 +217,9 @@ def test_c09_classification_oracles():
     """The three rate-policy boundary cases, then the predicate policy
     against a fully re-derived oracle on 10,000 random feature vectors."""
     cfg = RuntimeConfig()
-    th = cfg.rate_thresholds()
-    pth = cfg.predicate_thresholds()
-    costs = cfg.cost_params()
+    th = cfg.rate_thresholds
+    pth = cfg.predicate_thresholds
+    costs = cfg.cost_params
 
     def f(access=0.0, mutation=0.0, lifetime=0.0, size=0.0, fan_out=0.0, chi=0.0):
         return FeatureVector(lifetime=lifetime, mutation_rate=mutation,

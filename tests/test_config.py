@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -14,7 +16,13 @@ from zonegc.config import DEFAULT_CONFIG, RuntimeConfig, load_config, parse_conf
 from zonegc.errors import ConfigError
 from zonegc.layout import MAX_ZONE_SLOTS, ZoneId
 from zonegc.objects import EmaConfig
-from zonegc.zones import CostParams, PredicateThresholds, RateThresholds, ZoneArena
+from zonegc.zones import (
+    CostParams,
+    PredicateThresholds,
+    RateThresholds,
+    ZoneArena,
+    ZoneWeights,
+)
 
 
 def test_defaults_assemble_a_runtime():
@@ -139,11 +147,47 @@ def test_load_config_reads_file(tmp_path):
     assert cfg.seconds_per_op == 0.5
 
 
+def test_load_config_refuses_a_file_over_the_size_cap(tmp_path, capsys):
+    line = "#" * 63 + "\n"
+    at_cap = line * (zconfig.MAX_CONFIG_CHARS // len(line))
+    assert len(at_cap) == zconfig.MAX_CONFIG_CHARS
+    path = tmp_path / "runtime.conf"
+    path.write_text(at_cap)
+    assert load_config(path) == DEFAULT_CONFIG
+    path.write_text(at_cap + "#")
+    assert main(["alloc_reuse", "--size", "10", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "longer than" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "runtime.conf"
+    path.write_bytes(b"zones.green = 64\n# \xff\n")
+    assert main(["alloc_reuse", "--size", "10", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_config_reads_a_pipe(tmp_path):
+    # a pipe has no size to check up front: the capped read serves it too
+    path = tmp_path / "runtime.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=("zones.red = 33\n",),
+                              daemon=True)
+    writer.start()
+    assert load_config(path).zone_red == 33
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
 def test_config_defaults_are_the_pieces_defaults():
     cfg = RuntimeConfig()
-    assert CostParams() == cfg.cost_params()
-    assert RateThresholds() == cfg.rate_thresholds()
-    assert PredicateThresholds() == cfg.predicate_thresholds()
+    assert CostParams() == cfg.cost_params
+    assert RateThresholds() == cfg.rate_thresholds
+    assert PredicateThresholds() == cfg.predicate_thresholds
     assert EmaConfig().weight == cfg.ema_weight
     assert DEFAULT_CONFIG == cfg
 
@@ -151,7 +195,7 @@ def test_config_defaults_are_the_pieces_defaults():
 def test_default_config_arena_matches_the_arena_defaults():
     # ZoneArena defaults its policy, thresholds, costs, EMA, window and clock
     # apart from RuntimeConfig's fields: the two arenas must agree
-    built, bare = DEFAULT_CONFIG.build_arena(), ZoneArena(DEFAULT_CONFIG._layout)
+    built, bare = DEFAULT_CONFIG.build_arena(), ZoneArena(DEFAULT_CONFIG.layout)
     assert built.policy == bare.policy == DEFAULT_CONFIG.policy
     assert built.thresholds == bare.thresholds
     assert built.costs == bare.costs
@@ -189,9 +233,9 @@ def test_build_arena_takes_the_pieces_validation_built(monkeypatch):
         assert arena.slots.cfg is pieces["EmaConfig"]
         assert arena.thresholds is pieces["PredicateThresholds"]
         assert arena.costs is pieces["CostParams"]
-    assert cfg.rate_thresholds() is pieces["RateThresholds"]
-    assert cfg.predicate_thresholds() is pieces["PredicateThresholds"]
-    assert cfg.cost_params() is pieces["CostParams"]
+    assert cfg.rate_thresholds is pieces["RateThresholds"]
+    assert cfg.predicate_thresholds is pieces["PredicateThresholds"]
+    assert cfg.cost_params is pieces["CostParams"]
 
 
 def test_arenas_from_one_config_share_no_mutable_part():
@@ -203,6 +247,14 @@ def test_arenas_from_one_config_share_no_mutable_part():
     assert (second.clock.ops, second.slots.site_tag.count("t")) == (0, 0)
     assert not any(second.table.states())
     assert second.pool_stats(ZoneId.GREEN).total_requests == 0
+    # every piece the config shares with its arenas is immutable, so it hashes
+    for piece in (DEFAULT_CONFIG.layout, DEFAULT_CONFIG.ema, DEFAULT_CONFIG.rate_thresholds,
+                  DEFAULT_CONFIG.predicate_thresholds, DEFAULT_CONFIG.cost_params):
+        hash(piece)
+    # nothing reached through an arena changes what the next arena gets
+    with pytest.raises(TypeError):
+        first.costs.weights[ZoneId.RED.ordinal] = ZoneWeights(0.0, 0.0, 0.0)
+    assert DEFAULT_CONFIG.build_arena().costs == CostParams()
 
 
 def test_replace_revalidates_and_rebuilds_the_pieces():
@@ -210,10 +262,10 @@ def test_replace_revalidates_and_rebuilds_the_pieces():
         dataclasses.replace(DEFAULT_CONFIG, zone_red=0)
     small = dataclasses.replace(DEFAULT_CONFIG, zone_red=8, cost_red_mark=1.1)
     assert small.build_arena().layout.n_red == 8
-    assert small.cost_params().weights[ZoneId.RED].mark == 1.1
+    assert small.cost_params.weights[ZoneId.RED.ordinal].mark == 1.1
     # the source config keeps its own pieces
     assert DEFAULT_CONFIG.build_arena().layout.n_red == 1024
-    assert DEFAULT_CONFIG.cost_params() == CostParams()
+    assert DEFAULT_CONFIG.cost_params == CostParams()
 
 
 def test_config_is_frozen():
@@ -242,9 +294,9 @@ def test_each_piece_key_reaches_its_piece_field():
         f.name for f in dataclasses.fields(RuntimeConfig)
         if f.name.startswith(("simple_", "predicate_", "cost_"))}
     cfg = parse_config("\n".join(f"{key} = {v}" for key, v in PIECE_KEYS.items()))
-    costs = cfg.cost_params()
-    pieces = {"simple": cfg.rate_thresholds(), "predicate": cfg.predicate_thresholds(),
-              "cost": costs, **{f"cost.{z.name.lower()}": costs.weights[z] for z in ZoneId}}
+    costs = cfg.cost_params
+    pieces = {"simple": cfg.rate_thresholds, "predicate": cfg.predicate_thresholds,
+              "cost": costs, **{f"cost.{z.name.lower()}": costs.weights[z.ordinal] for z in ZoneId}}
     for prefix, piece in pieces.items():
         keys = {key.rpartition(".")[2]: v for key, v in PIECE_KEYS.items()
                 if key.rpartition(".")[0] == prefix}
@@ -261,8 +313,8 @@ def test_factories_honor_overrides():
         seconds_per_op = 0.001
         """
     )
-    costs = cfg.cost_params()
-    assert costs.weights[ZoneId.BLUE].stage == 0.5
+    costs = cfg.cost_params
+    assert costs.weights[ZoneId.BLUE.ordinal].stage == 0.5
     clock = cfg.clock()
     clock.ops += 10
     assert clock.now == pytest.approx(0.01)

@@ -1,5 +1,6 @@
 """Every function in src/zonegc is entered by a CLI run, or listed in ALLOW
-with the reason it is kept.
+with the reason it is kept; every name a module imports is used there, or
+listed in TRACER_IMPORTS.
 
 One child process sets a trace function, then imports the package and runs
 cli.main in-process: every kind at a small size, in both report formats, the
@@ -21,6 +22,7 @@ ROADMAP item, by title, that puts it on a CLI path (open:).
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import os
@@ -104,6 +106,13 @@ ALLOW = {
 }
 
 REASON = re.compile(r"(c\d\d|perfbench/|safety:|open:)")
+
+# Module-level imports that nothing in their module reads, kept because
+# perfbench's tracer wraps the module's own binding of the name. Each carries
+# a noqa comment that says so.
+TRACER_IMPORTS = {"bench.record_event", "checkpoint.eval_liveness_gate",
+                  "zones.feature_snapshot"}
+TRACER_NOQA = re.compile(r"# noqa: F401  perfbench's tracer wraps (\w+\.\w+)$")
 
 # Small sizes that still take each kind's branches: checkpoint_lifecycle
 # passes the default sweep_interval of 500, so its sweep requests run.
@@ -213,3 +222,40 @@ def test_every_reason_says_what_keeps_the_function():
     bad = sorted(name for name, reason in ALLOW.items() if not REASON.match(reason))
     assert not bad, (f"the ALLOW reasons of {bad} must start with cNN, perfbench/, "
                      "safety: or open:")
+
+
+def _unread_imports() -> dict[str, str]:
+    """module.name -> source line, for each name that a module-level import in
+    src/zonegc binds and nothing else in that module reads."""
+    found = {}
+    for path in sorted((SRC / "zonegc").glob("*.py")):
+        source = path.read_text()
+        tree, lines = ast.parse(source), source.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name not in read:
+                    found[f"{path.stem}.{name}"] = lines[alias.lineno - 1]
+    return found
+
+
+def test_every_import_is_read_or_kept_for_the_tracer():
+    unread = _unread_imports()
+    dead = sorted(unread.keys() - TRACER_IMPORTS)
+    assert not dead, f"{dead} are imported and never read: delete the imports"
+    stale = sorted(TRACER_IMPORTS - unread.keys())
+    assert not stale, f"{stale} are read in their modules now: drop them from TRACER_IMPORTS"
+    tracer = (SRC.parent / "perfbench" / "tracer.py").read_text()
+    for name in sorted(TRACER_IMPORTS):
+        noqa = TRACER_NOQA.search(unread[name])
+        assert noqa and noqa[1] == name, (
+            f"{name}'s import needs the comment "
+            f"'# noqa: F401  perfbench's tracer wraps {name}'")
+        module, _, attr = name.partition(".")
+        assert f'wrap(z{module}, "{attr}"' in tracer, (
+            f"perfbench/tracer.py no longer wraps {name}: delete its import")

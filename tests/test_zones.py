@@ -84,8 +84,7 @@ def test_argmin_tie_and_strict_minimum():
 
 def test_cost_params_orderings_enforced():
     def weights(r, g, b):
-        return {ZoneId.RED: ZoneWeights(*r), ZoneId.GREEN: ZoneWeights(*g),
-                ZoneId.BLUE: ZoneWeights(*b)}
+        return ZoneWeights(*r), ZoneWeights(*g), ZoneWeights(*b)
 
     with pytest.raises(ValueError):  # staging must strictly decrease
         CostParams(weights=weights((1, 1, 2), (1, 0.8, 2), (0.5, 0.5, 1)))
@@ -239,9 +238,8 @@ def _weights(draw) -> CostParams:
     mark = ladder([0.0, 0.5], [0.25, 0.5], [0.0, 0.25])
     scan = ladder([0.0, 0.5], [0.0, 0.25], [0.0, 0.5])
     stage = ladder([0.0, 1.0], [0.5, 1.0], [1.0, 2.0])
-    return CostParams(weights={
-        zone: ZoneWeights(mark[k], scan[k], stage[k])
-        for k, zone in enumerate((ZoneId.BLUE, ZoneId.GREEN, ZoneId.RED))})
+    # the ladders run blue, green, red; weights run in ZoneId.ordinal order
+    return CostParams(weights=tuple(map(ZoneWeights, mark[::-1], scan[::-1], stage[::-1])))
 
 
 def _band(lo: float, hi: float) -> list[float]:
@@ -297,9 +295,9 @@ def columns(fs: list[FeatureVector]) -> FeatureColumns:
 
 # Blue's mark and stage weights are 0, so an inf size or complexity weight
 # makes blue's cost inf * 0 = NaN while green's and red's are inf.
-ZERO_BLUE_WEIGHTS = CostParams(weights={ZoneId.RED: ZoneWeights(1.0, 1.0, 4.0),
-                                        ZoneId.GREEN: ZoneWeights(1.0, 0.8, 2.0),
-                                        ZoneId.BLUE: ZoneWeights(0.0, 0.5, 0.0)})
+ZERO_BLUE_WEIGHTS = CostParams(weights=(ZoneWeights(1.0, 1.0, 4.0),
+                                         ZoneWeights(1.0, 0.8, 2.0),
+                                         ZoneWeights(0.0, 0.5, 0.0)))
 
 
 @settings(max_examples=100, deadline=None)
