@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 
 from .bench import (
@@ -59,16 +61,21 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
     fmt, config_path, output = args.pop("fmt"), args.pop("config"), args.pop("output")
     try:
-        config = load_config(config_path) if config_path else DEFAULT_CONFIG
+        config = DEFAULT_CONFIG if config_path is None else load_config(config_path)
         spec = WorkloadSpec(**args)  # the options left are the given spec fields
         result = run_bench(spec, config)
         if spec.kind in TIMED_KINDS:
             text = emit_report(result, fmt)
         else:
             text = emit_pool_stats(result, fmt, kind=spec.kind, config=config)
-        if output:
-            with open(output, "w") as fh:
+        if output is not None:
+            # rewritten in place, then cut to the report's length: O_TRUNC
+            # would free the file's blocks for the write to allocate again
+            with open(output, "w", opener=lambda path, flags:
+                      os.open(path, flags & ~os.O_TRUNC, 0o666)) as fh:
                 fh.write(text + "\n")
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()  # a device or a pipe has no length to cut
         else:
             print(text)
     except (ZonegcError, OSError, ValueError, MemoryError) as exc:

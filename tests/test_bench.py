@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
 import re
+import stat
 import statistics
 import subprocess
 import sys
@@ -215,6 +217,61 @@ def test_unwritable_output_is_one_error_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_output_path_that_is_no_file_is_one_error_line(tmp_path, capsys):
+    # a directory cannot be written, and an empty path names no file: it
+    # does not mean "print to stdout"
+    for path, reason in ((str(tmp_path), "[Errno 21] Is a directory"),
+                         ("", "[Errno 2] No such file or directory")):
+        assert cli.main(["alloc_reuse", "--size", "10", "--output", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {reason}: '{path}'\n")
+
+
+def test_output_file_is_rewritten_to_the_report_length(tmp_path, capsys):
+    # the file is written in place, not truncated first: what is left of a
+    # longer old file must be cut off
+    argv = ["zone_pressure", "--size", "300", "--seed", "3"]
+    assert cli.main(argv) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * 10_000)
+    assert cli.main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == report.encode()
+
+
+def test_output_to_dev_null_prints_nothing(capsys):
+    # /dev/null is not a regular file: nothing is cut, and the write succeeds
+    assert cli.main(["alloc_reuse", "--size", "10", "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_output_to_a_pipe_is_the_whole_report(tmp_path, capsys):
+    assert cli.main(["expiration", "--size", "700", "--format", "markdown"]) == 0
+    report = capsys.readouterr().out
+    path = tmp_path / "report.fifo"
+    os.mkfifo(path)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(path.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(["expiration", "--size", "700", "--format", "markdown",
+                     "--output", str(path)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [report]
+    assert capsys.readouterr() == ("", "")
+
+
+def test_new_output_file_takes_the_umask(tmp_path):
+    out = tmp_path / "out.csv"
+    old = os.umask(0o027)
+    try:
+        assert cli.main(["alloc_reuse", "--size", "10", "--output", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
 def test_unallocatable_matrix_is_one_error_line(monkeypatch, capsys):
     # 20M x 20M int64 indices need 2.84 PiB: numpy refuses before any thread.
     monkeypatch.setattr(threading.Thread, "start",
@@ -289,6 +346,22 @@ def test_repeated_cli_calls_match_a_fresh_process(kind, fmt, fresh_outputs,
         assert cli.main(_reuse_argv(kind, fmt)) == 0
         out, err = capsys.readouterr()
         assert (_comparable(kind, out), err) == (expected, "")
+
+
+def test_repeated_cli_calls_to_one_output_file_match_a_fresh_process(fresh_outputs,
+                                                                    tmp_path, capsys):
+    # every allocation kind in both formats writes to one file, longest
+    # report first: each call must leave exactly its own report, with no
+    # tail of the longer one before it
+    runs = sorted(((kind, fmt) for kind, fmt in REUSE_RUNS if kind in bench.ALLOC_KINDS),
+                  key=lambda run: -len(fresh_outputs[run]))
+    lengths = [len(fresh_outputs[run]) for run in runs]
+    assert len(set(lengths)) == len(lengths)  # so each report is shorter than the last
+    out = tmp_path / "report.txt"
+    for kind, fmt in runs:
+        assert cli.main([*_reuse_argv(kind, fmt), "--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == fresh_outputs[kind, fmt].encode()
 
 
 def test_kind_dispatch_guards():

@@ -170,6 +170,12 @@ def test_cli_reports_a_config_file_that_is_not_utf8(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_reports_an_empty_config_path(capsys):
+    # an empty path names no file; it does not mean "no --config"
+    assert main(["alloc_reuse", "--size", "10", "--config", ""]) == 1
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_config_reads_a_pipe(tmp_path):
     # a pipe has no size to check up front: the capped read serves it too

@@ -4,12 +4,12 @@ listed in TRACER_IMPORTS.
 
 One child process sets a trace function, then imports the package and runs
 cli.main in-process: every kind at a small size, in both report formats, the
-timed kinds at 1 and 2 partitions, one run with --output, one with --config,
-and the error paths. A function counts as entered when a frame of its code
-object starts, on the main thread or a run_parallel worker. Only named
-function bodies count: module and class bodies run at import, and lambdas,
-generator expressions and comprehensions are dropped, as 3.12 inlines the
-comprehensions into their function.
+timed kinds at 1 and 2 partitions, two runs with --output (a file and
+/dev/null), one with --config, and the error paths. A function counts as
+entered when a frame of its code object starts, on the main thread or a
+run_parallel worker. Only named function bodies count: module and class
+bodies run at import, and lambdas, generator expressions and comprehensions
+are dropped, as 3.12 inlines the comprehensions into their function.
 
 The list changes only by a visible edit. The tests fail when an unlisted
 function is unreached (wire it into a CLI path or delete it), when a listed
@@ -179,6 +179,7 @@ def _runs(tmp: Path) -> list[tuple[list[str], int]]:
         runs.append((["alloc_reuse", "--size", "10", "--config", str(tmp / f"{name}.conf")],
                      0 if name == "good" else 1))
     runs += [(["alloc_reuse", "--size", "10", "--output", str(tmp / "report.csv")], 0),
+             (["alloc_reuse", "--size", "10", "--output", os.devnull], 0),
              (["alloc_reuse", "--size", "10", "--partitions", "2"], 1),
              (["loop", "--size", "10", "--chunk", "5"], 1)]
     return runs
