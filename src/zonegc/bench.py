@@ -40,6 +40,8 @@ DEFAULT_CHUNK = {"recursion": 1000, "deep_recursion": 4000}
 # run_parallel starts one thread per partition, with a large stack for the
 # recursion kinds, so the count is bounded before any thread starts.
 MAX_PARTITIONS = 64
+# The largest matrix dimension whose float32 product is exact (run_matrix).
+MAX_MATRIX_SIZE = 1 << 18
 _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
 
 # Reports list zones in the order the experiment tables use.
@@ -102,6 +104,8 @@ class WorkloadSpec:
                 )
         elif self.chunk is not None:
             raise ValueError(f"chunk applies only to the recursion kinds, not {self.kind}")
+        if self.kind == "matrix" and self.size > MAX_MATRIX_SIZE:
+            raise ValueError(f"matrix size must be <= {MAX_MATRIX_SIZE} for an exact product")
         if self.partitions > 1 and self.kind in ALLOC_KINDS:
             raise ValueError(f"partitions apply only to the timed kinds; {self.kind} takes 1")
 
@@ -167,32 +171,35 @@ def summarize(spec: WorkloadSpec, records: list[AttemptRecord]) -> BenchReport:
 
 # Indices per loop_partial block: 512 KiB of int64, 1 MiB for a worker's two
 # buffers. Chosen by timing the 4M loop at 1 and 2 partitions on a 2-core
-# host: 1 << 17 ran p1 slower, and 1 << 15 ran p2 slower, since its workers
-# hand the GIL over once per ufunc call and so four times as often.
+# host: of 1 << 14 to 1 << 18, 1 << 16 ran fastest at both. A smaller block
+# makes more ufunc calls, two per block, and at p2 each call hands the GIL
+# over; a larger block ran slower at p1 and p2 alike.
 _LOOP_BLOCK = 1 << 16
 
 
 def loop_partial(lo: int, hi: int) -> int:
     """Sum of i*31 + 7 over [lo, hi).
 
-    The range is walked in blocks of at most _LOOP_BLOCK indices. Each block
-    is filled by a ufunc, which releases the GIL, into one reused buffer,
-    scaled and summed in int64, and the block sums are added as Python ints.
-    A block sum that leaves int64 wraps modulo 2**64, so the total is exact
-    modulo 2**64 at any size, and so is its wrap16 checksum.
+    The range is walked in blocks of at most _LOOP_BLOCK indices. The steps
+    31*j of a block's offsets j are computed once per call; each block then
+    makes two ufunc calls, which release the GIL: one adds the block's base
+    31*start + 7 to the steps, writing the block's values into one reused
+    buffer, and one sums them in int64. The block sums are added as Python
+    ints. The base is reduced modulo 2**64 into int64 range, and a block sum
+    that leaves int64 wraps modulo 2**64, so the total is exact modulo 2**64
+    at any size, and so is its wrap16 checksum.
     """
     m = min(hi - lo, _LOOP_BLOCK)
     if m <= 0:
         return 0
-    offsets = np.arange(m, dtype=np.int64)
+    steps = np.arange(0, 31 * m, 31, dtype=np.int64)
     buf = np.empty(m, dtype=np.int64)
     total = 0
     for start in range(lo, hi, m):
         k = min(m, hi - start)
         block = buf[:k]
-        np.add(offsets[:k], start, out=block)
-        block *= 31
-        block += 7
+        base = (31 * start + 7 + 2**63) % 2**64 - 2**63
+        np.add(steps[:k], base, out=block)
         total += int(block.sum())
     return total
 
@@ -205,15 +212,21 @@ def chain_value(depth: int) -> int:
 
 
 def matrix_operands(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two deterministic n x n int32 operands, entries in [-8, 8].
+    """The two deterministic n x n float32 operands, entries in [-8, 8].
 
     Entry (r, c) is ((r*n + c) mod 17) - 8; both operands use the same
-    formula, so the product is fixed by n alone. The index is an int64
-    arange, so r*n + c cannot overflow; the entries are cast to int32 after
-    `% 17 - 8`, for run_matrix's int32 product.
+    formula, so the product is fixed by n alone. The residues are formed in
+    int8 from r*n mod 17 and c mod 17, so no n x n index array is built, and
+    cast to float32 for run_matrix's product. float32 holds every integer up
+    to 2**24 exactly, and every partial dot product of these entries is an
+    integer of magnitude at most 64*n, so the product is exact for n up to
+    MAX_MATRIX_SIZE.
     """
-    flat = (np.arange(n * n, dtype=np.int64) % 17 - 8).astype(np.int32)
-    a = flat.reshape(n, n)
+    idx = np.arange(n, dtype=np.int64)
+    residues = np.add.outer((idx * n % 17).astype(np.int8), (idx % 17).astype(np.int8))
+    residues %= 17
+    residues -= 8
+    a = residues.astype(np.float32)
     return a, a.copy()
 
 
@@ -279,15 +292,16 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
 def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
     """n x n integer product, output rows split across workers.
 
-    Each worker forms its row block of A @ B with np.einsum on the int32
-    operands and sums the block in int64. This is exact: every entry lies in
-    [-8, 8], so every partial dot product is below 64*n in magnitude and fits
-    int32 for every n below 2**31 / 64 (about 33.5M), far beyond any operand
-    that can be allocated (n*n entries). A block sum is at most 64*n**3 in
-    magnitude, within int64 below n = 2**19, where each operand already
-    takes 1 TiB. numpy has no BLAS for integers: int64 `@` runs an
-    unvectorised loop, while einsum's int32 sum of products is SIMD and
-    starts no thread pool beside the workers.
+    Each worker forms its row block of A @ B with np.einsum on the float32
+    operands and sums the block with .sum(dtype=np.int64), which casts in
+    buffered chunks and so makes no int64 copy of the block. This is exact:
+    every entry lies in [-8, 8], so every partial dot product is an integer
+    of magnitude at most 64*n <= 2**24 for n <= MAX_MATRIX_SIZE (2**18),
+    which float32 holds exactly; WorkloadSpec rejects a larger n. A block
+    sum is at most 64*n**3 <= 2**60 in magnitude, within int64. einsum's
+    float32 sum of products is SIMD, runs about twice as fast as its int32
+    one, and, unlike `@` or np.dot, calls no BLAS and so starts no thread
+    pool beside the workers.
     """
     if spec.kind != "matrix":
         raise ValueError(f"run_matrix got kind {spec.kind!r}")

@@ -6,6 +6,7 @@ import importlib
 import math
 import os
 import re
+import resource
 import stat
 import statistics
 import subprocess
@@ -102,6 +103,18 @@ def test_loop_partial_matches_series(lo, span):
     assert loop_partial(lo, hi) == expected
 
 
+# Past start = 2**63 // 31, a block's base 31*start + 7 leaves int64 while
+# start itself stays inside it; loop_partial reduces the base modulo 2**64.
+@example(2**58, 3 * _B + 5)
+@example(2**63 - 4 * _B - 1, 3 * _B + 5)
+@example(2**63 // 31, _B + 1)
+@given(st.integers(2**58, 2**63 - 4 * _B - 1), st.integers(0, 3 * _B + 5))
+def test_loop_partial_wraps_modulo_2_64_past_int64_bases(lo, span):
+    hi = lo + span
+    expected = loop_total_oracle(hi) - loop_total_oracle(lo)
+    assert (loop_partial(lo, hi) - expected) % 2**64 == 0
+
+
 def test_loop_partial_empty_range():
     assert loop_partial(7, 7) == 0
 
@@ -116,6 +129,22 @@ def test_loop_partial_memory_does_not_grow_with_range():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+# At n = 256 each float32 operand, and a p1 worker's one product block, is
+# 256 KiB; .sum(dtype=np.int64) casts through a 64 KiB buffer. An int64 copy
+# of the block would add 512 KiB, and so would an n x n int64 index array.
+def test_run_matrix_memory_is_operands_and_one_float32_block():
+    n = 256
+    spec = WorkloadSpec("matrix", n, attempts=1)
+    run_bench(spec)  # first-call allocations of numpy's own
+    tracemalloc.start()
+    try:
+        run_bench(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 4 * n * n + 128 * 2**10
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 50, 1000])
@@ -273,7 +302,7 @@ def test_new_output_file_takes_the_umask(tmp_path):
 
 
 def test_unallocatable_matrix_is_one_error_line(monkeypatch, capsys):
-    # 20M x 20M int64 indices need 2.84 PiB: numpy refuses before any thread.
+    # A 20M x 20M float32 operand takes 1.42 PiB: the spec refuses before any thread.
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: pytest.fail("a thread was started"))
     assert cli.main(["matrix", "--size", "20000000", "--attempts", "1"]) == 1
@@ -281,6 +310,22 @@ def test_unallocatable_matrix_is_one_error_line(monkeypatch, capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_matrix_past_the_exact_bound_is_one_error_line():
+    # The child's address space is capped at 4 GiB, so a run that got past
+    # the bound would fail to allocate its 256 GiB operands, not take them.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+
+    size = bench.MAX_MATRIX_SIZE + 1
+    proc = subprocess.run([sys.executable, "-m", "zonegc", "matrix", "--size", str(size)],
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: matrix size must be <= {bench.MAX_MATRIX_SIZE} "
+                           "for an exact product\n")
 
 
 # -- cli.main called again and again in one process ----------------------------
