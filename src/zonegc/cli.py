@@ -12,6 +12,7 @@ table. Exit status 0 on success, 1 on any reported error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import stat
@@ -26,7 +27,7 @@ from .bench import (
     emit_report,
     run_bench,
 )
-from .config import DEFAULT_CONFIG, load_config
+from .config import DEFAULT_CONFIG, RuntimeConfig, load_config
 from .errors import ZonegcError
 
 
@@ -63,25 +64,54 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = DEFAULT_CONFIG if config_path is None else load_config(config_path)
         spec = WorkloadSpec(**args)  # the options left are the given spec fields
-        result = run_bench(spec, config)
-        if spec.kind in TIMED_KINDS:
-            text = emit_report(result, fmt)
+        if output is None:
+            print(_report(spec, config, fmt))
         else:
-            text = emit_pool_stats(result, fmt, kind=spec.kind, config=config)
-        if output is not None:
-            # rewritten in place, then cut to the report's length: O_TRUNC
-            # would free the file's blocks for the write to allocate again
-            with open(output, "w", opener=lambda path, flags:
-                      os.open(path, flags & ~os.O_TRUNC, 0o666)) as fh:
-                fh.write(text + "\n")
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate()  # a device or a pipe has no length to cut
-        else:
-            print(text)
+            _write_report(output, spec, config, fmt)
     except (ZonegcError, OSError, ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError raised by Python itself carries no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
+
+
+def _report(spec: WorkloadSpec, config: RuntimeConfig, fmt: str) -> str:
+    result = run_bench(spec, config)
+    if spec.kind in TIMED_KINDS:
+        return emit_report(result, fmt)
+    return emit_pool_stats(result, fmt, kind=spec.kind, config=config)
+
+
+def _write_report(path: str, spec: WorkloadSpec, config: RuntimeConfig, fmt: str) -> None:
+    """Run spec and write its report to path, opened before the run so that
+    a path that cannot be written fails at once.
+
+    A new file is made with mode 0o666 less the umask, and removed again if
+    the run or the write fails. An existing one is left as it is until the
+    report is written over it in place, and is then cut to the report's
+    length if it was longer: O_TRUNC would free the file's blocks for the
+    write to allocate again. A device or a pipe has no length to cut.
+    """
+    try:
+        fd, created = os.open(path, os.O_WRONLY), False
+    except FileNotFoundError:
+        # O_EXCL: a file that another process made meanwhile is not removed
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    try:
+        data = (_report(spec, config, fmt) + "\n").encode()
+        view = memoryview(data)
+        while view:  # a pipe may take part of the report per write
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    except BaseException:
+        if created:
+            with contextlib.suppress(FileNotFoundError):  # already removed
+                os.unlink(path)
+        raise
+    finally:
+        os.close(fd)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Objects here are bookkeeping records, not real heap storage. Their metadata
 lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
 the way the checkpoint table keeps one byte of state per slot: liveness,
 allocation and last-event times, static features (size, fan-out, complexity
-weight), the allocation site tag and windowed mutation and access rates.
+weight), the allocation site tag's id and windowed mutation and access rates.
 A claim writes every entry of the new object, its rate windows included,
 which open at the claim with no events. A slot's one Python object is its
 ObjectHandle, which reads those arrays.
@@ -193,7 +193,9 @@ class SlotTable:
     its last one after release. Mutation and access rates keep a window
     start, an open count and an EMA (NaN until a window closes) at entry
     2 * i + kind.ordinal; a claim opens both windows at the claim time. The
-    zone is not stored: it is the slot's region in `layout`.
+    zone is not stored: it is the slot's region in `layout`. A site tag is
+    stored as a uint16 id into `tags`, the table's one list of the tags its
+    objects were claimed for, in the order first claimed; id 0 is None.
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
@@ -205,19 +207,35 @@ class SlotTable:
         self.size = _doubles(n)
         self.fan_out = _doubles(n)
         self.complexity_weight = _doubles(n)
-        self.site_tag: list[str | None] = [None] * n
+        self.site_tag = memoryview(array("H", [0]) * n)
+        self.tags: list[str | None] = [None]
+        self.tag_ids: dict[str | None, int] = {None: 0}
         self.window_start = _doubles(2 * n)
         self.count = memoryview(array("q", [0]) * (2 * n))
         self.ema = _doubles(2 * n, NAN)
         self.cfg = cfg
         self.layout = layout
 
-    def claim(self, i: int, site_tag: str | None, now: float, size: float,
+    def tag_id(self, site_tag: str | None) -> int:
+        """The id of site_tag, which is added to `tags` the first time. A tag
+        past the 65,535 that a uint16 id names beside None raises ValueError
+        and changes nothing."""
+        tag = self.tag_ids.get(site_tag)
+        if tag is None:
+            tag = len(self.tags)
+            if tag > 0xFFFF:
+                raise ValueError(f"a slot table holds at most {0xFFFF} site tags; "
+                                 f"{site_tag!r} is one more")
+            self.tags.append(site_tag)
+            self.tag_ids[site_tag] = tag
+        return tag
+
+    def claim(self, i: int, tag: int, now: float, size: float,
               fan_out: float, complexity_weight: float) -> None:
-        """Bind slot i to a new object made at `now`, whose rate windows open
-        at `now` with no events."""
+        """Bind slot i to a new object made at `now` for the site tag of id
+        `tag`, whose rate windows open at `now` with no events."""
         self.alive[i] = 1
-        self.site_tag[i] = site_tag
+        self.site_tag[i] = tag
         self.allocated_at[i] = self.last_event_at[i] = now
         self.size[i] = size
         self.fan_out[i] = fan_out
@@ -232,15 +250,13 @@ class SlotTable:
         now[k] for a copy of src[k]'s site and static features. The ends
         come before the claims, as a slot that one move frees another may
         claim."""
-        for i, d in zip(src, dst):
-            self.site_tag[d] = self.site_tag[i]
         s = np.array(src, dtype=np.intp)
         d = np.array(dst, dtype=np.intp)
         alive = np.frombuffer(self.alive, dtype=np.uint8)
         alive[s] = 0
         alive[d] = 1
-        for name in ("size", "fan_out", "complexity_weight"):
-            column = np.frombuffer(getattr(self, name))
+        for name in ("site_tag", "size", "fan_out", "complexity_weight"):
+            column = np.asarray(getattr(self, name))  # the memoryview's own type
             column[d] = column[s]
         np.frombuffer(self.allocated_at)[d] = now
         np.frombuffer(self.last_event_at)[d] = now
@@ -275,7 +291,9 @@ class ObjectHandle:
     slot_index: int
     slots: SlotTable = field(compare=False, repr=False)
 
-    site_tag = _column("site_tag")
+    site_tag = property(
+        lambda handle: handle.slots.tags[handle.slots.site_tag[handle.slot_index]],
+        doc="The slot's site tag: the entry of its table's tags that its id names.")
     allocated_at = _column("allocated_at")
     last_event_at = _column("last_event_at")
     size = _column("size")

@@ -333,11 +333,13 @@ class ZoneArena:
         complexity_weight: float = 0.0,
     ) -> ObjectHandle:
         """Serve one allocation request from the pool or a fresh slot."""
+        slots = self.slots
+        tag = slots.tag_id(site_tag)  # first: a tag with no id left changes nothing
         clock = self.clock
         clock.ops += 1
         now = clock.ops * clock.seconds_per_op
         idx = self._take(zone.ordinal)
-        self.slots.claim(idx, site_tag, now, size, fan_out, complexity_weight)
+        slots.claim(idx, tag, now, size, fan_out, complexity_weight)
         # set_state(idx, ACTIVE) inlined; idx came from this arena so the
         # range check is redundant here.
         self._states[idx] = _ACTIVE
@@ -419,7 +421,7 @@ class ZoneArena:
             raise ZoneCapacityError(f"zone {new_zone} has no slot for slot {idx}")
         self.expire(handle)
         return self.allocate(
-            new_zone, slots.site_tag[idx], size=slots.size[idx],
+            new_zone, slots.tags[slots.site_tag[idx]], size=slots.size[idx],
             fan_out=slots.fan_out[idx], complexity_weight=slots.complexity_weight[idx],
         )
 
@@ -449,8 +451,8 @@ class ZoneArena:
                              "and tags one per zone")
         if zones.dtype != np.int8 or ends.dtype != np.int8:
             raise ValueError("zones and ends must be int8 arrays")
-        if n and (zones.min() < 0 or zones.max() > 2 or ends.min() < 0
-                  or ends.max() > SWEEP):
+        # one max per array: a negative int8 reads as 128 or more as uint8
+        if n and (zones.view(np.uint8).max() > 2 or ends.view(np.uint8).max() > SWEEP):
             raise ValueError("a request names no zone or end code")
         full = [not self._room(zi) for zi in range(3)]
         if any(full) and (blocked := np.array(full)[zones]).any():

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 # -- frozen kernel checksums ------------------------------------------------
 # wrap16(sum_{i=0}^{n-1} (31 i + 7)); the total is the arithmetic series
 # 31 n(n-1)/2 + 7n, evaluated in exact integer arithmetic.
@@ -487,3 +489,30 @@ def request_loop_oracle(arena, zones, sites, ends, tags, *, zone_ids, access,
     allocate = arena.allocate
     for zone, site, end in zip(zones.tolist(), sites.tolist(), ends.tolist()):
         end_of[end](allocate(zone_ids[zone], tags[site]))
+
+
+# -- the allocation schedules' stream builders --------------------------------
+# A stream is (zones, ends, tags): an int8 zone ordinal and an int8 end code
+# per request, and the site tags of red, green and blue. Zone ordinals are red
+# 0, green 1 and blue 2 (ZONE_ORDER); end code 0 releases the object.
+STREAM_RED, STREAM_GREEN, STREAM_BLUE = 0, 1, 2
+
+
+def zone_pressure_oracle(seed: int, size: int) -> tuple:
+    """zone_pressure's stream as two mask scatters built it, frozen: each
+    draw below 0.9 is blue, and each below 0.7 green over it."""
+    u = np.random.default_rng(seed).random(size)
+    zones = np.full(size, STREAM_RED, np.int8)
+    zones[u < 0.9] = STREAM_BLUE
+    zones[u < 0.7] = STREAM_GREEN
+    return (zones, np.zeros(size, np.int8),
+            ("pressure_red", "pressure_green", "pressure_blue"))
+
+
+def zone_imbalance_oracle(size: int) -> tuple:
+    """zone_imbalance's stream as np.resize built it, frozen: the block of
+    90 green, 9 blue and 1 red requests, repeated and cut to size."""
+    block = np.repeat(np.array([STREAM_GREEN, STREAM_BLUE, STREAM_RED], np.int8),
+                      (90, 9, 1))
+    return (np.resize(block, size), np.zeros(size, np.int8),
+            ("imbalance_red", "imbalance_green", "imbalance_blue"))

@@ -57,6 +57,8 @@ from .oracles import (
     matrix_total,
     matrix_total_by_sums,
     wrap16_oracle,
+    zone_imbalance_oracle,
+    zone_pressure_oracle,
 )
 
 
@@ -312,20 +314,96 @@ def test_unallocatable_matrix_is_one_error_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
+
+
 def test_matrix_past_the_exact_bound_is_one_error_line():
     # The child's address space is capped at 4 GiB, so a run that got past
     # the bound would fail to allocate its 256 GiB operands, not take them.
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, 4 * 2**30))
-
     size = bench.MAX_MATRIX_SIZE + 1
     proc = subprocess.run([sys.executable, "-m", "zonegc", "matrix", "--size", str(size)],
                           capture_output=True, text=True, timeout=30,
-                          preexec_fn=cap_address_space)
+                          preexec_fn=_cap_address_space)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (f"error: matrix size must be <= {bench.MAX_MATRIX_SIZE} "
                            "for an exact product\n")
+
+
+@pytest.mark.parametrize("kind, size", [
+    ("expiration", 2**63), ("checkpoint_lifecycle", 2**63),
+    ("expiration", 10**25), ("checkpoint_lifecycle", 10**25), ("zone_imbalance", 10**25),
+])
+def test_allocation_size_past_the_stream_bound_is_one_error_line(kind, size):
+    # These sizes printed numpy's OverflowError traceback. The child's
+    # address space is capped, so a run past a broken bound fails to
+    # allocate its stream instead of taking the memory.
+    proc = subprocess.run([sys.executable, "-m", "zonegc", kind, "--size", str(size)],
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: size must be <= {bench.MAX_ALLOC_SIZE} for an "
+                           "allocation kind, whose stream holds up to 3 x size requests\n")
+
+
+def test_unallocatable_zone_imbalance_stream_is_one_error_line(monkeypatch, capsys):
+    # 10**13 requests printed a bare "error: ": np.resize's MemoryError had
+    # no message. The child's address space is capped, as above.
+    proc = subprocess.run([sys.executable, "-m", "zonegc", "zone_imbalance",
+                           "--size", str(10**13)], capture_output=True, text=True,
+                          timeout=30, preexec_fn=_cap_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
+
+    def out_of_memory(spec, config):
+        raise MemoryError  # as Python's own allocator raises it, with no message
+
+    monkeypatch.setattr(cli, "run_bench", out_of_memory)
+    assert cli.main(["zone_imbalance", "--size", "10"]) == 1
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
+def _failing_run_argv(tmp_path) -> list[str]:
+    """A run that gets past the spec and fails in run_recursion: the config
+    allows a recursion depth of 10, and the chain is 1000 deep."""
+    conf = tmp_path / "shallow.conf"
+    conf.write_text("max_recursion_depth = 10\n")
+    return ["recursion", "--size", "1000", "--chunk", "1000", "--config", str(conf)]
+
+
+def test_output_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_bench", lambda spec, config: pytest.fail("the run started"))
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["matrix", "--size", "1376", "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
+def test_failed_run_leaves_no_new_file_and_an_old_file_unchanged(tmp_path, capsys):
+    argv = _failing_run_argv(tmp_path)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"an earlier report\n" * 100)
+    for path in (new, old):
+        assert cli.main([*argv, "--output", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: chunk 1000 exceeds safe recursion depth 10\n")
+    assert not new.exists()
+    assert old.read_bytes() == b"an earlier report\n" * 100
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_cli_main_leaves_no_file_descriptor_open(tmp_path, capsys):
+    runs = [
+        (["alloc_reuse", "--size", "10", "--output", str(tmp_path / "out.csv")], 0),
+        (["alloc_reuse", "--size", "10", "--output", str(tmp_path / "missing" / "x.csv")], 1),
+        (["alloc_reuse", "--size", "10", "--output", str(tmp_path)], 1),
+        ([*_failing_run_argv(tmp_path), "--output", str(tmp_path / "failed.csv")], 1),
+    ]
+    for argv, status in runs:
+        before = len(os.listdir("/proc/self/fd"))
+        assert cli.main(argv) == status
+        assert len(os.listdir("/proc/self/fd")) == before, argv
+    capsys.readouterr()
 
 
 # -- cli.main called again and again in one process ----------------------------
@@ -833,6 +911,26 @@ def test_alloc_counters_match_closed_forms(kind, interval):
         cfg = RuntimeConfig(sweep_interval=interval or n + 1)
         got = run_alloc_experiments(WorkloadSpec(kind, n, seed=7), cfg)
         assert got == expected_counters(kind, n, cfg.sweep_interval, 7), (kind, n)
+
+
+@settings(max_examples=200, deadline=None)
+@example(seed=42, size=0)
+@example(seed=42, size=1)
+@example(seed=5, size=99)  # one short of a zone_imbalance block
+@example(seed=77, size=100)
+@example(seed=2**64, size=101)
+@given(seed=st.integers(0, 2**64), size=st.integers(0, 20_000))
+def test_stream_builders_match_their_frozen_forms(seed, size):
+    """The zone_pressure stream built by two compares and a shift, and the
+    tiled zone_imbalance stream, equal the mask-scatter and np.resize
+    streams they replace."""
+    for kind, frozen in (("zone_pressure", zone_pressure_oracle(seed, size)),
+                         ("zone_imbalance", zone_imbalance_oracle(size))):
+        got = bench.SCHEDULES[kind][1](WorkloadSpec(kind, size, seed=seed), RuntimeConfig())
+        for column, want in zip(got[:2], frozen[:2]):
+            assert column.dtype == want.dtype == np.int8
+            assert np.array_equal(column, want)
+        assert tuple(got[2]) == frozen[2]
 
 
 def test_perfbench_tracer_wraps_existing_names_and_restores_them(monkeypatch):

@@ -381,6 +381,20 @@ def test_capacity_error_when_zone_exhausted():
     arena.allocate(ZoneId.GREEN, "s")
 
 
+def test_site_tag_past_the_uint16_ids_raises_and_changes_nothing():
+    arena = small_arena()
+    assert arena.allocate(ZoneId.GREEN, None).site_tag is None  # id 0
+    for k in range(1, 0x10000):
+        assert arena.slots.tag_id(f"site{k}") == k
+    handle = arena.allocate(ZoneId.GREEN, "site65535")  # a known tag still claims
+    assert (handle.site_tag, arena.slots.site_tag[handle.slot_index]) == ("site65535", 0xFFFF)
+    before = _arena_snapshot(arena)
+    with pytest.raises(ValueError, match="at most 65535 site tags"):
+        arena.allocate(ZoneId.GREEN, "one_more")
+    assert _arena_snapshot(arena) == before
+    assert len(arena.slots.tags) == len(arena.slots.tag_ids) == 0x10000
+
+
 def test_double_release_and_use_after_free_rejected():
     arena = small_arena()
     handle = arena.allocate(ZoneId.GREEN, "s")
@@ -456,7 +470,7 @@ def test_arena_is_freed_by_reference_counting():
 # The arena's footprint, in tracemalloc's traced bytes (CPython 3.11): a per
 # table slot, for the capacity-sized columns and lists, and b per slot ever
 # claimed, for its ObjectHandle, its index int and its pool entry.
-BYTES_PER_TABLE_SLOT = 106.1
+BYTES_PER_TABLE_SLOT = 100.1
 BYTES_PER_CLAIMED_SLOT = 88.5
 
 
@@ -495,12 +509,15 @@ def test_arena_footprint_is_linear_in_capacity_and_claimed_slots():
 def _arena_snapshot(arena: ZoneArena) -> dict:
     """Everything the arena holds: states, every SlotTable column, pools,
     fresh cursors, counters, the sweep epoch, the clock, and which slots
-    have a handle. The columns are the table's bytearray, memoryview and
-    list attributes, so a column added or dropped is compared too. Typed
-    columns compare as bytes, so NaNs compare too."""
-    columns = {name: list(value) if isinstance(value, list) else bytes(value)
-               for name, value in vars(arena.slots).items()
-               if isinstance(value, (bytearray, memoryview, list))}
+    have a handle. The columns are the table's bytearray and memoryview
+    attributes, so a column added or dropped is compared too. Typed columns
+    compare as bytes, so NaNs compare too; site tags compare as the tags
+    their ids resolve to, as ids are given in first-claim order, which
+    serve and the request loop need not share."""
+    slots = arena.slots
+    columns = {name: bytes(value) for name, value in vars(slots).items()
+               if isinstance(value, (bytearray, memoryview))}
+    columns["site_tag"] = [slots.tags[tag] for tag in slots.site_tag]
     return {
         "states": bytes(arena.table._states), "epoch": arena.table.epoch,
         "ops": arena.clock.ops, "pools": [list(pool) for pool in arena._pools],
