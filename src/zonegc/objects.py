@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -113,7 +112,7 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
     return ema, start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Per-object metrics consumed by classification and the cost model."""
 
@@ -178,41 +177,39 @@ class RateTracker:
         return ema if ema == ema else self.raw_rate
 
 
-def _doubles(n: int, fill: float = 0.0) -> memoryview:
-    """n float64 entries. Item stores through a memoryview skip the argument
-    parsing that array.array's own stores do, which is about a third of the
-    cost of claiming a slot."""
-    return memoryview(array("d", [fill]) * n)
-
-
 class SlotTable:
     """Metadata of every slot's occupant, one array entry per table slot.
 
-    The arrays are sized at table capacity, like the checkpoint table. A
-    slot's entries describe its current object while alive[i] is set, and
-    its last one after release. Mutation and access rates keep a window
-    start, an open count and an EMA (NaN until a window closes) at entry
-    2 * i + kind.ordinal; a claim opens both windows at the claim time. The
-    zone is not stored: it is the slot's region in `layout`. A site tag is
-    stored as a uint16 id into `tags`, the table's one list of the tags its
-    objects were claimed for, in the order first claimed; id 0 is None.
+    The arrays are sized at table capacity, like the checkpoint table, but
+    each is the memoryview (.data) of a calloc'd numpy zero array: its item
+    stores skip array argument parsing, and the OS commits a page at its
+    first write. A zone claims fresh slots in order, so resident memory
+    follows each zone's claimed prefix, not capacity (in 2 MiB steps for an
+    array of 4 MiB or more, which numpy advises into huge pages). A slot's
+    entries describe its current object while alive[i] is set, its last one
+    after release, and read all zero before its first claim. Mutation and
+    access rates keep a window start, an open count and an EMA (NaN from the
+    claim until a window closes) at entry 2 * i + kind.ordinal. The zone is
+    not stored: it is the slot's region in `layout`. A site tag is stored as
+    a uint16 id into `tags`, the table's one list of the tags its objects
+    were claimed for, in the order first claimed; id 0 is None.
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
         self.window = _check_window(window)
         n = layout.total
-        self.alive = bytearray(n)
-        self.allocated_at = _doubles(n)
-        self.last_event_at = _doubles(n)
-        self.size = _doubles(n)
-        self.fan_out = _doubles(n)
-        self.complexity_weight = _doubles(n)
-        self.site_tag = memoryview(array("H", [0]) * n)
+        self.alive = np.zeros(n, np.uint8).data
+        self.allocated_at = np.zeros(n).data
+        self.last_event_at = np.zeros(n).data
+        self.size = np.zeros(n).data
+        self.fan_out = np.zeros(n).data
+        self.complexity_weight = np.zeros(n).data
+        self.site_tag = np.zeros(n, np.uint16).data
         self.tags: list[str | None] = [None]
         self.tag_ids: dict[str | None, int] = {None: 0}
-        self.window_start = _doubles(2 * n)
-        self.count = memoryview(array("q", [0]) * (2 * n))
-        self.ema = _doubles(2 * n, NAN)
+        self.window_start = np.zeros(2 * n).data
+        self.count = np.zeros(2 * n, np.int64).data
+        self.ema = np.zeros(2 * n).data
         self.cfg = cfg
         self.layout = layout
 
@@ -233,7 +230,9 @@ class SlotTable:
     def claim(self, i: int, tag: int, now: float, size: float,
               fan_out: float, complexity_weight: float) -> None:
         """Bind slot i to a new object made at `now` for the site tag of id
-        `tag`, whose rate windows open at `now` with no events."""
+        `tag`, whose rate windows open at `now` with no events and a NaN
+        EMA. Its first claim is the first write to the slot's entries, which
+        commits their pages."""
         self.alive[i] = 1
         self.site_tag[i] = tag
         self.allocated_at[i] = self.last_event_at[i] = now

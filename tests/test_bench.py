@@ -574,6 +574,14 @@ def test_memory_probe_on_this_platform():
     assert rss is None or rss > 0
 
 
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs /proc/self/status")
+def test_memory_probe_reads_the_vmrss_of_proc_self_status():
+    with open("/proc/self/status") as fh:
+        vmrss = next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+    page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
+    assert abs(measure_memory() - vmrss) <= 4 * page_kb
+
+
 # -- summarize --------------------------------------------------------------
 
 

@@ -334,6 +334,27 @@ def test_reclaimed_slot_reads_fresh_rates_before_its_first_event(step):
     assert (f.access_rate, f.mutation_rate) == (0.0, 1.0)
 
 
+def test_a_never_claimed_slot_reads_zero_and_a_claim_or_move_opens_a_nan_ema():
+    # The columns start as zero pages, with no NaN EMA filled in; through
+    # feature_columns and rates, a slot no claim has written reads as a fresh
+    # object's, as it did with the NaN fill.
+    arena, header = _reused_slot(0.125)  # green slot 4 holds closed windows
+    slots = arena.slots
+    never = np.array([0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11], dtype=np.intp)
+    cols = feature_columns(slots, never)
+    assert all(values.tolist() == [0.0] * len(never) for values in cols)
+    rate_entries = np.concatenate([2 * never, 2 * never + 1])
+    assert slots.rates(rate_entries).tolist() == [0.0] * len(rate_entries)
+    i = header.slot_index  # the claim wrote NaN over the last object's EMA
+    assert _rate_entries(slots, i)[4:] == ("nan", "nan")
+    record_event(header, EventKind.ACCESS, header.last_event_at + 2.0)
+    assert slots.ema[2 * i] == 0.0  # a window closed
+    now = header.last_event_at + 1.0
+    slots.move([i], [0], np.array([now]))  # into never-claimed red slot 0
+    assert _rate_entries(slots, 0) == (now, now, 0, 0, "nan", "nan")
+    assert slots.alive[0] and not slots.alive[i]
+
+
 def test_open_counts_take_no_memory_as_they_grow():
     """A slot's open count is stored in the table: counting 300 events on
     each of 1,000 live objects within one window allocates nothing that

@@ -5,6 +5,9 @@ from __future__ import annotations
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -506,17 +509,39 @@ def test_arena_footprint_is_linear_in_capacity_and_claimed_slots():
         assert grown / claims == pytest.approx(BYTES_PER_CLAIMED_SLOT, rel=0.03)
 
 
+# Resident bytes per table slot that building a 3 x 1M arena adds: the
+# handles list's 8 B pointer and the checkpoint table's state byte. The
+# SlotTable's columns are zero pages that only claims commit.
+RESIDENT_BYTES_PER_TABLE_SLOT = 10.0
+_BUILD_RSS = """
+from zonegc.bench import measure_memory
+from zonegc.layout import ZoneLayout
+from zonegc.zones import ZoneArena
+before = measure_memory()
+arena = ZoneArena(ZoneLayout({n}, {n}, {n}))
+print((measure_memory() - before) * 1024 / (3 * {n}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_building_an_arena_commits_no_slot_table_pages():
+    # In a child process, so that this process's heap does not count.
+    proc = subprocess.run([sys.executable, "-c", _BUILD_RSS.format(n=1_000_000)],
+                          capture_output=True, text=True, timeout=30, check=True)
+    assert float(proc.stdout) <= RESIDENT_BYTES_PER_TABLE_SLOT
+
+
 def _arena_snapshot(arena: ZoneArena) -> dict:
     """Everything the arena holds: states, every SlotTable column, pools,
     fresh cursors, counters, the sweep epoch, the clock, and which slots
-    have a handle. The columns are the table's bytearray and memoryview
-    attributes, so a column added or dropped is compared too. Typed columns
+    have a handle. The columns are the table's memoryview attributes, so a
+    column added or dropped is compared too. Typed columns
     compare as bytes, so NaNs compare too; site tags compare as the tags
     their ids resolve to, as ids are given in first-claim order, which
     serve and the request loop need not share."""
     slots = arena.slots
     columns = {name: bytes(value) for name, value in vars(slots).items()
-               if isinstance(value, (bytearray, memoryview))}
+               if isinstance(value, memoryview)}
     columns["site_tag"] = [slots.tags[tag] for tag in slots.site_tag]
     return {
         "states": bytes(arena.table._states), "epoch": arena.table.epoch,
