@@ -37,6 +37,7 @@ from .zones import ACCESS, BLUE, EXPIRE, GREEN, RED, RELEASE, SWEEP, PoolStats
 TIMED_KINDS = ("loop", "recursion", "deep_recursion", "matrix")
 # ALLOC_KINDS, the keys of SCHEDULES, and KINDS are defined with the schedules.
 
+# The recursion kinds, each with its default chunk.
 DEFAULT_CHUNK = {"recursion": 1000, "deep_recursion": 4000}
 # run_parallel starts one thread per partition, with a large stack for the
 # recursion kinds, so the count is bounded before any thread starts.
@@ -272,7 +273,7 @@ def run_loop(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchRe
 
 def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
     """size logical steps as size/chunk chains, chains split across workers."""
-    if spec.kind not in ("recursion", "deep_recursion"):
+    if spec.kind not in DEFAULT_CHUNK:
         raise ValueError(f"run_recursion got kind {spec.kind!r}")
     cfg = config or DEFAULT_CONFIG
     chunk = spec.effective_chunk
@@ -424,7 +425,7 @@ def run_bench(spec: WorkloadSpec, config: RuntimeConfig | None = None):
     """Dispatch on kind; BenchReport for timed kinds, stats dict otherwise."""
     if spec.kind == "loop":
         return run_loop(spec, config)
-    if spec.kind in ("recursion", "deep_recursion"):
+    if spec.kind in DEFAULT_CHUNK:
         return run_recursion(spec, config)
     if spec.kind == "matrix":
         return run_matrix(spec, config)

@@ -97,7 +97,7 @@ class CheckpointTable:
         reported for re-classification. Reclamation itself is the slot
         owner's job, so pool accounting stays in one place.
         """
-        s = np.frombuffer(self._states, np.uint8)
+        s = np.asarray(self._states)
         reclaimed = np.flatnonzero(s == 0b111).tolist()
         candidates = np.flatnonzero((s & 0b110) == 0b010).tolist()
         self.epoch += 1

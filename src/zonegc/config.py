@@ -11,9 +11,9 @@ example:
     policy = simple
 
 Key groups: zones.* (red, green, blue); simple.* and predicate.* policy
-thresholds; cost.<zone>.mark|scan|stage and cost.mark_tolerance; and the
-plain keys policy, rate_window, ema_weight, seconds_per_op, sweep_interval
-and max_recursion_depth.
+thresholds; cost.<zone>.mark|scan|stage; and the plain keys policy,
+rate_window, ema_weight, seconds_per_op, sweep_interval and
+max_recursion_depth.
 
 The threshold and cost pieces take their fields by name: simple.access_red
 sets RateThresholds.access_red and cost.red.mark the red ZoneWeights.mark.
@@ -84,7 +84,6 @@ class RuntimeConfig:
     cost_blue_mark: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].mark
     cost_blue_scan: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].scan
     cost_blue_stage: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].stage
-    cost_mark_tolerance: float = CostParams.mark_tolerance
     # bench harness
     max_recursion_depth: int = 32000
 
@@ -106,8 +105,7 @@ class RuntimeConfig:
             ("predicate_thresholds", lambda: PredicateThresholds(**self._group("predicate"))),
             ("cost_params", lambda: CostParams(
                 weights=tuple(ZoneWeights(**self._group(f"cost.{zone.name.lower()}"))
-                              for zone in ZONE_ORDER),
-                **self._group("cost"))),
+                              for zone in ZONE_ORDER))),
         ):
             try:
                 object.__setattr__(self, name, build())
@@ -133,9 +131,9 @@ class RuntimeConfig:
                          ema=self.ema, thresholds=thresholds, costs=self.cost_params)
 
 
-# Groups whose keys are dotted: field cost_red_mark is key cost.red.mark and
-# cost_mark_tolerance is cost.mark_tolerance. zones.* is the one group whose
-# key prefix differs from its fields' prefix (zone_*).
+# Groups whose keys are dotted: field simple_access_red is key
+# simple.access_red and cost_red_mark is cost.red.mark. zones.* is the one
+# group whose key prefix differs from its fields' prefix (zone_*).
 _GROUPS = {"zone": "zones", "simple": "simple", "predicate": "predicate",
            "cost": "cost"}
 

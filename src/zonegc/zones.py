@@ -124,6 +124,9 @@ class ZoneWeights:
             raise ValueError("cost weights must be non-negative")
 
 
+# How far the red mark weight may exceed the green one (CostParams).
+MARK_TOLERANCE = 0.25
+
 # CostParams()'s weights, by ZoneId.ordinal; the config's cost.<zone> defaults.
 DEFAULT_WEIGHTS = (ZoneWeights(1.0, 1.0, 4.0),
                    ZoneWeights(1.0, 0.8, 2.0),
@@ -135,21 +138,20 @@ class CostParams:
     """Per-zone cost weights, indexed by ZoneId.ordinal.
 
     Orderings enforced at construction: staging strictly decreases red to
-    blue; mark weight red and green agree within mark_tolerance and both
+    blue; mark weight red and green agree within MARK_TOLERANCE and both
     exceed blue; scan weight is non-increasing red to blue.
     """
 
     weights: tuple[ZoneWeights, ZoneWeights, ZoneWeights] = DEFAULT_WEIGHTS
-    mark_tolerance: float = 0.25
 
     def __post_init__(self) -> None:
         r, g, b = self.weights
         if not r.stage > g.stage > b.stage:
             raise ValueError("staging weights must strictly decrease red > green > blue")
-        if not (r.mark >= g.mark > b.mark and abs(r.mark - g.mark) <= self.mark_tolerance):
+        if not (r.mark >= g.mark > b.mark and abs(r.mark - g.mark) <= MARK_TOLERANCE):
             raise ValueError(
                 "mark weights must satisfy red >= green > blue with "
-                f"|red - green| <= {self.mark_tolerance}"
+                f"|red - green| <= {MARK_TOLERANCE}"
             )
         if not r.scan >= g.scan >= b.scan:
             raise ValueError("scan weights must be non-increasing red >= green >= blue")
@@ -345,16 +347,13 @@ class ZoneArena:
         self._states[idx] = _ACTIVE
         return self.handles[idx]
 
-    _allocate = allocate  # see _free
-
     def release(self, handle: ObjectHandle) -> None:
         """Return a live slot to its zone's pool."""
         self._free(handle)
 
     def _free(self, handle: ObjectHandle) -> int:
-        """release, which returns the slot's zone ordinal. expire and serve
-        free through this name and serve allocates through _allocate, so a
-        traced release or allocate counts only its own calls."""
+        """release, which returns the slot's zone ordinal for expire to
+        count, so a traced release counts only its own calls."""
         idx = handle.slot_index
         alive = self.slots.alive
         if not (0 <= idx < len(alive) and alive[idx]):
@@ -441,9 +440,9 @@ class ZoneArena:
         in the same state. As each request frees its slot before the next,
         no request changes which zones have room, and a zone's requests all
         take one pooled slot, whose claim rewrites all its entries. So only
-        the sweep requests, by their traced names, and each zone's last
-        request, through _allocate and _free, are made, at their ticks of
-        the request loop; the others are counted.
+        the sweep requests and each zone's last request are made, with
+        allocate and expire or release, at their ticks of the request loop;
+        the others are counted.
         """
         n = len(zones)
         if len(ends) != n or len(tags) != 3:
@@ -486,10 +485,10 @@ class ZoneArena:
                 self.run_sweep()  # reports the slot reclaimable, so it expires
                 self.expire(handle)
             else:
-                handle = self._allocate(zone, tag)
+                handle = self.allocate(zone, tag)
                 if marks[k] & ACCESS:
                     record_event(handle, EventKind.ACCESS, clock.now)
-                self._free(handle)
+                self.release(handle)
         clock.ops = ops0 + 2 * n
 
     # -- queries ------------------------------------------------------------
@@ -539,7 +538,7 @@ class ZoneArena:
         """
         slots = self.slots
         idx = np.array(report.candidates, dtype=np.intp)
-        idx = idx[np.frombuffer(slots.alive, dtype=np.uint8)[idx] != 0]
+        idx = idx[np.asarray(slots.alive)[idx] != 0]
         f = feature_columns(slots, idx)
         target = self._classify_batch(f, self.thresholds, self.costs)
         # The zone is the slot's region: the count of green and blue starts
@@ -573,7 +572,7 @@ class ZoneArena:
             # i is not in zone t, so its free and the claim commute
             expired[give(i)] += 1
             src.append(i)
-        states = np.frombuffer(self._states, dtype=np.uint8)
+        states = np.asarray(self._states)
         states[src] = _IDLE
         states[dst] = _ACTIVE
         clock = self.clock

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -76,14 +78,13 @@ def test_every_documented_key_maps_to_a_real_field():
         simple.mutation_green = 200
         predicate.size_red = 128
         cost.red.mark = 1.2
-        cost.mark_tolerance = 0.5
         max_recursion_depth = 100
         """
     )
     assert (cfg.zone_red, cfg.ema_weight, cfg.zone_blue) == (7, 0.3, 2)
     assert (cfg.rate_window, cfg.simple_mutation_green) == (2.0, 200.0)
     assert (cfg.predicate_size_red, cfg.cost_red_mark) == (128.0, 1.2)
-    assert (cfg.cost_mark_tolerance, cfg.max_recursion_depth) == (0.5, 100)
+    assert cfg.max_recursion_depth == 100
     assert {f.type for f in dataclasses.fields(RuntimeConfig)} == {"int", "float", "str"}
     # only the documented spelling of a key is accepted
     for alias in ("zone.red", "zones_red", "cost_red_mark", "cost.red_mark",
@@ -93,13 +94,27 @@ def test_every_documented_key_maps_to_a_real_field():
             parse_config(f"{alias} = 1")
 
 
+def test_readme_documents_only_real_config_keys():
+    # The keys column of README's Configuration table: a key pattern, with
+    # <zone> or *, and the suffixes in parentheses after one, are skipped;
+    # every other backticked token must be a key the parser takes.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    keys = {token for cell in cells
+            for token in re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
+            if "<zone>" not in token and "*" not in token}
+    assert {"zones.red", "policy", "max_recursion_depth"} <= keys
+    assert keys - set(zconfig._FIELDS) == set()
+
+
 @pytest.mark.parametrize("key", [
     "pause.red", "pause.green", "pause.blue", "eta.red", "eta.green", "eta.blue",
     "delta.red", "delta.green", "delta.blue", "rebalance.factor",
     "rebalance.normalize", "cores", "scratch.slots", "scratch.bytes",
     "chi.loop", "chi.recursion", "chi.matrix",
     "partitions.red", "partitions.green", "partitions.blue", "pool_discipline",
-    "gen.fraction0", "gen.fraction1",
+    "gen.fraction0", "gen.fraction1", "cost.mark_tolerance",
 ])
 def test_deleted_keys_fail_at_their_line(key):
     with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
@@ -292,7 +307,6 @@ PIECE_KEYS = {
     "cost.red.mark": 1.3, "cost.red.scan": 1.2, "cost.red.stage": 5.0,
     "cost.green.mark": 1.1, "cost.green.scan": 0.9, "cost.green.stage": 3.0,
     "cost.blue.mark": 0.4, "cost.blue.scan": 0.3, "cost.blue.stage": 0.7,
-    "cost.mark_tolerance": 0.35,
 }
 
 
@@ -339,6 +353,7 @@ def test_factories_honor_overrides():
     "ema_weight = 2",
     "policy = bogus",
     "pause.red = 0.5",
+    "cost.mark_tolerance = 0.5",
 ])
 def test_cli_reports_bad_config_at_its_line(tmp_path, capsys, bad):
     path = tmp_path / "runtime.conf"

@@ -19,6 +19,7 @@ from zonegc.objects import (
     EventKind,
     FeatureVector,
     LogicalClock,
+    ObjectHandle,
     RateTracker,
     ema_update,
     feature_columns,
@@ -190,7 +191,7 @@ def test_roll_returns_when_the_window_is_below_the_time_spacing():
         for t in (header.allocated_at, 0.5, 0.5, 0.75):
             record_event(header, EventKind.ACCESS, t)
             tracker.record(t)
-    j = 2 * header.slot_index + EventKind.ACCESS.ordinal
+    j = 2 * header.slot_index + EventKind.ACCESS
     assert (arena.slots.window_start[j], arena.slots.count[j]) == (0.75, 1)
     assert (tracker.window_start, tracker.count) == (0.75, 1)
 
@@ -203,7 +204,7 @@ def test_roll_restarts_the_window_when_the_closed_count_overflows():
     arena = ZoneArena(ZoneLayout(4, 4, 4), rate_window=5e-324)
     header = arena.allocate(ZoneId.RED, "tiny")
     tracker = RateTracker(window=5e-324, start=header.allocated_at)
-    j = 2 * header.slot_index + EventKind.ACCESS.ordinal
+    j = 2 * header.slot_index + EventKind.ACCESS
     slots = arena.slots
     for t in (0.5, 0.75):
         record_event(header, EventKind.ACCESS, t)
@@ -222,7 +223,7 @@ def test_roll_decay_below_the_float_range_gives_zero_not_nan():
     for t in (0.0, 1e-12):
         record_event(header, EventKind.MUTATION, t)
         tracker.record(t)
-    j = 2 * header.slot_index + EventKind.MUTATION.ordinal
+    j = 2 * header.slot_index + EventKind.MUTATION
     assert (header.slots.ema[j], header.slots.count[j]) == (0.0, 1)
     assert (tracker.ema, tracker.count) == (0.0, 1)
 
@@ -299,6 +300,32 @@ def _rate_entries(slots, i: int) -> tuple:
     j = 2 * i
     return (*slots.window_start[j:j + 2], *slots.count[j:j + 2],
             *(repr(e) for e in slots.ema[j:j + 2]))  # repr: NaN equals itself
+
+
+@pytest.mark.parametrize("outside", [-1, 12])
+def test_event_on_a_slot_outside_the_table_is_refused(outside):
+    # -1 would read as the table's last slot, 11, which holds a live object
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    last = [arena.allocate(ZoneId.BLUE, "t") for _ in range(4)][-1]
+    assert last.slot_index == 11
+    before = (last.last_event_at, _rate_entries(arena.slots, 11))
+    with pytest.raises(LifecycleError, match=rf"^slot {outside} holds no live object$"):
+        record_event(ObjectHandle(outside, arena.slots), EventKind.ACCESS, 1.0)
+    assert (last.last_event_at, _rate_entries(arena.slots, 11)) == before
+
+
+def test_event_at_a_nan_time_is_refused():
+    # a stored NaN would let every later time pass the order check
+    _, header = make_header()
+    record_event(header, EventKind.MUTATION, 0.5)
+    slots, i = header.slots, header.slot_index
+    before = (header.last_event_at, _rate_entries(slots, i))
+    with pytest.raises(ValueError, match="event time nan"):
+        record_event(header, EventKind.ACCESS, math.nan)
+    assert (header.last_event_at, _rate_entries(slots, i)) == before
+    with pytest.raises(ValueError):  # the order check still holds
+        record_event(header, EventKind.ACCESS, 0.25)
+    assert feature_snapshot(header).lifetime == 0.5
 
 
 def test_refused_event_leaves_a_reclaimed_slot_as_it_is():

@@ -71,7 +71,6 @@ ALLOW = {
     "ppe.scheduler_objective": C10,
     "ppe.optimize_thread_allocation": C10,
     "ppe.probe_cores": "c12: skips the speedup check on a single usable core",
-    "zones.ZoneArena.release": C13,
     "zones.ZoneArena.expire_and_reallocate": C13,
     "yield_memory.YieldScope.__enter__": C14,
     "yield_memory.YieldScope.__exit__": C14,

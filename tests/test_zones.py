@@ -1190,21 +1190,22 @@ def test_serve_rejects_a_malformed_stream():
 
 def test_serve_makes_only_each_zones_last_plain_request(monkeypatch):
     """checkpoint_lifecycle at 5,000 requests per zone has 10 blue sweep
-    requests, and blue's last request is one of them: of the rest, only
-    green's and red's last requests are made."""
+    requests, and blue's last request is one of them: allocate sees those
+    10 and, of the rest, only green's and red's last requests."""
     made: list[ZoneId] = []
-    allocate = ZoneArena._allocate
+    allocate = ZoneArena.allocate
 
     def counted(arena, zone, *args, **kwargs):
         made.append(zone)
         return allocate(arena, zone, *args, **kwargs)
 
-    monkeypatch.setattr(ZoneArena, "_allocate", counted)
+    monkeypatch.setattr(ZoneArena, "allocate", counted)
     spec = WorkloadSpec("checkpoint_lifecycle", 5000)
     zones, ends, tags = SCHEDULES[spec.kind][1](spec, DEFAULT_CONFIG)
     assert np.count_nonzero(ends == SWEEP) == 10
     assert ends[zones == ZoneId.BLUE.ordinal][-1] == SWEEP
     arena = DEFAULT_CONFIG.build_arena()
     arena.serve(zones, ends, tags)
-    assert made == [ZoneId.GREEN, ZoneId.RED]  # the stream's order
+    # the stream's order: green's requests, then blue's, then red's
+    assert made == [ZoneId.GREEN] + [ZoneId.BLUE] * 10 + [ZoneId.RED]
     assert [arena.pool_stats(zone).total_requests for zone in ZONE_ORDER] == [5000] * 3
