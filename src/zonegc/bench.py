@@ -1,19 +1,19 @@
 """Benchmark harness: deterministic kernels, timed attempts, allocation
 experiments, and report emission.
 
-Timed kinds (loop, recursion, deep_recursion, matrix) run one discarded
-warmup attempt plus `attempts` recorded attempts; each attempt reports wall
-time, a 16-bit checksum of the kernel accumulator, and resident memory
-before/after. The checksum is the determinism witness: identical across
-attempts and across partition counts by construction.
+Timed kinds (loop, recursion, deep_recursion, matrix) run one untimed
+warm-up, then `attempts` recorded attempts; each reports wall time, a 16-bit
+checksum of the kernel accumulator, and resident memory before/after. The
+checksum is the determinism witness: identical across attempts and across
+partition counts by construction. matrix_operand says why the matrix
+kind's float32 product is exact.
 
 Allocation kinds (alloc_reuse, zone_pressure, zone_imbalance, expiration,
 checkpoint_lifecycle) each build a request stream as two arrays, one entry
 per request: an int8 zone ordinal and an int8 end code (release or expire,
 optionally after one access, or a sweep); each zone has one site tag. One
-ZoneArena.serve call serves it in one pass: every object ends before the
-next request, so each zone reuses one pooled slot and only its last and
-sweep requests are made. They report the per-zone pool counters.
+ZoneArena.serve call serves it in one pass, by the shortcut its docstring
+gives. They report the per-zone pool counters.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ DEFAULT_CHUNK = {"recursion": 1000, "deep_recursion": 4000}
 # run_parallel starts one thread per partition, with a large stack for the
 # recursion kinds, so the count is bounded before any thread starts.
 MAX_PARTITIONS = 64
-# The largest matrix dimension whose float32 product is exact (run_matrix).
+# The largest matrix dimension whose float32 product is exact (matrix_operand).
 MAX_MATRIX_SIZE = 1 << 18
 # The largest allocation-kind size whose request stream, of at most 3 x size
 # requests (one size per zone in expiration and checkpoint_lifecycle), numpy
@@ -220,23 +220,24 @@ def chain_value(depth: int) -> int:
     return chain_value(depth - 1) + (depth * 13 - 5)
 
 
-def matrix_operands(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two deterministic n x n float32 operands, entries in [-8, 8].
+def matrix_operand(n: int) -> np.ndarray:
+    """The deterministic n x n float32 matrix A, entries in [-8, 8], whose
+    square run_matrix sums.
 
-    Entry (r, c) is ((r*n + c) mod 17) - 8; both operands use the same
-    formula, so the product is fixed by n alone. The residues are formed in
-    int8 from r*n mod 17 and c mod 17, so no n x n index array is built, and
-    cast to float32 for run_matrix's product. float32 holds every integer up
-    to 2**24 exactly, and every partial dot product of these entries is an
-    integer of magnitude at most 64*n, so the product is exact for n up to
-    MAX_MATRIX_SIZE.
+    Entry (r, c) is ((r*n + c) mod 17) - 8, so the product is fixed by n
+    alone. The residues are formed in int8 from r*n mod 17 and c mod 17, so
+    no n x n index array is built, and cast to float32. The product A @ A is
+    exact in float32: every partial dot product of these entries is an
+    integer of magnitude at most 64*n <= 2**24 for n <= MAX_MATRIX_SIZE
+    (2**18), and float32 holds every integer up to 2**24 exactly;
+    WorkloadSpec rejects a larger n. A row block's sum is at most
+    64*n**3 <= 2**60 in magnitude, within int64.
     """
     idx = np.arange(n, dtype=np.int64)
     residues = np.add.outer((idx * n % 17).astype(np.int8), (idx % 17).astype(np.int8))
     residues %= 17
     residues -= 8
-    a = residues.astype(np.float32)
-    return a, a.copy()
+    return residues.astype(np.float32)
 
 
 # -- timed workloads --------------------------------------------------------
@@ -244,15 +245,14 @@ def matrix_operands(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _timed_run(spec: WorkloadSpec, ranges: tuple[tuple[int, int], ...], kernel,
                stack_bytes: int | None = None) -> BenchReport:
+    run_parallel(ranges, kernel, stack_bytes=stack_bytes)  # the warm-up, discarded
     records = []
-    for attempt in range(spec.attempts + 1):  # attempt 0 is discarded warmup
+    for attempt in range(1, spec.attempts + 1):
         mem_before = measure_memory()
         t0 = time.perf_counter_ns()
         total = sum(run_parallel(ranges, kernel, stack_bytes=stack_bytes))
         elapsed_ms = (time.perf_counter_ns() - t0) / 1e6
         mem_after = measure_memory()
-        if attempt == 0:
-            continue
         delta = (
             mem_after - mem_before
             if mem_before is not None and mem_after is not None
@@ -299,26 +299,23 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
 
 
 def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
-    """n x n integer product, output rows split across workers.
+    """Sum of the n x n integer product A @ A, output rows split across
+    workers.
 
-    Each worker forms its row block of A @ B with np.einsum on the float32
-    operands and sums the block with .sum(dtype=np.int64), which casts in
-    buffered chunks and so makes no int64 copy of the block. This is exact:
-    every entry lies in [-8, 8], so every partial dot product is an integer
-    of magnitude at most 64*n <= 2**24 for n <= MAX_MATRIX_SIZE (2**18),
-    which float32 holds exactly; WorkloadSpec rejects a larger n. A block
-    sum is at most 64*n**3 <= 2**60 in magnitude, within int64. einsum's
-    float32 sum of products is SIMD, runs about twice as fast as its int32
-    one, and, unlike `@` or np.dot, calls no BLAS and so starts no thread
-    pool beside the workers.
+    Each worker forms its row block of A @ A with np.einsum on the float32
+    matrix_operand, exact for the reason its docstring gives, and sums the
+    block with .sum(dtype=np.int64), which casts in buffered chunks and so
+    makes no int64 copy of the block. einsum's float32 sum of products is
+    SIMD, runs about twice as fast as its int32 one, and, unlike `@` or
+    np.dot, calls no BLAS and so starts no thread pool beside the workers.
     """
     if spec.kind != "matrix":
         raise ValueError(f"run_matrix got kind {spec.kind!r}")
     n = spec.size
-    a, b = matrix_operands(n)
+    a = matrix_operand(n)
 
     def kernel(lo: int, hi: int) -> int:
-        return int(np.einsum("ij,jk->ik", a[lo:hi], b).sum(dtype=np.int64))
+        return int(np.einsum("ij,jk->ik", a[lo:hi], a).sum(dtype=np.int64))
 
     return _timed_run(spec, make_partitions(n, spec.partitions), kernel)
 

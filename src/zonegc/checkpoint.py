@@ -53,10 +53,7 @@ class CheckpointTable:
         self.capacity = layout.total
         self.epoch = 0
         self._states = bytearray(self.capacity)
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.capacity:
-            raise IndexRangeError(f"index {i} outside table of {self.capacity} entries")
+        self._check_index = layout.check_index
 
     def get_state(self, i: int) -> StateCode:
         self._check_index(i)

@@ -36,12 +36,6 @@ class ZoneId(enum.Enum):
         return self.value
 
 
-class Generation(enum.IntEnum):
-    GEN0 = 0
-    GEN1 = 1
-    GEN2 = 2
-
-
 # Region order inside the table is fixed: [red | green | blue].
 ZONE_ORDER = (ZoneId.RED, ZoneId.GREEN, ZoneId.BLUE)
 
@@ -92,18 +86,23 @@ class ZoneLayout:
         z = zone.ordinal
         return self.bounds[z], self.bounds[z + 1]
 
-    def zone_of_index(self, i: int) -> ZoneId:
-        _, green, blue, total = self.bounds
+    def check_index(self, i: int) -> int:
+        """i, if the table has an entry i; else IndexRangeError."""
+        total = self.bounds[3]
         if not 0 <= i < total:
             raise IndexRangeError(f"index {i} outside table of {total} entries")
-        return ZONE_ORDER[0 if i < green else 1 if i < blue else 2]
+        return i
 
-    def generation_of(self, i: int) -> Generation:
+    def zone_of_index(self, i: int) -> ZoneId:
+        _, green, blue, _ = self.bounds
+        return ZONE_ORDER[0 if self.check_index(i) < green else 1 if i < blue else 2]
+
+    def generation_of(self, i: int) -> int:
         lo, hi = self.span(self.zone_of_index(i))  # also range-checks i
         offset = i - lo
         cut0, cut1 = GENERATION_CUTS
         if offset < int(cut0 * (hi - lo)):
-            return Generation.GEN0
+            return 0
         if offset < int(cut1 * (hi - lo)):
-            return Generation.GEN1
-        return Generation.GEN2
+            return 1
+        return 2

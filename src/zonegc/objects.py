@@ -217,6 +217,13 @@ class SlotTable:
             self.tag_ids[site_tag] = tag
         return tag
 
+    def live(self, i: int) -> int:
+        """i, if slot i is in the table and holds a live object; else LifecycleError."""
+        alive = self.alive
+        if not (0 <= i < len(alive) and alive[i]):
+            raise LifecycleError(f"slot {i} holds no live object")
+        return i
+
     def claim(self, i: int, tag: int, now: float, size: float,
               fan_out: float, complexity_weight: float) -> None:
         """Bind slot i to a new object made at `now` for the site tag of id
@@ -264,7 +271,7 @@ class SlotTable:
 
 
 def _column(name: str) -> property:
-    return property(lambda handle: getattr(handle.slots, name)[handle.slot_index],
+    return property(lambda handle: getattr(handle.slots, name)[handle._index],
                     doc=f"The slot's {name} entry.")
 
 
@@ -280,8 +287,10 @@ class ObjectHandle:
     slot_index: int
     slots: SlotTable = field(compare=False, repr=False)
 
+    _index = property(lambda handle: handle.slots.layout.check_index(handle.slot_index),
+                      doc="slot_index; IndexRangeError outside the table, for every read.")
     site_tag = property(
-        lambda handle: handle.slots.tags[handle.slots.site_tag[handle.slot_index]],
+        lambda handle: handle.slots.tags[handle.slots.site_tag[handle._index]],
         doc="The slot's site tag: the entry of its table's tags that its id names.")
     allocated_at = _column("allocated_at")
     last_event_at = _column("last_event_at")
@@ -291,7 +300,7 @@ class ObjectHandle:
 
     @property
     def alive(self) -> bool:
-        return bool(self.slots.alive[self.slot_index])
+        return bool(self.slots.alive[self._index])
 
     @property
     def zone(self) -> ZoneId:
@@ -303,10 +312,7 @@ def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHan
     slot with no live object, or outside the table, raises LifecycleError, and
     a time before the last event, or NaN, ValueError; neither changes it."""
     slots = header.slots
-    i = header.slot_index
-    alive = slots.alive
-    if not (0 <= i < len(alive) and alive[i]):
-        raise LifecycleError(f"slot {i} holds no live object")
+    i = slots.live(header.slot_index)
     last = slots.last_event_at
     if not now >= last[i]:
         raise ValueError(f"event time {now} is not >= the last event's {last[i]}")
@@ -325,7 +331,7 @@ def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHan
 
 def feature_snapshot(header: ObjectHandle) -> FeatureVector:
     """feature_columns of one object, as a FeatureVector. Pure read."""
-    f = feature_columns(header.slots, np.array([header.slot_index], dtype=np.intp))
+    f = feature_columns(header.slots, np.array([header._index], dtype=np.intp))
     return FeatureVector(**{name: float(values[0]) for name, values in f._asdict().items()})
 
 

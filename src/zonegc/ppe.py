@@ -66,12 +66,6 @@ class ThreadAllocation:
         return self.red + self.green + self.blue
 
 
-def _validate_eta(eta: Triple) -> None:
-    for value in eta:
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"eta multipliers must lie in (0, 1), got {value}")
-
-
 def allocate_threads(zone_costs: Triple, k: int, eta: Triple,
                      *, allow_zero_zones: bool = False) -> ThreadAllocation:
     """Proportional-cost thread split reconciled to sum exactly k.
@@ -89,7 +83,9 @@ def allocate_threads(zone_costs: Triple, k: int, eta: Triple,
         )
     if min(zone_costs) < 0:
         raise ValueError("zone costs must be non-negative")
-    _validate_eta(eta)
+    for value in eta:
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"eta multipliers must lie in (0, 1), got {value}")
     total_cost = sum(zone_costs)
     if total_cost == 0:
         each = k // 3

@@ -17,10 +17,8 @@ selects its policy. A move whose target zone has no slot left changes
 nothing; in a pause the object stays and the rest move. A pause moves its
 objects as one batch: it replays their pool pushes and pops over plain ints,
 then writes each metadata column once for all of them. A request stream, in
-which every object ends right after its request, is served in one pass: a
-zone's requests all reuse one pooled slot, and a claim rewrites all of a
-slot's entries, so the arena counts them and makes only the sweep requests
-and each zone's last request.
+which every object ends right after its request, is served in one pass, by
+the shortcut that serve's docstring gives.
 """
 
 from __future__ import annotations
@@ -354,12 +352,10 @@ class ZoneArena:
     def _free(self, handle: ObjectHandle) -> int:
         """release, which returns the slot's zone ordinal for expire to
         count, so a traced release counts only its own calls."""
-        idx = handle.slot_index
-        alive = self.slots.alive
-        if not (0 <= idx < len(alive) and alive[idx]):
-            raise LifecycleError(f"slot {idx} holds no live object")
+        slots = self.slots
+        idx = slots.live(handle.slot_index)
         self.clock.ops += 1
-        alive[idx] = 0
+        slots.alive[idx] = 0
         self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
         return self._give(idx)
 
@@ -410,10 +406,8 @@ class ZoneArena:
         pooled nor a fresh slot, raises ZoneCapacityError before anything
         changes, so the object stays where it is.
         """
-        idx = handle.slot_index
         slots = self.slots
-        if not (0 <= idx < len(slots.alive) and slots.alive[idx]):
-            raise LifecycleError(f"slot {idx} holds no live object")
+        idx = slots.live(handle.slot_index)
         if new_zone is self.layout.zone_of_index(idx):
             return handle
         if not self._room(new_zone.ordinal):
@@ -479,13 +473,12 @@ class ZoneArena:
         for k in made:
             zone, tag = ZONE_ORDER[codes[k]], tags[codes[k]]
             clock.ops = ops0 + 2 * k
+            handle = self.allocate(zone, tag)
             if marks[k] == SWEEP:
-                handle = self.allocate(zone, tag)
                 self.table.set_state(handle.slot_index, StateCode.EXPIRED)
                 self.run_sweep()  # reports the slot reclaimable, so it expires
                 self.expire(handle)
             else:
-                handle = self.allocate(zone, tag)
                 if marks[k] & ACCESS:
                     record_event(handle, EventKind.ACCESS, clock.now)
                 self.release(handle)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonegc.errors import IndexRangeError
-from zonegc.layout import SLOT_BYTES, Generation, ZoneId, ZoneLayout
+from zonegc.layout import SLOT_BYTES, ZoneId, ZoneLayout
 
 from .oracles import (
     generation_scan_oracle,
@@ -74,7 +74,3 @@ def test_generation_default_fractions_quartiles():
     layout = ZoneLayout(8, 8, 8)  # cuts at 2 and 6 inside each zone
     gens = [int(layout.generation_of(i)) for i in range(8)]
     assert gens == [0, 0, 1, 1, 1, 1, 2, 2]
-
-
-def test_generation_enum_values():
-    assert [int(g) for g in Generation] == [0, 1, 2]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonegc.errors import LifecycleError
+from zonegc.errors import IndexRangeError, LifecycleError
 from zonegc.layout import ZoneId, ZoneLayout
 from zonegc.objects import (
     EmaConfig,
@@ -312,6 +312,22 @@ def test_event_on_a_slot_outside_the_table_is_refused(outside):
     with pytest.raises(LifecycleError, match=rf"^slot {outside} holds no live object$"):
         record_event(ObjectHandle(outside, arena.slots), EventKind.ACCESS, 1.0)
     assert (last.last_event_at, _rate_entries(arena.slots, 11)) == before
+
+
+@pytest.mark.parametrize("outside", [-1, 12])
+def test_reads_through_a_handle_outside_the_table_are_refused(outside):
+    # -1 would read the table's last slot, 11, which holds a live object
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    last = [arena.allocate(ZoneId.BLUE, "t", size=7.0) for _ in range(4)][-1]
+    assert (last.slot_index, last.alive, last.size) == (11, True, 7.0)
+    handle = ObjectHandle(outside, arena.slots)
+    message = rf"^index {outside} outside table of 12 entries$"
+    for name in ("alive", "site_tag", "allocated_at", "last_event_at", "size",
+                 "fan_out", "complexity_weight", "zone"):
+        with pytest.raises(IndexRangeError, match=message):
+            getattr(handle, name)
+    with pytest.raises(IndexRangeError, match=message):
+        feature_snapshot(handle)
 
 
 def test_event_at_a_nan_time_is_refused():

@@ -66,7 +66,6 @@ ALLOW = {
     "objects.FeatureVector.__post_init__": C09,
     "ppe.ThreadAllocation.__post_init__": C10,
     "ppe.ThreadAllocation.total": C10,
-    "ppe._validate_eta": C10,
     "ppe.allocate_threads": C10,
     "ppe.scheduler_objective": C10,
     "ppe.optimize_thread_allocation": C10,
