@@ -49,6 +49,7 @@ MAX_MATRIX_SIZE = 1 << 18
 # can still index.
 MAX_ALLOC_SIZE = np.iinfo(np.intp).max // 3
 _WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
+MAX_CHUNK = 32000  # the deepest chain, the chunk, that a worker's stack runs
 
 # Reports list zones in the order the experiment tables use.
 REPORT_ZONE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
@@ -78,8 +79,9 @@ def measure_memory() -> int | None:
 class WorkloadSpec:
     """One benchmark invocation. size means iterations, logical steps, matrix
     dimension, or requests depending on kind; chunk is the recursion depth per
-    chain, and only the recursion kinds take one. Only the timed kinds take
-    more than one partition: an allocation schedule runs on one thread."""
+    chain, which only the recursion kinds take: DEFAULT_CHUNK if omitted. Only
+    the timed kinds take more than one partition: an allocation schedule runs
+    on one thread."""
 
     kind: str
     size: int
@@ -102,10 +104,14 @@ class WorkloadSpec:
         if self.chunk is not None and self.chunk < 1:
             raise ValueError("chunk must be >= 1")
         if self.kind in DEFAULT_CHUNK:
-            chunk = self.effective_chunk
-            if self.size % chunk:
+            if self.chunk is None:
+                object.__setattr__(self, "chunk", DEFAULT_CHUNK[self.kind])
+            if self.chunk > MAX_CHUNK:
+                raise DepthLimitError(
+                    f"chunk {self.chunk} exceeds safe recursion depth {MAX_CHUNK}")
+            if self.size % self.chunk:
                 raise ValueError(
-                    f"chunk {chunk} must divide size {self.size} for {self.kind}"
+                    f"chunk {self.chunk} must divide size {self.size} for {self.kind}"
                 )
         elif self.chunk is not None:
             raise ValueError(f"chunk applies only to the recursion kinds, not {self.kind}")
@@ -117,10 +123,6 @@ class WorkloadSpec:
             if self.size > MAX_ALLOC_SIZE:
                 raise ValueError(f"size must be <= {MAX_ALLOC_SIZE} for an allocation kind, "
                                  "whose stream holds up to 3 x size requests")
-
-    @property
-    def effective_chunk(self) -> int:
-        return self.chunk or DEFAULT_CHUNK.get(self.kind, 1)
 
 
 @dataclass(frozen=True)
@@ -265,22 +267,17 @@ def _timed_run(spec: WorkloadSpec, ranges: tuple[tuple[int, int], ...], kernel,
     return summarize(spec, records)
 
 
-def run_loop(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
+def run_loop(spec: WorkloadSpec) -> BenchReport:
     if spec.kind != "loop":
         raise ValueError(f"run_loop got kind {spec.kind!r}")
     return _timed_run(spec, make_partitions(spec.size, spec.partitions), loop_partial)
 
 
-def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
+def run_recursion(spec: WorkloadSpec) -> BenchReport:
     """size logical steps as size/chunk chains, chains split across workers."""
     if spec.kind not in DEFAULT_CHUNK:
         raise ValueError(f"run_recursion got kind {spec.kind!r}")
-    cfg = config or DEFAULT_CONFIG
-    chunk = spec.effective_chunk
-    if chunk > cfg.max_recursion_depth:
-        raise DepthLimitError(
-            f"chunk {chunk} exceeds safe recursion depth {cfg.max_recursion_depth}"
-        )
+    chunk = spec.chunk
     chains = spec.size // chunk
     ranges = make_partitions(chains, spec.partitions)
 
@@ -298,7 +295,7 @@ def run_recursion(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> Be
         sys.setrecursionlimit(old_limit)
 
 
-def run_matrix(spec: WorkloadSpec, config: RuntimeConfig | None = None) -> BenchReport:
+def run_matrix(spec: WorkloadSpec) -> BenchReport:
     """Sum of the n x n integer product A @ A, output rows split across
     workers.
 
@@ -419,13 +416,14 @@ def run_alloc_experiments(spec: WorkloadSpec,
 
 
 def run_bench(spec: WorkloadSpec, config: RuntimeConfig | None = None):
-    """Dispatch on kind; BenchReport for timed kinds, stats dict otherwise."""
+    """Dispatch on kind; BenchReport for timed kinds, stats dict otherwise.
+    Only an allocation kind reads config."""
     if spec.kind == "loop":
-        return run_loop(spec, config)
+        return run_loop(spec)
     if spec.kind in DEFAULT_CHUNK:
-        return run_recursion(spec, config)
+        return run_recursion(spec)
     if spec.kind == "matrix":
-        return run_matrix(spec, config)
+        return run_matrix(spec)
     return run_alloc_experiments(spec, config)
 
 
@@ -479,7 +477,7 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
     spec = report.spec
     title = f"{spec.kind} size={spec.size} partitions={spec.partitions}"
     if spec.kind in DEFAULT_CHUNK:
-        title += f" chunk={spec.effective_chunk}"
+        title += f" chunk={spec.chunk}"
     return _table(fmt, title, ("Attempt", "Time (ms)", "Checksum", "MemBefore (KB)",
                                "MemAfter (KB)", "Delta (KB)"), rows)
 

@@ -12,8 +12,7 @@ example:
 
 Key groups: zones.* (red, green, blue); simple.* and predicate.* policy
 thresholds; cost.<zone>.mark|scan|stage; and the plain keys policy,
-rate_window, ema_weight, seconds_per_op, sweep_interval and
-max_recursion_depth.
+rate_window, ema_weight, seconds_per_op and sweep_interval.
 
 The threshold and cost pieces take their fields by name: simple.access_red
 sets RateThresholds.access_red and cost.red.mark the red ZoneWeights.mark.
@@ -23,9 +22,9 @@ selects the policy.
 A config is checked as a whole when it is built. The pieces it builds and keeps
 as immutable attributes (layout, ema, rate_thresholds, predicate_thresholds,
 cost_params) apply their own rules; RuntimeConfig adds the rules no piece
-owns: policy takes one of its allowed values, sweep_interval and
-max_recursion_depth are >= 1, rate_window and seconds_per_op are finite and
-> 0. parse_config reports a broken rule as ConfigError naming a line.
+owns: policy takes one of its allowed values, sweep_interval is >= 1,
+rate_window and seconds_per_op are finite and > 0. parse_config reports a
+broken rule as ConfigError naming a line. WorkloadSpec checks the chunk.
 """
 
 from __future__ import annotations
@@ -84,14 +83,11 @@ class RuntimeConfig:
     cost_blue_mark: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].mark
     cost_blue_scan: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].scan
     cost_blue_stage: float = DEFAULT_WEIGHTS[ZoneId.BLUE.ordinal].stage
-    # bench harness
-    max_recursion_depth: int = 32000
 
     def __post_init__(self) -> None:
         own_rules = (
             (self.policy in POLICIES, f"policy must be one of {POLICIES}"),
             (self.sweep_interval >= 1, "sweep_interval must be >= 1"),
-            (self.max_recursion_depth >= 1, "max_recursion_depth must be >= 1"),
             (0 < self.rate_window < math.inf, "rate_window must be finite and > 0"),
             (0 < self.seconds_per_op < math.inf, "seconds_per_op must be finite and > 0"),
         )
@@ -114,21 +110,19 @@ class RuntimeConfig:
         if problems:
             raise ConfigError(*problems)
 
-    def clock(self) -> LogicalClock:
-        """A new clock per arena: a clock advances, so no two arenas share one."""
-        return LogicalClock(self.seconds_per_op)
-
     def _group(self, group: str) -> dict:
         """The fields under key prefix `group.`, named by the rest of their key,
         which is the name of the piece field they set."""
         return {name: getattr(self, field) for name, field in _GROUP_FIELDS[group].items()}
 
     def build_arena(self) -> ZoneArena:
-        """A new arena on this config's pieces, with a clock of its own."""
+        """A new arena on this config's pieces, with a clock of its own: a
+        clock advances, so no two arenas share one."""
         thresholds = (self.rate_thresholds if self.policy == "simple"
                       else self.predicate_thresholds)
-        return ZoneArena(self.layout, clock=self.clock(), rate_window=self.rate_window,
-                         ema=self.ema, thresholds=thresholds, costs=self.cost_params)
+        return ZoneArena(self.layout, clock=LogicalClock(self.seconds_per_op),
+                         rate_window=self.rate_window, ema=self.ema,
+                         thresholds=thresholds, costs=self.cost_params)
 
 
 # Groups whose keys are dotted: field simple_access_red is key

@@ -309,10 +309,13 @@ class ObjectHandle:
 
 def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHandle:
     """Count one event on a live object; its lifetime now ends at `now`. A
-    slot with no live object, or outside the table, raises LifecycleError, and
-    a time before the last event, or NaN, ValueError; neither changes it."""
+    slot with no live object, or outside the table, raises LifecycleError;
+    a kind other than ACCESS or MUTATION, or a time before the last event,
+    or NaN, ValueError. None of them changes anything."""
     slots = header.slots
     i = slots.live(header.slot_index)
+    if not 0 <= kind <= 1:  # the offsets of EventKind's two members
+        raise ValueError(f"event kind {kind!r} is neither ACCESS nor MUTATION")
     last = slots.last_event_at
     if not now >= last[i]:
         raise ValueError(f"event time {now} is not >= the last event's {last[i]}")
@@ -342,17 +345,15 @@ FeatureColumns = NamedTuple(
 
 
 def feature_columns(slots: SlotTable, idx: np.ndarray) -> FeatureColumns:
-    """The features of every slot in idx, one fancy index per column.
-
-    Pure read. Raises ValueError on a negative entry, as FeatureVector does,
-    before the caller acts on any of the slots.
-    """
+    """The features of every slot in idx, one fancy index per column. Pure
+    read. Every entry is non-negative: allocate refuses a negative static
+    feature, and lifetimes and rates are non-negative by construction."""
 
     def column(name: str) -> np.ndarray:
         return np.asarray(getattr(slots, name))[idx]
 
     j = 2 * idx  # int(kind): numpy adds an IntEnum member ~3 µs slower than an int
-    f = FeatureColumns(
+    return FeatureColumns(
         lifetime=column("last_event_at") - column("allocated_at"),
         mutation_rate=slots.rates(j + int(EventKind.MUTATION)),
         access_rate=slots.rates(j + int(EventKind.ACCESS)),
@@ -360,10 +361,6 @@ def feature_columns(slots: SlotTable, idx: np.ndarray) -> FeatureColumns:
         fan_out=column("fan_out"),
         complexity_weight=column("complexity_weight"),
     )
-    for name, values in zip(FeatureColumns._fields, f):
-        if (values < 0).any():
-            raise ValueError(f"{name} must be non-negative")
-    return f
 
 
 @dataclass

@@ -303,8 +303,7 @@ class ZoneArena:
     ) -> None:
         self.thresholds = thresholds or RateThresholds()
         try:
-            self.policy, self._classify, self._classify_batch = (
-                _POLICY_TABLE[type(self.thresholds)])
+            _, self._classify, self._classify_batch = _POLICY_TABLE[type(self.thresholds)]
         except KeyError:
             raise ValueError(
                 f"no policy takes {type(self.thresholds).__name__} thresholds") from None
@@ -332,7 +331,11 @@ class ZoneArena:
         fan_out: float = 0.0,
         complexity_weight: float = 0.0,
     ) -> ObjectHandle:
-        """Serve one allocation request from the pool or a fresh slot."""
+        """Serve one allocation request from the pool or a fresh slot. A
+        negative static feature raises ValueError and changes nothing."""
+        # 0.0, not 0: a float-to-float compare takes the interpreter's fast path
+        if size < 0.0 or fan_out < 0.0 or complexity_weight < 0.0:
+            raise ValueError("size, fan_out and complexity_weight must be non-negative")
         slots = self.slots
         tag = slots.tag_id(site_tag)  # first: a tag with no id left changes nothing
         clock = self.clock
@@ -526,8 +529,8 @@ class ZoneArena:
         candidate whose zone differs from its target moves there, as
         expire_and_reallocate would, in ascending index order; the rest are
         left as they are, and so is a mover whose target zone has no slot
-        left. Returns (old index, new handle) pairs for the moved objects. A
-        negative feature raises ValueError before any move is made.
+        left. Returns (old index, new handle) pairs for the moved objects. No
+        candidate fails the pause: allocate refuses a negative feature.
         """
         slots = self.slots
         idx = np.array(report.candidates, dtype=np.intp)

@@ -72,13 +72,6 @@ def from_bits(bits: list[int]) -> int:
     return out
 
 
-def bitwise_oracle(op, a: int, b: int, width: int) -> int:
-    """Apply a 1-bit boolean function lane by lane."""
-    return from_bits(
-        [int(op(x, y)) for x, y in zip(bits_of(a, width), bits_of(b, width))]
-    )
-
-
 def liveness_bit(s: int, z: int, p: int) -> int:
     return (s and z) or ((not s) and p)
 
@@ -172,12 +165,6 @@ def exact_sample_variance(values) -> Fraction:
     fracs = [Fraction(v) for v in values]
     m = sum(fracs, Fraction(0)) / len(fracs)
     return sum((x - m) ** 2 for x in fracs) / (len(fracs) - 1)
-
-
-def exact_population_variance(values) -> Fraction:
-    fracs = [Fraction(v) for v in values]
-    m = sum(fracs, Fraction(0)) / len(fracs)
-    return sum((x - m) ** 2 for x in fracs) / len(fracs)
 
 
 # -- kernel oracles ---------------------------------------------------------

@@ -42,7 +42,7 @@ from zonegc.bench import (
 )
 from zonegc.checkpoint import StateCode
 from zonegc.config import RuntimeConfig
-from zonegc.errors import DepthLimitError
+from zonegc.errors import DepthLimitError, ZonegcError
 from zonegc.layout import ZoneId, ZoneLayout
 from zonegc.zones import PoolStats, ZoneArena
 
@@ -196,8 +196,8 @@ def test_workload_spec_validation():
         WorkloadSpec("loop", 10, attempts=0)
     with pytest.raises(ValueError):
         WorkloadSpec("recursion", 10_500)  # default chunk 1000 must divide
-    assert WorkloadSpec("recursion", 10_000).effective_chunk == 1000
-    assert WorkloadSpec("deep_recursion", 8000, chunk=4000).effective_chunk == 4000
+    assert WorkloadSpec("recursion", 10_000).chunk == 1000
+    assert WorkloadSpec("deep_recursion", 8000, chunk=4000).chunk == 4000
 
 
 def test_partitions_bounded_before_any_thread_starts(monkeypatch, capsys):
@@ -364,12 +364,13 @@ def test_unallocatable_zone_imbalance_stream_is_one_error_line(monkeypatch, caps
     assert capsys.readouterr() == ("", "error: MemoryError\n")
 
 
-def _failing_run_argv(tmp_path) -> list[str]:
-    """A run that gets past the spec and fails in run_recursion: the config
-    allows a recursion depth of 10, and the chain is 1000 deep."""
-    conf = tmp_path / "shallow.conf"
-    conf.write_text("max_recursion_depth = 10\n")
-    return ["recursion", "--size", "1000", "--chunk", "1000", "--config", str(conf)]
+def _fail_every_run(monkeypatch) -> None:
+    """Make each run get past the spec and then fail, as a run that raises
+    a ZonegcError in run_bench does."""
+    def failing_run(spec, config):
+        raise ZonegcError("the run failed")
+
+    monkeypatch.setattr(cli, "run_bench", failing_run)
 
 
 def test_output_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
@@ -379,29 +380,41 @@ def test_output_is_checked_before_the_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
 
 
-def test_failed_run_leaves_no_new_file_and_an_old_file_unchanged(tmp_path, capsys):
-    argv = _failing_run_argv(tmp_path)
+def test_failed_run_leaves_no_new_file_and_an_old_file_unchanged(tmp_path, monkeypatch,
+                                                                 capsys):
+    _fail_every_run(monkeypatch)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_bytes(b"an earlier report\n" * 100)
     for path in (new, old):
-        assert cli.main([*argv, "--output", str(path)]) == 1
-        assert capsys.readouterr() == ("", "error: chunk 1000 exceeds safe recursion depth 10\n")
+        assert cli.main(["alloc_reuse", "--size", "10", "--output", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: the run failed\n")
     assert not new.exists()
     assert old.read_bytes() == b"an earlier report\n" * 100
 
 
+def test_too_deep_a_chunk_fails_before_the_output_is_opened(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda *args: pytest.fail("the output was opened"))
+    out = tmp_path / "deep.csv"
+    argv = ["deep_recursion", "--size", "40000", "--chunk", "40000", "--output", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: chunk 40000 exceeds safe recursion depth {bench.MAX_CHUNK}\n")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_cli_main_leaves_no_file_descriptor_open(tmp_path, capsys):
-    runs = [
-        (["alloc_reuse", "--size", "10", "--output", str(tmp_path / "out.csv")], 0),
-        (["alloc_reuse", "--size", "10", "--output", str(tmp_path / "missing" / "x.csv")], 1),
-        (["alloc_reuse", "--size", "10", "--output", str(tmp_path)], 1),
-        ([*_failing_run_argv(tmp_path), "--output", str(tmp_path / "failed.csv")], 1),
-    ]
-    for argv, status in runs:
+def test_cli_main_leaves_no_file_descriptor_open(tmp_path, monkeypatch, capsys):
+    def run(output: Path, status: int) -> None:
         before = len(os.listdir("/proc/self/fd"))
-        assert cli.main(argv) == status
-        assert len(os.listdir("/proc/self/fd")) == before, argv
+        assert cli.main(["alloc_reuse", "--size", "10", "--output", str(output)]) == status
+        assert len(os.listdir("/proc/self/fd")) == before, output
+
+    run(tmp_path / "out.csv", 0)
+    run(tmp_path / "missing" / "x.csv", 1)
+    run(tmp_path, 1)
+    _fail_every_run(monkeypatch)
+    run(tmp_path / "failed.csv", 1)  # fails after its output is opened
     capsys.readouterr()
 
 
@@ -454,7 +467,7 @@ def test_repeated_cli_calls_match_a_fresh_process(kind, fmt, fresh_outputs,
     # on a config file of non-default keys
     conf = tmp_path / "other.conf"
     conf.write_text("zones.green = 64\nsweep_interval = 7\npolicy = predicates\n"
-                    "ema_weight = 0.25\ncost.red.mark = 1.1\nmax_recursion_depth = 5000\n")
+                    "ema_weight = 0.25\ncost.red.mark = 1.1\n")
     disturbances = [
         lambda: pytest.raises(SystemExit, cli.main, [kind, "--size", "ten"]).value.code == 2,
         lambda: cli.main([kind, "--size", "-1"]) == 1,
@@ -496,8 +509,9 @@ def test_kind_dispatch_guards():
 
 
 def test_recursion_depth_guard():
+    assert WorkloadSpec("deep_recursion", 32000, chunk=32000).chunk == bench.MAX_CHUNK
     with pytest.raises(DepthLimitError):
-        run_recursion(WorkloadSpec("deep_recursion", 40000, chunk=40000))
+        WorkloadSpec("deep_recursion", 40000, chunk=40000)
 
 
 # -- timed runs -------------------------------------------------------------

@@ -31,7 +31,7 @@ def test_defaults_assemble_a_runtime():
     cfg = RuntimeConfig()
     arena = cfg.build_arena()
     assert arena.layout.total == 3072
-    assert arena.policy == "simple"
+    assert type(arena.thresholds) is RateThresholds  # the simple policy
 
 
 def test_parse_overrides_and_comments():
@@ -78,13 +78,11 @@ def test_every_documented_key_maps_to_a_real_field():
         simple.mutation_green = 200
         predicate.size_red = 128
         cost.red.mark = 1.2
-        max_recursion_depth = 100
         """
     )
     assert (cfg.zone_red, cfg.ema_weight, cfg.zone_blue) == (7, 0.3, 2)
     assert (cfg.rate_window, cfg.simple_mutation_green) == (2.0, 200.0)
     assert (cfg.predicate_size_red, cfg.cost_red_mark) == (128.0, 1.2)
-    assert cfg.max_recursion_depth == 100
     assert {f.type for f in dataclasses.fields(RuntimeConfig)} == {"int", "float", "str"}
     # only the documented spelling of a key is accepted
     for alias in ("zone.red", "zones_red", "cost_red_mark", "cost.red_mark",
@@ -104,7 +102,7 @@ def test_readme_documents_only_real_config_keys():
     keys = {token for cell in cells
             for token in re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
             if "<zone>" not in token and "*" not in token}
-    assert {"zones.red", "policy", "max_recursion_depth"} <= keys
+    assert {"zones.red", "policy", "sweep_interval"} <= keys
     assert keys - set(zconfig._FIELDS) == set()
 
 
@@ -114,7 +112,7 @@ def test_readme_documents_only_real_config_keys():
     "rebalance.normalize", "cores", "scratch.slots", "scratch.bytes",
     "chi.loop", "chi.recursion", "chi.matrix",
     "partitions.red", "partitions.green", "partitions.blue", "pool_discipline",
-    "gen.fraction0", "gen.fraction1", "cost.mark_tolerance",
+    "gen.fraction0", "gen.fraction1", "cost.mark_tolerance", "max_recursion_depth",
 ])
 def test_deleted_keys_fail_at_their_line(key):
     with pytest.raises(ConfigError, match=rf"^line 2: unknown key '{key}'$"):
@@ -217,7 +215,9 @@ def test_default_config_arena_matches_the_arena_defaults():
     # ZoneArena defaults its policy, thresholds, costs, EMA, window and clock
     # apart from RuntimeConfig's fields: the two arenas must agree
     built, bare = DEFAULT_CONFIG.build_arena(), ZoneArena(DEFAULT_CONFIG.layout)
-    assert built.policy == bare.policy == DEFAULT_CONFIG.policy
+    # the thresholds' type selects the policy: simple's is RateThresholds
+    assert DEFAULT_CONFIG.policy == "simple"
+    assert type(built.thresholds) is type(bare.thresholds) is RateThresholds
     assert built.thresholds == bare.thresholds
     assert built.costs == bare.costs
     assert built.slots.cfg == bare.slots.cfg
@@ -336,7 +336,7 @@ def test_factories_honor_overrides():
     )
     costs = cfg.cost_params
     assert costs.weights[ZoneId.BLUE.ordinal].stage == 0.5
-    clock = cfg.clock()
+    clock = cfg.build_arena().clock
     clock.ops += 10
     assert clock.now == pytest.approx(0.01)
 

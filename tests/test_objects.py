@@ -314,6 +314,22 @@ def test_event_on_a_slot_outside_the_table_is_refused(outside):
     assert (last.last_event_at, _rate_entries(arena.slots, 11)) == before
 
 
+@pytest.mark.parametrize("kind", [-1, 2])
+def test_event_of_an_unknown_kind_is_refused(kind):
+    # kind 2 on slot 5 would count an access on slot 6's object, and kind -1
+    # a mutation on slot 4's
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    handles = [arena.allocate(zone, "t") for zone in ZoneId for _ in range(4)]
+    middle = handles[5]
+    slots = arena.slots
+    before = {name: bytes(value) for name, value in vars(slots).items()
+              if isinstance(value, memoryview)}
+    with pytest.raises(ValueError, match=rf"^event kind {kind} is neither ACCESS nor MUTATION$"):
+        record_event(middle, kind, 1.0)
+    assert {name: bytes(value) for name, value in vars(slots).items()
+            if isinstance(value, memoryview)} == before
+
+
 @pytest.mark.parametrize("outside", [-1, 12])
 def test_reads_through_a_handle_outside_the_table_are_refused(outside):
     # -1 would read the table's last slot, 11, which holds a live object

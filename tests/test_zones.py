@@ -666,20 +666,20 @@ def test_reclassify_skips_satisfied_candidates():
     assert arena.header_of(handle).zone is ZoneId.BLUE
 
 
-def test_reclassify_rejects_a_negative_feature_before_any_move():
+def test_allocate_refuses_a_negative_feature_and_changes_nothing():
+    # so no pause can meet a negative feature: it never reaches the table
     arena = small_arena()
     mover = arena.allocate(ZoneId.GREEN, "s")  # zero rates: simple wants red
-    bad = arena.allocate(ZoneId.GREEN, "s", size=-1.0)  # allocate accepts it
-    for handle in (mover, bad):
-        arena.table.set_state(handle.slot_index, StateCode.PROMOTE_CANDIDATE)
-    report = arena.run_sweep()
-    stats = [arena.pool_stats(zone) for zone in ZoneId]
-    states = list(arena.table.states())
-    with pytest.raises(ValueError, match="size"):
-        arena.reclassify_candidates(report)
-    assert [arena.pool_stats(zone) for zone in ZoneId] == stats
-    assert list(arena.table.states()) == states
-    assert arena.header_of(mover).alive
+    arena.release(arena.allocate(ZoneId.GREEN, "s"))  # a pooled slot to take
+    before = _arena_snapshot(arena)
+    for feature in ("size", "fan_out", "complexity_weight"):
+        with pytest.raises(ValueError, match="must be non-negative$"):
+            arena.allocate(ZoneId.GREEN, "a new site", **{feature: -1.0})
+        assert _arena_snapshot(arena) == before
+        assert arena.slots.tags == [None, "s"]
+    arena.table.set_state(mover.slot_index, StateCode.PROMOTE_CANDIDATE)
+    moved = arena.reclassify_candidates(arena.run_sweep())
+    assert [(old, new.zone) for old, new in moved] == [(mover.slot_index, ZoneId.RED)]
 
 
 def test_reclassify_skips_a_freed_candidate():
