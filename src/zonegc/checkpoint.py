@@ -3,8 +3,9 @@
 Every tracked object owns one 3-bit entry in a global table laid out as
 [red | green | blue] regions, one byte per entry. Entry state encodes the
 lifecycle phase as a StateCode, the one type for a 3-bit code. The slot's
-owner writes the codes (the arena on allocation, free and sweep requests, a
-yield scope on promotion); nothing derives a code from observed signals.
+owner writes the codes (the arena on allocation, free and sweep requests,
+and a yield scope's code on promotion); nothing derives a code from observed
+signals.
 The sweep scans the bytes with numpy and decides from the state bits alone,
 so per-entry work is constant and no object graph is traversed. The table
 maps a slot's index to its 16-byte-aligned address above the table's base

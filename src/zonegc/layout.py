@@ -94,8 +94,10 @@ class ZoneLayout:
         return i
 
     def zone_of_index(self, i: int) -> ZoneId:
-        _, green, blue, _ = self.bounds
-        return ZONE_ORDER[0 if self.check_index(i) < green else 1 if i < blue else 2]
+        _, green, blue, total = self.bounds
+        if not 0 <= i < total:
+            self.check_index(i)  # raises, with the range message
+        return ZONE_ORDER[0 if i < green else 1 if i < blue else 2]
 
     def generation_of(self, i: int) -> int:
         lo, hi = self.span(self.zone_of_index(i))  # also range-checks i

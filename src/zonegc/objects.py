@@ -44,6 +44,10 @@ class EventKind(enum.IntEnum):
     MUTATION = 1
 
 
+# record_event tells the two members apart by identity, the cheapest test.
+_ACCESS, _MUTATION = EventKind
+
+
 @dataclass(frozen=True)
 class EmaConfig:
     """Smoothing weight for the moving average, open interval (0, 1)."""
@@ -102,24 +106,45 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
     return ema, start
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FeatureVector:
-    """Per-object metrics consumed by classification and the cost model."""
+    """Per-object metrics consumed by classification and the cost model.
 
-    lifetime: float = 0.0  # seconds since allocation
-    mutation_rate: float = 0.0  # writes/second
-    access_rate: float = 0.0  # reads/second
-    size: float = 0.0  # bytes
-    fan_out: float = 0.0  # inbound reference count
-    complexity_weight: float = 0.0  # dimensionless workload factor
+    Every field is non-negative and defaults to 0.0. The __init__ is written
+    out: it checks the values first, then stores them through the slot
+    descriptors, which skips the generated __init__'s object.__setattr__
+    calls and a __post_init__ frame.
+    """
 
-    def __post_init__(self) -> None:
-        # One chained test: a loop of getattr calls costs more than the rest
-        # of the construction. min() would not do, as min(nan, -1.0) is nan.
-        if (self.lifetime < 0 or self.mutation_rate < 0 or self.access_rate < 0
-                or self.size < 0 or self.fan_out < 0 or self.complexity_weight < 0):
-            name = next(n for n in self.__dataclass_fields__ if getattr(self, n) < 0)
+    lifetime: float  # seconds since allocation
+    mutation_rate: float  # writes/second
+    access_rate: float  # reads/second
+    size: float  # bytes
+    fan_out: float  # inbound reference count
+    complexity_weight: float  # dimensionless workload factor
+
+    def __init__(self, lifetime: float = 0.0, mutation_rate: float = 0.0,
+                 access_rate: float = 0.0, size: float = 0.0, fan_out: float = 0.0,
+                 complexity_weight: float = 0.0) -> None:
+        # One chained test and one store per field: a loop over the fields
+        # costs more than the rest of the construction. min() would not do,
+        # as min(nan, -1.0) is nan.
+        if (lifetime < 0 or mutation_rate < 0 or access_rate < 0
+                or size < 0 or fan_out < 0 or complexity_weight < 0):
+            values = (lifetime, mutation_rate, access_rate, size, fan_out, complexity_weight)
+            name = next(n for n, v in zip(self.__dataclass_fields__, values) if v < 0)
             raise ValueError(f"{name} must be non-negative")
+        s0, s1, s2, s3, s4, s5 = _STORE_FEATURE
+        s0(self, lifetime)
+        s1(self, mutation_rate)
+        s2(self, access_rate)
+        s3(self, size)
+        s4(self, fan_out)
+        s5(self, complexity_weight)
+
+
+# FeatureVector's slot setters, in field order.
+_STORE_FEATURE = tuple(FeatureVector.__dict__[f.name].__set__ for f in fields(FeatureVector))
 
 
 class RateTracker:
@@ -280,8 +305,9 @@ class ObjectHandle:
     """A slot's object: read-only properties over its SlotTable entries,
     which describe the slot's current object, or its last one once freed.
 
-    The arena makes one per slot, on the slot's first claim, and hands out
-    that same object for every later claim. Handles compare by slot index.
+    The arena makes one per slot, on the slot's first claim, through the
+    class's slot descriptors rather than __init__, and hands out that same
+    object for every later claim. Handles compare by slot index.
     """
 
     slot_index: int
@@ -310,11 +336,13 @@ class ObjectHandle:
 def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHandle:
     """Count one event on a live object; its lifetime now ends at `now`. A
     slot with no live object, or outside the table, raises LifecycleError;
-    a kind other than ACCESS or MUTATION, or a time before the last event,
-    or NaN, ValueError. None of them changes anything."""
+    a kind that is not an int equal to ACCESS or MUTATION (a member, a bool
+    or a plain int), or a time before the last event, or NaN, ValueError.
+    None of them changes anything."""
     slots = header.slots
     i = slots.live(header.slot_index)
-    if not 0 <= kind <= 1:  # the offsets of EventKind's two members
+    if kind is not _ACCESS and kind is not _MUTATION and not (
+            isinstance(kind, int) and 0 <= kind <= 1):  # the members' offsets
         raise ValueError(f"event kind {kind!r} is neither ACCESS nor MUTATION")
     last = slots.last_event_at
     if not now >= last[i]:

@@ -95,22 +95,19 @@ class YieldScope:
             raise EphemeralStateError(
                 f"state {state:#05b} is not an ephemeral-value code"
             )
-        if self.arena is None:
+        arena = self.arena
+        if arena is None:
             raise LifecycleError("scope has no arena to promote into")
         f = _NO_FEATURES if features is None else features
         if state == _PERSISTENT:
-            zone = ZoneId.GREEN
+            zone, code = ZoneId.GREEN, _PERSISTENT
         else:
-            zone = self.arena.classify(f)
+            zone, code = arena.classify(f), _DEFERRED
             if zone is ZoneId.GREEN:
                 zone = ZoneId.BLUE
-        handle = self.arena.allocate(
-            zone,
-            site_tag or self.scope_id,
-            size=f.size,
-            fan_out=f.fan_out,
-            complexity_weight=f.complexity_weight,
-        )
-        self.arena.table.set_state(handle.slot_index, int(state))
+        # the arena writes the checked code as the claim's one state write
+        handle = arena.allocate(zone, site_tag or self.scope_id, size=f.size,
+                                fan_out=f.fan_out, complexity_weight=f.complexity_weight,
+                                _state=code)
         self.promoted += 1
         return handle

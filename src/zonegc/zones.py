@@ -59,6 +59,13 @@ RED, GREEN, BLUE = (zone.ordinal for zone in ZONE_ORDER)
 _ACTIVE = int(StateCode.ACTIVE)
 _IDLE = int(StateCode.IDLE)
 
+# _take makes a fresh slot's handle through ObjectHandle's slot descriptors,
+# which skips the frozen dataclass __init__ and its two object.__setattr__
+# calls; the handle is the same object that __init__ makes.
+_new_handle = object.__new__
+_set_handle_index = ObjectHandle.__dict__["slot_index"].__set__
+_set_handle_slots = ObjectHandle.__dict__["slots"].__set__
+
 # End codes of a request stream (ZoneArena.serve): how each request's object
 # ends. ACCESS is a flag on RELEASE and EXPIRE.
 RELEASE, EXPIRE, ACCESS, SWEEP = 0, 1, 2, 4
@@ -330,22 +337,27 @@ class ZoneArena:
         size: float = 0.0,
         fan_out: float = 0.0,
         complexity_weight: float = 0.0,
+        _state: int = _ACTIVE,
     ) -> ObjectHandle:
         """Serve one allocation request from the pool or a fresh slot. A
-        negative static feature raises ValueError and changes nothing."""
+        negative static feature raises ValueError and changes nothing. The
+        new entry's state is ACTIVE, or the code YieldScope.promote has
+        checked and passes as _state."""
         # 0.0, not 0: a float-to-float compare takes the interpreter's fast path
         if size < 0.0 or fan_out < 0.0 or complexity_weight < 0.0:
             raise ValueError("size, fan_out and complexity_weight must be non-negative")
         slots = self.slots
-        tag = slots.tag_id(site_tag)  # first: a tag with no id left changes nothing
+        # first: a tag with no id left changes nothing
+        tag = slots.tag_ids.get(site_tag)
+        if tag is None:
+            tag = slots.tag_id(site_tag)
         clock = self.clock
-        clock.ops += 1
-        now = clock.ops * clock.seconds_per_op
+        clock.ops = ops = clock.ops + 1
         idx = self._take(zone.ordinal)
-        slots.claim(idx, tag, now, size, fan_out, complexity_weight)
-        # set_state(idx, ACTIVE) inlined; idx came from this arena so the
+        slots.claim(idx, tag, ops * clock.seconds_per_op, size, fan_out, complexity_weight)
+        # set_state(idx, _state) inlined; idx came from this arena so the
         # range check is redundant here.
-        self._states[idx] = _ACTIVE
+        self._states[idx] = _state
         return self.handles[idx]
 
     def release(self, handle: ObjectHandle) -> None:
@@ -369,24 +381,29 @@ class ZoneArena:
     # -- the pool policy: every claim and free of a slot goes through these --
 
     def _room(self, zi: int) -> bool:
-        """Whether the zone of ordinal zi has a pooled or a fresh slot."""
+        """Whether _take would find the zone of ordinal zi a slot: a pooled
+        one, or a fresh one below the zone's edge."""
         return bool(self._pools[zi]) or (
             self._fresh_next[zi] < self.layout.bounds[zi + 1])
 
     def _take(self, zi: int) -> int:
         """Claim a slot of the zone of ordinal zi: its pool top, counted as a
-        reuse, or else its next fresh slot, whose handle is made here."""
+        reuse, or else its next fresh slot, whose handle is made here. A zone
+        with neither raises ZoneCapacityError."""
         pool = self._pools[zi]
         if pool:
             self._reused[zi] += 1
             return pool.pop()
-        if not self._room(zi):
+        idx = self._fresh_next[zi]
+        if idx >= self.layout.bounds[zi + 1]:  # not _room(zi), as the pool is empty
             zone = ZONE_ORDER[zi]
             raise ZoneCapacityError(
                 f"zone {zone} exhausted at {self.layout.size(zone)} slots")
-        idx = self._fresh_next[zi]
         self._fresh_next[zi] = idx + 1
-        self.handles[idx] = ObjectHandle(idx, self.slots)
+        handle = _new_handle(ObjectHandle)
+        _set_handle_index(handle, idx)
+        _set_handle_slots(handle, self.slots)
+        self.handles[idx] = handle
         return idx
 
     def _give(self, idx: int) -> int:
@@ -494,9 +511,9 @@ class ZoneArena:
         its last one once freed."""
         idx = handle.slot_index
         handles = self.handles
-        if not 0 <= idx < len(handles) or handles[idx] is None:
-            raise LifecycleError(f"slot {idx} was never allocated")
-        return handles[idx]
+        if 0 <= idx < len(handles) and (found := handles[idx]) is not None:
+            return found
+        raise LifecycleError(f"slot {idx} was never allocated")
 
     def pool_stats(self, zone: ZoneId) -> PoolStats:
         zi = zone.ordinal

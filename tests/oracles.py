@@ -304,7 +304,9 @@ class ArenaModel:
     Zones are "R", "G", "B", laid out in that order. A request takes the last
     slot its zone's pool got back, else the zone's next fresh slot. Each
     allocation and each release ticks a logical clock of seconds_per_op per
-    tick. States are 1 (active) for a live slot and 0 (idle) otherwise.
+    tick, a refused allocation too. States are 1 (active) for a live slot, a
+    promoted value's own code (4 persistent, 5 deferred), and 0 (idle) once
+    freed.
     """
 
     ZONES = ("R", "G", "B")
@@ -349,6 +351,22 @@ class ArenaModel:
         self.headers[slot] = HeaderModel(slot, zone, site_tag, now, size, fan_out,
                                          chi, site, self.window, self.omega)
         self.states[slot] = 1
+        return slot
+
+    def promote(self, code: int, site_tag, features: dict, classify) -> int:
+        """A yield scope's promotion of a value with state code 4
+        (persistent) or 5 (deferred): an allocation for the value's size,
+        fan-out and complexity weight, in green when persistent, else in the
+        zone classify gives its features, with green taken as blue. The
+        entry then holds the code, not 1."""
+        if code == 0b100:
+            zone = "G"
+        else:
+            zone = classify(features)
+            zone = "B" if zone == "G" else zone
+        slot = self.allocate(zone, site_tag, features["size"], features["fan_out"],
+                             features["complexity_weight"])
+        self.states[slot] = code
         return slot
 
     def live(self, slot: int) -> HeaderModel:

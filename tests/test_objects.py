@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 import signal
 import tracemalloc
 
@@ -29,6 +30,7 @@ from zonegc.objects import (
 from zonegc.zones import ZoneArena
 
 from .oracles import ema_chain_oracle, rate_replay_oracle
+from .test_zones import _arena_snapshot
 
 FINITE = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 OMEGA = st.floats(min_value=0.01, max_value=0.99)
@@ -314,20 +316,28 @@ def test_event_on_a_slot_outside_the_table_is_refused(outside):
     assert (last.last_event_at, _rate_entries(arena.slots, 11)) == before
 
 
-@pytest.mark.parametrize("kind", [-1, 2])
+@pytest.mark.parametrize("kind", [-1, 2, 0.5, 1.0, None, "x", []])
 def test_event_of_an_unknown_kind_is_refused(kind):
     # kind 2 on slot 5 would count an access on slot 6's object, and kind -1
-    # a mutation on slot 4's
+    # a mutation on slot 4's; 0.5 and 1.0 lie in the offsets' range, but no
+    # float names an entry
     arena = ZoneArena(ZoneLayout(4, 4, 4))
     handles = [arena.allocate(zone, "t") for zone in ZoneId for _ in range(4)]
-    middle = handles[5]
-    slots = arena.slots
-    before = {name: bytes(value) for name, value in vars(slots).items()
-              if isinstance(value, memoryview)}
-    with pytest.raises(ValueError, match=rf"^event kind {kind} is neither ACCESS nor MUTATION$"):
-        record_event(middle, kind, 1.0)
-    assert {name: bytes(value) for name, value in vars(slots).items()
-            if isinstance(value, memoryview)} == before
+    before = _arena_snapshot(arena)
+    with pytest.raises(ValueError, match=rf"^event kind {re.escape(repr(kind))} "
+                                         "is neither ACCESS nor MUTATION$"):
+        record_event(handles[5], kind, 1.0)
+    assert _arena_snapshot(arena) == before
+
+
+@pytest.mark.parametrize("kind, offset", [(EventKind.ACCESS, 0), (False, 0), (0, 0),
+                                          (EventKind.MUTATION, 1), (True, 1), (1, 1)])
+def test_an_event_kind_is_any_int_equal_to_a_members_offset(kind, offset):
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    handle = arena.allocate(ZoneId.GREEN, "t")
+    record_event(handle, kind, 0.5)
+    j = 2 * handle.slot_index
+    assert (arena.slots.count[j + offset], arena.slots.count[j + 1 - offset]) == (1, 0)
 
 
 @pytest.mark.parametrize("outside", [-1, 12])

@@ -63,7 +63,7 @@ ALLOW = {
     "zones.classify_simple": C09,
     "zones._eligible": C09,
     "zones.classify_predicates": C09,
-    "objects.FeatureVector.__post_init__": C09,
+    "objects.FeatureVector.__init__": C09,
     "ppe.ThreadAllocation.__post_init__": C10,
     "ppe.ThreadAllocation.total": C10,
     "ppe.allocate_threads": C10,

@@ -51,6 +51,7 @@ from zonegc.zones import (
     _eligible,
     zone_cost,
 )
+from zonegc.yield_memory import YieldScope
 
 from .oracles import ArenaModel, Refused, request_loop_oracle
 
@@ -579,6 +580,45 @@ def test_pause_into_a_full_zone_loses_no_object():
     assert all(handle.alive and handle.zone is ZoneId.GREEN for handle in greens)
 
 
+def _frames(call) -> int:
+    """The Python frames that call() starts, call itself not counted."""
+    started = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            started.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return len(started) - 1
+
+
+def test_object_birth_and_zone_lookup_run_few_python_frames():
+    # Each Python frame costs tens of ns, and a birth or a zone lookup runs
+    # once per request; the counts guard that cost with no timing. Before
+    # the birth path was cut down, they were 6, 4, 9, 12, 2 and 4.
+    arena = small_arena()
+    scope = YieldScope(arena)
+    scope.promote(None, StateCode.PERSISTENT)  # the tags below have ids from here on
+    arena.release(arena.allocate(ZoneId.RED, "s"))
+    handle = arena.allocate(ZoneId.BLUE, "s")
+    cold = FeatureVector(size=64.0)
+    counts = {
+        "fresh allocate": _frames(lambda: arena.allocate(ZoneId.GREEN, "s", size=8.0)),
+        "pooled allocate": _frames(lambda: arena.allocate(ZoneId.RED, "s", size=8.0)),
+        "persistent promote": _frames(lambda: scope.promote(None, StateCode.PERSISTENT)),
+        "deferred promote": _frames(lambda: scope.promote(None, StateCode.DEFERRED,
+                                                          features=cold)),
+        "zone_of_index": _frames(lambda: arena.layout.zone_of_index(handle.slot_index)),
+        "header_of(h).zone": _frames(lambda: arena.header_of(handle).zone),
+    }
+    assert counts == {"fresh allocate": 3, "pooled allocate": 3, "persistent promote": 4,
+                      "deferred promote": 7, "zone_of_index": 1, "header_of(h).zone": 3}
+
+
 def test_zone_edges_hold_on_unequal_zones():
     """Every slot of three zones of different sizes: its handle names its
     region, it frees into its own zone's pool, and a pause leaves a
@@ -796,7 +836,24 @@ ARENA_OPS = st.one_of(
     # mark the slots of issued handles (freed ones included) 010/011, then pause
     st.tuples(st.just("pause"), st.lists(st.integers(0, 63), max_size=4),
               st.sampled_from([StateCode.PROMOTE_CANDIDATE, StateCode.DEMOTE_CANDIDATE])),
+    # a yield scope's promotion, persistent or deferred, as a member or a
+    # plain int, for the scope's tag or a site's, without features (the
+    # scope reads zeros) or with features that reach the cuts below
+    st.tuples(st.just("promote"),
+              st.sampled_from([StateCode.PERSISTENT, StateCode.DEFERRED, 0b100, 0b101]),
+              st.sampled_from([None, "a"]),
+              st.one_of(st.none(), st.fixed_dictionaries({
+                  "lifetime": st.sampled_from([0.0, 1.0, 8.0]),
+                  "mutation_rate": st.sampled_from([0.0, 2.0, 8.0]),
+                  "access_rate": st.sampled_from([0.0, 2.0, 8.0]),
+                  "size": st.sampled_from([0.0, 64.0, 4096.0]),
+                  "fan_out": st.sampled_from([0.0, 1.0]),
+                  "complexity_weight": st.sampled_from([0.0, 2.0]),
+              }))),
 )
+NO_FEATURES = dict.fromkeys(
+    ["lifetime", "mutation_rate", "access_rate", "size", "fan_out", "complexity_weight"], 0.0)
+HOT = dict(NO_FEATURES, mutation_rate=8.0, access_rate=8.0, size=64.0)
 # Cuts the drawn rates, lifetimes and sizes reach, so pauses move objects;
 # one set per policy.
 MODEL_THRESHOLDS = {
@@ -872,6 +929,19 @@ def _outcome(call):
     # the last object's mutation opened
     ("event", 4, EventKind.MUTATION, 0.75)],
     window=1.0, omega=0.5, step=0.125, policy="simple")
+@example(ops=[  # a promotion into a full zone is refused and ticks the clock
+    *[("alloc", ZoneId.GREEN, "a", 0.0)] * 4,  # green is full
+    ("promote", StateCode.PERSISTENT, None, None),
+    *[("alloc", ZoneId.BLUE, "a", 0.0)] * 4,  # blue is full
+    # rates over the green cut classify green, which a deferred value takes
+    # as blue, and blue is full
+    ("promote", StateCode.DEFERRED, "a", HOT),
+    ("promote", 0b101, None, None),  # zero rates: red slot 0, code 101
+    ("release", 2),  # green slot 4 goes back to its pool
+    ("promote", 0b100, "a", HOT),  # pooled green slot 4, code 100
+    ("event", 11, EventKind.ACCESS, 0.0),  # on the persistent object in slot 4
+    ("pause", [10, 11], StateCode.DEMOTE_CANDIDATE)],
+    window=1.0, omega=0.5, step=0.125, policy="simple")
 @given(ops=st.lists(ARENA_OPS, max_size=80),
        window=st.sampled_from([0.5, 1.0, 2.0]),
        omega=st.sampled_from([0.25, 0.5, 0.875]),
@@ -883,6 +953,8 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
                       rate_window=window, ema=EmaConfig(omega),
                       thresholds=MODEL_THRESHOLDS[policy])
     model = ArenaModel(sizes, window, omega, step)
+    scope = YieldScope(arena, scope_id="y")
+    promoted = 0
     # every handle ever issued, plus two that name no slot of the table
     handles = [ObjectHandle(-1, arena.slots), ObjectHandle(12, arena.slots)]
     by_slot: dict[int, ObjectHandle] = {}
@@ -924,6 +996,15 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
             want = _outcome(lambda: model.reclassify_lossless(candidates, classify))
             if isinstance(got, list):
                 got = [(old, issued(new)) for old, new in got]
+        elif op[0] == "promote":
+            _, code, site, drawn = op
+            features = None if drawn is None else FeatureVector(**drawn)
+            got = issued(_outcome(lambda: scope.promote(object(), code, site_tag=site,
+                                                        features=features)))
+            want = _outcome(lambda: model.promote(
+                int(code), site or scope.scope_id, drawn or NO_FEATURES,
+                lambda f: LETTER[arena.classify(FeatureVector(**f))]))
+            promoted += isinstance(want, int)
         else:
             handle = handles[op[1] % len(handles)]
             slot = handle.slot_index
@@ -944,6 +1025,8 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
                                and None)
                 want = _outcome(lambda: model.record_event(slot, KINDS[kind], now))
         assert got == want, op
+        assert arena.clock.ops == model.ops, op
+        assert scope.promoted == promoted
 
         for zone in ZoneId:
             s = arena.pool_stats(zone)
