@@ -9,7 +9,8 @@ signals.
 The sweep scans the bytes with numpy and decides from the state bits alone,
 so per-entry work is constant and no object graph is traversed. The table
 maps a slot's index to its 16-byte-aligned address above the table's base
-and back.
+and back. zero_column makes every capacity-sized array of an arena: these
+state bytes and the SlotTable's columns.
 """
 
 from __future__ import annotations
@@ -23,6 +24,33 @@ import numpy as np
 from .errors import AlignmentError, IndexRangeError
 from .gates import eval_liveness_gate  # noqa: F401  perfbench's tracer wraps checkpoint.eval_liveness_gate
 from .layout import SLOT_BYTES, ZoneLayout
+
+
+# numpy advises huge pages for an array of this many bytes or more, and a
+# zone's claimed prefix of it then commits in 2 MiB steps.
+HUGE_PAGE_BYTES = 1 << 22
+
+
+def zero_column(n: int, dtype: type[np.generic]) -> memoryview:
+    """n zero entries of dtype, as a memoryview whose pages the OS commits
+    at their first write. Below HUGE_PAGE_BYTES it is a calloc'd numpy
+    array's .data; at or above, a cast of an anonymous mapping, advised
+    against huge pages, so that resident memory grows in 4 KiB pages. A
+    mapping the OS refuses raises MemoryError, naming its size."""
+    dtype = np.dtype(dtype)
+    nbytes = n * dtype.itemsize
+    if nbytes < HUGE_PAGE_BYTES:
+        return np.zeros(n, dtype).data
+    import mmap  # here: imported at the top, it adds ~0.2 MB to every process
+
+    try:
+        pages = mmap.mmap(-1, nbytes)
+    except OSError:
+        raise MemoryError(f"Unable to allocate {nbytes / 2**20:.0f} MiB for "
+                          f"{n} entries of {dtype}") from None
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux; it matters where THP is "always"
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+    return memoryview(pages).cast(dtype.char)
 
 
 class StateCode(enum.IntEnum):
@@ -47,13 +75,17 @@ class SweepReport:
 
 
 class CheckpointTable:
-    """One byte per entry, each holding a 3-bit state, over all three zones."""
+    """One byte per entry, each holding a 3-bit state, over all three zones.
+
+    The bytes are a zero_column, so an entry's page is committed at the
+    first write to it, and each zone's resident bytes follow its claimed
+    prefix, as the SlotTable's columns do."""
 
     def __init__(self, layout: ZoneLayout, base: int = 0) -> None:
         self.base = base
         self.capacity = layout.total
         self.epoch = 0
-        self._states = bytearray(self.capacity)
+        self._states = zero_column(self.capacity, np.uint8)
         self._check_index = layout.check_index
 
     def get_state(self, i: int) -> StateCode:

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checkpoint import zero_column
 from .errors import LifecycleError
 from .layout import ZoneId, ZoneLayout
 
@@ -195,36 +196,35 @@ class RateTracker:
 class SlotTable:
     """Metadata of every slot's occupant, one array entry per table slot.
 
-    The arrays are sized at table capacity, like the checkpoint table, but
-    each is the memoryview (.data) of a calloc'd numpy zero array: its item
-    stores skip array argument parsing, and the OS commits a page at its
-    first write. A zone claims fresh slots in order, so resident memory
-    follows each zone's claimed prefix, not capacity (in 2 MiB steps for an
-    array of 4 MiB or more, which numpy advises into huge pages). A slot's
-    entries describe its current object while alive[i] is set, its last one
-    after release, and read all zero before its first claim. Mutation and
-    access rates keep a window start, an open count and an EMA (NaN from the
-    claim until a window closes) at entry 2 * i + kind. The zone is
-    not stored: it is the slot's region in `layout`. A site tag is stored as
-    a uint16 id into `tags`, the table's one list of the tags its objects
-    were claimed for, in the order first claimed; id 0 is None.
+    The arrays are sized at table capacity, like the checkpoint table's
+    state bytes, and each is a zero_column: a memoryview, whose item stores
+    skip array argument parsing, over zero pages that the OS commits at
+    their first write, 4 KiB at a time. A zone claims fresh slots in order,
+    so resident memory follows each zone's claimed prefix, not capacity.
+    A slot's entries describe its current object while alive[i] is set, its
+    last one after release, and read all zero before its first claim.
+    Mutation and access rates keep a window start, an open count and an EMA
+    (NaN from the claim until a window closes) at entry 2 * i + kind. The
+    zone is not stored: it is the slot's region in `layout`. A site tag is
+    stored as a uint16 id into `tags`, the table's one list of the tags its
+    objects were claimed for, in the order first claimed; id 0 is None.
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
         self.window = _check_window(window)
         n = layout.total
-        self.alive = np.zeros(n, np.uint8).data
-        self.allocated_at = np.zeros(n).data
-        self.last_event_at = np.zeros(n).data
-        self.size = np.zeros(n).data
-        self.fan_out = np.zeros(n).data
-        self.complexity_weight = np.zeros(n).data
-        self.site_tag = np.zeros(n, np.uint16).data
+        self.alive = zero_column(n, np.uint8)
+        self.allocated_at = zero_column(n, np.float64)
+        self.last_event_at = zero_column(n, np.float64)
+        self.size = zero_column(n, np.float64)
+        self.fan_out = zero_column(n, np.float64)
+        self.complexity_weight = zero_column(n, np.float64)
+        self.site_tag = zero_column(n, np.uint16)
         self.tags: list[str | None] = [None]
         self.tag_ids: dict[str | None, int] = {None: 0}
-        self.window_start = np.zeros(2 * n).data
-        self.count = np.zeros(2 * n, np.int64).data
-        self.ema = np.zeros(2 * n).data
+        self.window_start = zero_column(2 * n, np.float64)
+        self.count = zero_column(2 * n, np.int64)
+        self.ema = zero_column(2 * n, np.float64)
         self.cfg = cfg
         self.layout = layout
 

@@ -54,8 +54,8 @@ _TIE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
 # classifiers' output.
 RED, GREEN, BLUE = (zone.ordinal for zone in ZONE_ORDER)
 
-# Plain-int state codes for the inlined table writes; storing a StateCode
-# member in the bytearray costs several times more per write.
+# Plain-int state codes for the inlined table writes: reading a member off
+# StateCode costs several times more than the store itself.
 _ACTIVE = int(StateCode.ACTIVE)
 _IDLE = int(StateCode.IDLE)
 

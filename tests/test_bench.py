@@ -43,7 +43,7 @@ from zonegc.bench import (
 from zonegc.checkpoint import StateCode
 from zonegc.config import RuntimeConfig
 from zonegc.errors import DepthLimitError, ZonegcError
-from zonegc.layout import ZoneId, ZoneLayout
+from zonegc.layout import MAX_ZONE_SLOTS, ZoneId, ZoneLayout
 from zonegc.zones import PoolStats, ZoneArena
 
 from .oracles import (
@@ -362,6 +362,35 @@ def test_unallocatable_zone_imbalance_stream_is_one_error_line(monkeypatch, caps
     monkeypatch.setattr(cli, "run_bench", out_of_memory)
     assert cli.main(["zone_imbalance", "--size", "10"]) == 1
     assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
+def test_unmappable_slot_table_column_is_one_error_line(tmp_path):
+    # Every zone at MAX_ZONE_SLOTS asks for 384 MiB per float64 column, which
+    # a 1 GiB address space cannot map. mmap's own OSError would print a bare
+    # "error: [Errno 12] Cannot allocate memory", naming no size.
+    conf = tmp_path / "max.conf"
+    conf.write_text("".join(f"zones.{zone.name.lower()} = {MAX_ZONE_SLOTS}\n"
+                            for zone in ZoneId))
+    proc = subprocess.run([sys.executable, "-m", "zonegc", "alloc_reuse", "--size", "1",
+                           "--config", str(conf)], capture_output=True, text=True,
+                          timeout=30, preexec_fn=lambda: resource.setrlimit(
+                              resource.RLIMIT_AS, (2**30, 2**30)))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: Unable to allocate 384 MiB ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_allocation_kinds_on_the_default_config_leave_mmap_unimported():
+    # zero_column imports mmap only for a column of HUGE_PAGE_BYTES or more;
+    # the module alone adds ~0.2 MB to a process's peak resident memory.
+    code = ("import sys\n"
+            "from zonegc import bench, cli\n"
+            "codes = [cli.main([kind, '--size', '1000']) for kind in bench.ALLOC_KINDS]\n"
+            "print(codes, 'mmap' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stderr == f"{[0] * len(bench.ALLOC_KINDS)} False\n"
 
 
 def _fail_every_run(monkeypatch) -> None:

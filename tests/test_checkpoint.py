@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import mmap
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonegc.checkpoint import CheckpointTable, StateCode
+from zonegc.checkpoint import HUGE_PAGE_BYTES, CheckpointTable, StateCode, zero_column
 from zonegc.errors import AlignmentError, IndexRangeError
 from zonegc.layout import ZoneLayout
 
@@ -67,7 +69,7 @@ def test_set_state_validates():
     with pytest.raises(IndexRangeError):
         table.get_state(-1)
     with pytest.raises(IndexRangeError):
-        table.set_state(-1, 1)  # a bytearray alone would write the last entry
+        table.set_state(-1, 1)  # the state bytes alone would write the last entry
     with pytest.raises(ValueError):
         table.set_state(0, 8)
     with pytest.raises(ValueError):
@@ -92,6 +94,38 @@ def test_get_after_set_random_tables(data):
         table.set_state(i, code)
         expected[i] = code
     assert [int(s) for s in table.states()] == expected
+
+
+# -- zero columns -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64])
+def test_zero_column_reads_as_numpy_zeros_on_both_sides_of_the_huge_page_size(dtype):
+    edge = HUGE_PAGE_BYTES // np.dtype(dtype).itemsize
+    for n, mapped in [(edge - 1, False), (edge, True)]:
+        column = zero_column(n, dtype)
+        zeros = np.zeros(n, dtype).data
+        assert isinstance(column.obj, mmap.mmap) is mapped
+        assert (column.format, column.itemsize, column.shape) == (
+            zeros.format, zeros.itemsize, zeros.shape)
+        column[n - 1] = 7
+        array = np.asarray(column)
+        assert array.dtype == dtype and array[n - 1] == 7 and not array[:-1].any()
+
+
+def test_mapped_state_bytes_read_write_and_sweep_like_small_ones():
+    layout = ZoneLayout(1, 1, HUGE_PAGE_BYTES)  # 2 entries past the huge-page size
+    table = CheckpointTable(layout)
+    assert isinstance(table._states.obj, mmap.mmap)
+    last = layout.total - 1
+    table.set_state(0, StateCode.EXPIRED)
+    table.set_state(last, StateCode.PROMOTE_CANDIDATE)
+    assert table.get_state(last) is StateCode.PROMOTE_CANDIDATE
+    assert list(itertools.islice(table.states(), 2)) == [StateCode.EXPIRED, StateCode.IDLE]
+    report = table.epoch_sweep()
+    assert (report.evaluated, report.reclaimed, report.candidates) == (
+        layout.total, [0], [last])
+    assert bytes(table._states)[::last] == bytes([0b111, 0b010])
 
 
 # -- sweep vs scalar oracle -------------------------------------------------

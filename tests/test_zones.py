@@ -511,9 +511,9 @@ def test_arena_footprint_is_linear_in_capacity_and_claimed_slots():
 
 
 # Resident bytes per table slot that building a 3 x 1M arena adds: the
-# handles list's 8 B pointer and the checkpoint table's state byte. The
+# handles list's 8 B pointer. The checkpoint table's state bytes and the
 # SlotTable's columns are zero pages that only claims commit.
-RESIDENT_BYTES_PER_TABLE_SLOT = 10.0
+RESIDENT_BYTES_PER_TABLE_SLOT = 9.0
 _BUILD_RSS = """
 from zonegc.bench import measure_memory
 from zonegc.layout import ZoneLayout
@@ -530,6 +530,39 @@ def test_building_an_arena_commits_no_slot_table_pages():
     proc = subprocess.run([sys.executable, "-c", _BUILD_RSS.format(n=1_000_000)],
                           capture_output=True, text=True, timeout=30, check=True)
     assert float(proc.stdout) <= RESIDENT_BYTES_PER_TABLE_SLOT
+
+
+# Resident bytes that a claim adds, the same at every table size: its
+# entries in the columns and the state bytes (92 B), its handle (48 B) and
+# its slot-index int (32 B). Six runs per size on a 2-core x86-64 host
+# (CPython 3.11.7, numpy 2.4.6, transparent huge pages in madvise mode)
+# read 172.0-172.2 B at both sizes; with the columns on numpy's huge-page
+# advice they read 198.3-198.5 B at 3 x 100k and 307-316 B at 3 x 1M.
+RESIDENT_BYTES_PER_CLAIM = 180.0
+RESIDENT_PER_CLAIM_SPREAD = 1.03  # largest over smallest of the two sizes
+_CLAIM_RSS = """
+from zonegc.bench import measure_memory
+from zonegc.layout import ZONE_ORDER, ZoneLayout
+from zonegc.zones import ZoneArena
+arena = ZoneArena(ZoneLayout({n}, {n}, {n}))
+allocate = arena.allocate
+before = measure_memory()
+for zone in ZONE_ORDER:
+    for _ in range({claims}):
+        allocate(zone)
+print((measure_memory() - before) * 1024 / (3 * {claims}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_resident_bytes_per_claim_do_not_depend_on_table_size():
+    # Each in a child process; the larger table's zones also take twice the claims.
+    per_claim = [float(subprocess.run(
+        [sys.executable, "-c", _CLAIM_RSS.format(n=n, claims=claims)],
+        capture_output=True, text=True, timeout=60, check=True).stdout)
+        for n, claims in [(100_000, 50_000), (1_000_000, 100_000)]]
+    assert max(per_claim) <= RESIDENT_BYTES_PER_CLAIM
+    assert max(per_claim) <= RESIDENT_PER_CLAIM_SPREAD * min(per_claim)
 
 
 def _arena_snapshot(arena: ZoneArena) -> dict:
