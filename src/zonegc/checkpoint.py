@@ -10,7 +10,7 @@ The sweep scans the bytes with numpy and decides from the state bits alone,
 so per-entry work is constant and no object graph is traversed. The table
 maps a slot's index to its 16-byte-aligned address above the table's base
 and back. zero_column makes every capacity-sized array of an arena: these
-state bytes and the SlotTable's columns.
+state bytes and the SlotTable's rows and flag columns.
 """
 
 from __future__ import annotations
@@ -93,9 +93,13 @@ class CheckpointTable:
         return StateCode(self._states[i])
 
     def set_state(self, i: int, code: int) -> None:
-        self._check_index(i)
-        if not 0 <= code <= 0b111:
-            raise ValueError(f"state code {code} outside 3 bits")
+        """Write code, an int of 3 bits (a StateCode, a bool or a plain
+        int), into entry i. An index outside the table raises
+        IndexRangeError, and any other code ValueError, before the write."""
+        if not 0 <= i < self.capacity:
+            self._check_index(i)  # raises, with the range message
+        if not (isinstance(code, int) and 0 <= code <= 0b111):
+            raise ValueError(f"state code {code!r} is not an int of 3 bits")
         self._states[i] = code
 
     def states(self) -> Iterator[StateCode]:

@@ -1,13 +1,14 @@
 """Simulated object metadata: side tables, rate metrics, EMA smoothing.
 
 Objects here are bookkeeping records, not real heap storage. Their metadata
-lives in a SlotTable, parallel arrays indexed by checkpoint-table slot, in
-the way the checkpoint table keeps one byte of state per slot: liveness,
-allocation and last-event times, static features (size, fan-out, complexity
-weight), the allocation site tag's id and windowed mutation and access rates.
-A claim writes every entry of the new object, its rate windows included,
-which open at the claim with no events. A slot's one Python object is its
-ObjectHandle, which reads those arrays.
+lives in a SlotTable indexed by checkpoint-table slot, in the way the
+checkpoint table keeps one byte of state per slot. A slot's allocation and
+last-event times, static features (size, fan-out, complexity weight) and
+windowed access and mutation rates are one row of eight-byte entries, so a
+request on the slot writes one place; its liveness flag and the allocation
+site tag's id are columns of their own. A claim writes the whole row, its
+rate windows included, which open at the claim with no events. A slot's one
+Python object is its ObjectHandle, which reads those entries.
 Rates are counted over a fixed logical-time window and smoothed with an
 exponential moving average; the smoothed view is what classification
 consumes, as columns (feature_columns) or as the one-row case of them
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -38,8 +40,8 @@ STEPPED_WINDOWS = 256
 
 
 class EventKind(enum.IntEnum):
-    """An event's kind; its value is the offset of its entry in a slot's
-    pair of rate-tracker entries."""
+    """An event's kind; its value indexes a SlotTable's per-kind rate
+    entries."""
 
     ACCESS = 0
     MUTATION = 1
@@ -193,38 +195,53 @@ class RateTracker:
         return ema if ema == ema else self.raw_rate
 
 
-class SlotTable:
-    """Metadata of every slot's occupant, one array entry per table slot.
+# A slot's row in a SlotTable: ROW eight-byte entries, packed by _ROW in this
+# order: allocated_at, last_event_at, size, fan_out, complexity_weight, then,
+# for each EventKind in order, its window start, open count (int64) and EMA.
+_ROW = struct.Struct("5d dqd dqd")
+_pack_row = _ROW.pack_into
+ROW = _ROW.size // 8
+SIZE, RATES = 2, 5  # the first static feature's entry, the first rate entry's
 
-    The arrays are sized at table capacity, like the checkpoint table's
-    state bytes, and each is a zero_column: a memoryview, whose item stores
-    skip array argument parsing, over zero pages that the OS commits at
-    their first write, 4 KiB at a time. A zone claims fresh slots in order,
-    so resident memory follows each zone's claimed prefix, not capacity.
-    A slot's entries describe its current object while alive[i] is set, its
-    last one after release, and read all zero before its first claim.
-    Mutation and access rates keep a window start, an open count and an EMA
-    (NaN from the claim until a window closes) at entry 2 * i + kind. The
-    zone is not stored: it is the slot's region in `layout`. A site tag is
-    stored as a uint16 id into `tags`, the table's one list of the tags its
-    objects were claimed for, in the order first claimed; id 0 is None.
+
+class SlotTable:
+    """Metadata of every slot's occupant: one row per table slot, and the
+    liveness flag and site tag id of each slot in columns of their own.
+
+    The rows are one zero_column of capacity * ROW float64 entries, and each
+    row entry is a strided memoryview of it: allocated_at, last_event_at,
+    size, fan_out and complexity_weight, and per EventKind, indexed by the
+    kind, window_start, count (int64) and ema. A request on a slot writes
+    its row and its flags, not one page per entry. The flags stay apart, and
+    so do the checkpoint table's state bytes, which a sweep scans.
+    Every array is sized at table capacity and is a zero_column: a
+    memoryview, whose item stores skip array argument parsing, over zero
+    pages that the OS commits at their first write, 4 KiB at a time. A zone
+    claims fresh slots in order, so resident memory follows each zone's
+    claimed prefix, not capacity. A slot's entries describe its current
+    object while alive[i] is set, its last one after release, and read all
+    zero before its first claim. A rate window's EMA is NaN from the claim
+    until a window closes. The zone is not stored: it is the slot's region
+    in `layout`. A site tag is stored as a uint16 id into `tags`, the
+    table's one list of the tags its objects were claimed for, in the order
+    first claimed; id 0 is None.
     """
 
     def __init__(self, layout: ZoneLayout, window: float, cfg: EmaConfig) -> None:
         self.window = _check_window(window)
         n = layout.total
+        self.rows = rows = zero_column(n * ROW, np.float64)
+        counts = rows.cast("B").cast("q")
+        (self.allocated_at, self.last_event_at, self.size, self.fan_out,
+         self.complexity_weight) = (rows[k::ROW] for k in range(RATES))
+        firsts = [RATES + 3 * kind for kind in EventKind]
+        self.window_start = tuple(rows[k::ROW] for k in firsts)
+        self.count = tuple(counts[k + 1::ROW] for k in firsts)
+        self.ema = tuple(rows[k + 2::ROW] for k in firsts)
         self.alive = zero_column(n, np.uint8)
-        self.allocated_at = zero_column(n, np.float64)
-        self.last_event_at = zero_column(n, np.float64)
-        self.size = zero_column(n, np.float64)
-        self.fan_out = zero_column(n, np.float64)
-        self.complexity_weight = zero_column(n, np.float64)
         self.site_tag = zero_column(n, np.uint16)
         self.tags: list[str | None] = [None]
         self.tag_ids: dict[str | None, int] = {None: 0}
-        self.window_start = zero_column(2 * n, np.float64)
-        self.count = zero_column(2 * n, np.int64)
-        self.ema = zero_column(2 * n, np.float64)
         self.cfg = cfg
         self.layout = layout
 
@@ -253,45 +270,38 @@ class SlotTable:
               fan_out: float, complexity_weight: float) -> None:
         """Bind slot i to a new object made at `now` for the site tag of id
         `tag`, whose rate windows open at `now` with no events and a NaN
-        EMA. Its first claim is the first write to the slot's entries, which
-        commits their pages."""
+        EMA: two flag stores and one packed row. Its first claim is the
+        first write to the slot's entries, which commits their pages."""
         self.alive[i] = 1
         self.site_tag[i] = tag
-        self.allocated_at[i] = self.last_event_at[i] = now
-        self.size[i] = size
-        self.fan_out[i] = fan_out
-        self.complexity_weight[i] = complexity_weight
-        j = 2 * i
-        self.window_start[j] = self.window_start[j + 1] = now
-        self.count[j] = self.count[j + 1] = 0
-        self.ema[j] = self.ema[j + 1] = NAN
+        _pack_row(self.rows, _ROW.size * i, now, now, size, fan_out, complexity_weight,
+                  now, 0, NAN, now, 0, NAN)
 
-    def move(self, src: list[int], dst: list[int], now: np.ndarray) -> None:
+    def move(self, src: np.ndarray, dst: np.ndarray, now: np.ndarray) -> None:
         """End the object of each slot in src and claim slot dst[k] at
         now[k] for a copy of src[k]'s site and static features. The ends
         come before the claims, as a slot that one move frees another may
         claim."""
-        s = np.array(src, dtype=np.intp)
-        d = np.array(dst, dtype=np.intp)
         alive = np.asarray(self.alive)
-        alive[s] = 0
-        alive[d] = 1
-        for name in ("site_tag", "size", "fan_out", "complexity_weight"):
-            column = np.asarray(getattr(self, name))
-            column[d] = column[s]
-        np.asarray(self.allocated_at)[d] = now
-        np.asarray(self.last_event_at)[d] = now
-        # rows of a slot's two rate entries
-        np.asarray(self.window_start).reshape(-1, 2)[d] = now[:, None]
-        np.asarray(self.count).reshape(-1, 2)[d] = 0
-        np.asarray(self.ema).reshape(-1, 2)[d] = NAN
+        alive[src] = 0
+        alive[dst] = 1
+        site_tag = np.asarray(self.site_tag)
+        site_tag[dst] = site_tag[src]
+        rows = np.asarray(self.rows).reshape(-1, ROW)
+        rows[dst, SIZE:RATES] = rows[src, SIZE:RATES]
+        np.asarray(self.allocated_at)[dst] = now
+        np.asarray(self.last_event_at)[dst] = now
+        for start, count, ema in zip(self.window_start, self.count, self.ema):
+            np.asarray(start)[dst] = now
+            np.asarray(count)[dst] = 0
+            np.asarray(ema)[dst] = NAN
 
-    def rates(self, j: np.ndarray) -> np.ndarray:
-        """Smoothed rate of each tracker entry in j: the EMA, or the open
-        window's rate before a window closes."""
-        r = np.asarray(self.ema)[j]
+    def rates(self, kind: EventKind, idx: np.ndarray) -> np.ndarray:
+        """Smoothed rate of events of `kind` on each slot in idx: the EMA,
+        or the open window's rate before a window closes."""
+        r = np.asarray(self.ema[kind])[idx]
         cold = r != r
-        r[cold] = np.asarray(self.count)[j[cold]] / self.window
+        r[cold] = np.asarray(self.count[kind])[idx[cold]] / self.window
         return r
 
 
@@ -340,22 +350,24 @@ def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHan
     or a plain int), or a time before the last event, or NaN, ValueError.
     None of them changes anything."""
     slots = header.slots
-    i = slots.live(header.slot_index)
+    i = header.slot_index
+    alive = slots.alive
+    if not (0 <= i < len(alive) and alive[i]):
+        slots.live(i)  # raises, with the lifecycle message
     if kind is not _ACCESS and kind is not _MUTATION and not (
-            isinstance(kind, int) and 0 <= kind <= 1):  # the members' offsets
+            isinstance(kind, int) and 0 <= kind <= 1):  # the members' values
         raise ValueError(f"event kind {kind!r} is neither ACCESS nor MUTATION")
     last = slots.last_event_at
     if not now >= last[i]:
         raise ValueError(f"event time {now} is not >= the last event's {last[i]}")
-    start = slots.window_start
-    count = slots.count
-    j = 2 * i + kind
-    if now >= start[j] + slots.window:
-        ema = slots.ema
-        ema[j], start[j] = roll(ema[j], start[j], count[j], now, slots.window, slots.cfg)
-        count[j] = 1
+    start = slots.window_start[kind]
+    count = slots.count[kind]
+    if now >= start[i] + slots.window:
+        ema = slots.ema[kind]
+        ema[i], start[i] = roll(ema[i], start[i], count[i], now, slots.window, slots.cfg)
+        count[i] = 1
     else:
-        count[j] += 1
+        count[i] += 1
     last[i] = now
     return header
 
@@ -380,11 +392,10 @@ def feature_columns(slots: SlotTable, idx: np.ndarray) -> FeatureColumns:
     def column(name: str) -> np.ndarray:
         return np.asarray(getattr(slots, name))[idx]
 
-    j = 2 * idx  # int(kind): numpy adds an IntEnum member ~3 µs slower than an int
     return FeatureColumns(
         lifetime=column("last_event_at") - column("allocated_at"),
-        mutation_rate=slots.rates(j + int(EventKind.MUTATION)),
-        access_rate=slots.rates(j + int(EventKind.ACCESS)),
+        mutation_rate=slots.rates(EventKind.MUTATION, idx),
+        access_rate=slots.rates(EventKind.ACCESS, idx),
         size=column("size"),
         fan_out=column("fan_out"),
         complexity_weight=column("complexity_weight"),

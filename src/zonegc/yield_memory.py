@@ -87,14 +87,12 @@ class YieldScope:
         """
         if not self.open:
             raise LifecycleError(f"scope {self.scope_id} is closed")
-        if state != _PERSISTENT and state != _DEFERRED:
-            if state in (StateCode.IDLE, StateCode.ACTIVE):
+        if not isinstance(state, int) or (state != _PERSISTENT and state != _DEFERRED):
+            if isinstance(state, int) and state in (StateCode.IDLE, StateCode.ACTIVE):
                 raise PromotionError(
                     f"state {state:03b} does not outlive the scope; nothing to promote"
                 )
-            raise EphemeralStateError(
-                f"state {state:#05b} is not an ephemeral-value code"
-            )
+            raise EphemeralStateError(f"state {state!r} is not an ephemeral-value code")
         arena = self.arena
         if arena is None:
             raise LifecycleError("scope has no arena to promote into")

@@ -367,10 +367,12 @@ class ZoneArena:
     def _free(self, handle: ObjectHandle) -> int:
         """release, which returns the slot's zone ordinal for expire to
         count, so a traced release counts only its own calls."""
-        slots = self.slots
-        idx = slots.live(handle.slot_index)
+        idx = handle.slot_index
+        alive = self.slots.alive
+        if not (0 <= idx < len(alive) and alive[idx]):
+            self.slots.live(idx)  # raises, with the lifecycle message
         self.clock.ops += 1
-        slots.alive[idx] = 0
+        alive[idx] = 0
         self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
         return self._give(idx)
 
@@ -585,12 +587,14 @@ class ZoneArena:
             # i is not in zone t, so its free and the claim commute
             expired[give(i)] += 1
             src.append(i)
+        s = np.array(src, dtype=np.intp)
+        d = np.array(dst, dtype=np.intp)
         states = np.asarray(self._states)
-        states[src] = _IDLE
-        states[dst] = _ACTIVE
+        states[s] = _IDLE
+        states[d] = _ACTIVE
         clock = self.clock
         now = (clock.ops + 2 * np.arange(1, len(src) + 1)) * clock.seconds_per_op
         clock.ops += 2 * len(src)
-        self.slots.move(src, dst, now)
+        self.slots.move(s, d, now)
         handles = self.handles
         return list(zip(src, [handles[k] for k in dst]))

@@ -365,9 +365,10 @@ def test_unallocatable_zone_imbalance_stream_is_one_error_line(monkeypatch, caps
 
 
 def test_unmappable_slot_table_column_is_one_error_line(tmp_path):
-    # Every zone at MAX_ZONE_SLOTS asks for 384 MiB per float64 column, which
-    # a 1 GiB address space cannot map. mmap's own OSError would print a bare
-    # "error: [Errno 12] Cannot allocate memory", naming no size.
+    # Every zone at MAX_ZONE_SLOTS asks for 4224 MiB of slot-table rows (88 B
+    # for each of 3 * 2**24 slots), which a 1 GiB address space cannot map.
+    # mmap's own OSError would print a bare "error: [Errno 12] Cannot
+    # allocate memory", naming no size.
     conf = tmp_path / "max.conf"
     conf.write_text("".join(f"zones.{zone.name.lower()} = {MAX_ZONE_SLOTS}\n"
                             for zone in ZoneId))
@@ -376,7 +377,7 @@ def test_unmappable_slot_table_column_is_one_error_line(tmp_path):
                           timeout=30, preexec_fn=lambda: resource.setrlimit(
                               resource.RLIMIT_AS, (2**30, 2**30)))
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr.startswith("error: Unable to allocate 384 MiB ")
+    assert proc.stderr.startswith("error: Unable to allocate 4224 MiB ")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
 

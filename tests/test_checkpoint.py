@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import mmap
 import random
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ def test_set_state_validates():
     with pytest.raises(ValueError):
         table.set_state(0, 255)  # fits a byte, not 3 bits
     assert [int(s) for s in table.states()] == [0] * 6
+
+
+@pytest.mark.parametrize("code", [1.0, 4.0, 1.5, "x", None])
+def test_set_state_refuses_a_code_that_is_not_an_int(code):
+    # 1.0 and 4.0 equal codes and 1.5 lies between two, but no float is a code
+    table = CheckpointTable(ZoneLayout(2, 2, 2))
+    table.set_state(3, StateCode.DEFERRED)
+    message = rf"^state code {re.escape(repr(code))} is not an int of 3 bits$"
+    with pytest.raises(ValueError, match=message):
+        table.set_state(3, code)
+    assert table.get_state(3) is StateCode.DEFERRED
+
+
+@pytest.mark.parametrize("code", [False, True, 0, 7, StateCode.MARKED])
+def test_set_state_takes_any_int_of_3_bits(code):
+    table = CheckpointTable(ZoneLayout(2, 2, 2))
+    table.set_state(5, code)
+    assert table.get_state(5) == code
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import contextlib
 import math
 import re
 import signal
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonegc.errors import IndexRangeError, LifecycleError
-from zonegc.layout import ZoneId, ZoneLayout
+from zonegc.checkpoint import StateCode
+from zonegc.errors import IndexRangeError, LifecycleError, ZoneCapacityError
+from zonegc.layout import ZONE_ORDER, ZoneId, ZoneLayout
 from zonegc.objects import (
     EmaConfig,
     EventKind,
@@ -193,8 +195,8 @@ def test_roll_returns_when_the_window_is_below_the_time_spacing():
         for t in (header.allocated_at, 0.5, 0.5, 0.75):
             record_event(header, EventKind.ACCESS, t)
             tracker.record(t)
-    j = 2 * header.slot_index + EventKind.ACCESS
-    assert (arena.slots.window_start[j], arena.slots.count[j]) == (0.75, 1)
+    i, kind = header.slot_index, EventKind.ACCESS
+    assert (arena.slots.window_start[kind][i], arena.slots.count[kind][i]) == (0.75, 1)
     assert (tracker.window_start, tracker.count) == (0.75, 1)
 
 
@@ -206,12 +208,13 @@ def test_roll_restarts_the_window_when_the_closed_count_overflows():
     arena = ZoneArena(ZoneLayout(4, 4, 4), rate_window=5e-324)
     header = arena.allocate(ZoneId.RED, "tiny")
     tracker = RateTracker(window=5e-324, start=header.allocated_at)
-    j = 2 * header.slot_index + EventKind.ACCESS
+    i, kind = header.slot_index, EventKind.ACCESS
     slots = arena.slots
     for t in (0.5, 0.75):
         record_event(header, EventKind.ACCESS, t)
         tracker.record(t)
-        assert (slots.ema[j], slots.window_start[j], slots.count[j]) == (0.0, t, 1)
+        assert (slots.ema[kind][i], slots.window_start[kind][i],
+                slots.count[kind][i]) == (0.0, t, 1)
         assert (tracker.ema, tracker.window_start, tracker.count) == (0.0, t, 1)
     assert feature_snapshot(header).access_rate == tracker.smoothed == 0.0
 
@@ -225,8 +228,8 @@ def test_roll_decay_below_the_float_range_gives_zero_not_nan():
     for t in (0.0, 1e-12):
         record_event(header, EventKind.MUTATION, t)
         tracker.record(t)
-    j = 2 * header.slot_index + EventKind.MUTATION
-    assert (header.slots.ema[j], header.slots.count[j]) == (0.0, 1)
+    i, kind = header.slot_index, EventKind.MUTATION
+    assert (header.slots.ema[kind][i], header.slots.count[kind][i]) == (0.0, 1)
     assert (tracker.ema, tracker.count) == (0.0, 1)
 
 
@@ -299,9 +302,10 @@ def _reused_slot(step: float):
 
 
 def _rate_entries(slots, i: int) -> tuple:
-    j = 2 * i
-    return (*slots.window_start[j:j + 2], *slots.count[j:j + 2],
-            *(repr(e) for e in slots.ema[j:j + 2]))  # repr: NaN equals itself
+    """Slot i's window starts, open counts and EMAs, each in kind order."""
+    return (*(start[i] for start in slots.window_start),
+            *(count[i] for count in slots.count),
+            *(repr(ema[i]) for ema in slots.ema))  # repr: NaN equals itself
 
 
 @pytest.mark.parametrize("outside", [-1, 12])
@@ -336,8 +340,8 @@ def test_an_event_kind_is_any_int_equal_to_a_members_offset(kind, offset):
     arena = ZoneArena(ZoneLayout(4, 4, 4))
     handle = arena.allocate(ZoneId.GREEN, "t")
     record_event(handle, kind, 0.5)
-    j = 2 * handle.slot_index
-    assert (arena.slots.count[j + offset], arena.slots.count[j + 1 - offset]) == (1, 0)
+    i, count = handle.slot_index, arena.slots.count
+    assert (count[offset][i], count[1 - offset][i]) == (1, 0)
 
 
 @pytest.mark.parametrize("outside", [-1, 12])
@@ -412,16 +416,102 @@ def test_a_never_claimed_slot_reads_zero_and_a_claim_or_move_opens_a_nan_ema():
     never = np.array([0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11], dtype=np.intp)
     cols = feature_columns(slots, never)
     assert all(values.tolist() == [0.0] * len(never) for values in cols)
-    rate_entries = np.concatenate([2 * never, 2 * never + 1])
-    assert slots.rates(rate_entries).tolist() == [0.0] * len(rate_entries)
+    for kind in EventKind:
+        assert slots.rates(kind, never).tolist() == [0.0] * len(never)
     i = header.slot_index  # the claim wrote NaN over the last object's EMA
     assert _rate_entries(slots, i)[4:] == ("nan", "nan")
     record_event(header, EventKind.ACCESS, header.last_event_at + 2.0)
-    assert slots.ema[2 * i] == 0.0  # a window closed
+    assert slots.ema[EventKind.ACCESS][i] == 0.0  # a window closed
     now = header.last_event_at + 1.0
-    slots.move([i], [0], np.array([now]))  # into never-claimed red slot 0
+    # into never-claimed red slot 0
+    slots.move(np.array([i], dtype=np.intp), np.array([0], dtype=np.intp), np.array([now]))
     assert _rate_entries(slots, 0) == (now, now, 0, 0, "nan", "nan")
     assert slots.alive[0] and not slots.alive[i]
+
+
+# A slot's row, written out here apart from objects.py: allocated_at,
+# last_event_at, size, fan_out, complexity_weight, then for ACCESS and for
+# MUTATION the window start, the open count (int64) and the EMA.
+ROW_LAYOUT = struct.Struct("5d dqd dqd")
+
+# One op on the layout test's arena: (name, pick, zone or kind, value).
+LAYOUT_OPS = st.tuples(
+    st.sampled_from(["claim", "event", "release", "expire", "move", "pause"]),
+    st.integers(min_value=0, max_value=99), st.integers(min_value=0, max_value=2),
+    st.sampled_from([0.0, 0.25, 1.5, 8.0]))
+
+
+def _slot_entries(slots) -> list[tuple[bytes, int, int]]:
+    """Each slot's row bytes, alive entry and site tag id."""
+    rows = bytes(slots.rows)
+    return [(rows[ROW_LAYOUT.size * i:ROW_LAYOUT.size * (i + 1)], slots.alive[i],
+             slots.site_tag[i]) for i in range(len(slots.alive))]
+
+
+def _row_through_views(slots, i: int) -> bytes:
+    """Slot i's row, read entry by entry through the SlotTable's views."""
+    return ROW_LAYOUT.pack(
+        slots.allocated_at[i], slots.last_event_at[i], slots.size[i], slots.fan_out[i],
+        slots.complexity_weight[i],
+        *(view[i] for kind in EventKind
+          for view in (slots.window_start[kind], slots.count[kind], slots.ema[kind])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(LAYOUT_OPS, max_size=40))
+def test_each_op_writes_only_the_rows_and_flags_of_the_slots_it_names(ops):
+    """Claims, events, frees, moves and pauses on a 3+4+3 arena. After each
+    op, every slot it did not name keeps its row, alive and site tag
+    entries byte for byte, and every slot's views read its row's entries in
+    the order ROW_LAYOUT gives."""
+    arena = ZoneArena(ZoneLayout(3, 4, 3), rate_window=0.5)
+    slots = arena.slots
+    live: list[ObjectHandle] = []
+    t = 0.0
+    for op, pick, arg, value in ops:
+        before = _slot_entries(slots)
+        named: set[int] = set()
+        handle = live[pick % len(live)] if live else None
+        if op == "claim":
+            try:
+                handle = arena.allocate(ZoneId.RED if arg == 0 else ZoneId.GREEN if arg == 1
+                                        else ZoneId.BLUE, f"s{pick % 3}", size=value,
+                                        fan_out=2 * value, complexity_weight=value + 1)
+            except ZoneCapacityError:
+                pass
+            else:
+                live.append(handle)
+                named.add(handle.slot_index)
+        elif handle is None:
+            pass
+        elif op == "event":
+            t = max(t, arena.clock.now) + value
+            record_event(handle, EventKind(arg % 2), t)
+            named.add(handle.slot_index)
+        elif op in ("release", "expire"):
+            getattr(arena, op)(handle)
+            live.remove(handle)
+            named.add(handle.slot_index)
+        elif op == "move":
+            try:
+                moved = arena.expire_and_reallocate(handle, ZONE_ORDER[arg])
+            except ZoneCapacityError:
+                pass
+            else:
+                live[live.index(handle)] = moved
+                named.update((handle.slot_index, moved.slot_index))
+        else:  # a pause over every other live object
+            for marked in live[pick % 2::2]:
+                arena.table.set_state(marked.slot_index, StateCode.PROMOTE_CANDIDATE)
+            report = arena.run_sweep()
+            for old, new in arena.reclassify_candidates(report):
+                live[[h.slot_index for h in live].index(old)] = new
+                named.add(new.slot_index)
+            named.update(report.candidates)
+        after = _slot_entries(slots)
+        for i, (was, now) in enumerate(zip(before, after)):
+            assert i in named or now == was, (op, i)
+            assert _row_through_views(slots, i) == now[0], (op, i)
 
 
 def test_open_counts_take_no_memory_as_they_grow():
@@ -442,7 +532,7 @@ def test_open_counts_take_no_memory_as_they_grow():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert arena.slots.count[2 * handles[-1].slot_index] == 300
+    assert arena.slots.count[EventKind.ACCESS][handles[-1].slot_index] == 300
     assert grown < 4 * len(handles)
 
 

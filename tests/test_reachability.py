@@ -101,6 +101,8 @@ ALLOW = {
     "objects.ema_update": ADAPTIVE,
     "yield_memory.YieldScope.promote": ADAPTIVE,
     "errors.PartitionFaultError.__init__": "safety: a run_parallel worker that raises",
+    "layout.ZoneLayout.check_index": "safety: an index outside the table raises here",
+    "objects.SlotTable.live": "safety: a request on a slot with no live object raises here",
 }
 
 REASON = re.compile(r"(c\d\d|perfbench/|safety:|open:)")

@@ -3,6 +3,8 @@ counter neutrality."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from zonegc.checkpoint import StateCode
@@ -65,7 +67,7 @@ def test_closed_scope_rejects_everything():
 def test_promote_discard_and_scoped_refused():
     arena = ZoneArena(ZoneLayout(4, 4, 4))
     with YieldScope(arena=arena) as scope:
-        for state in (StateCode.IDLE, StateCode.ACTIVE):
+        for state in (StateCode.IDLE, StateCode.ACTIVE, False, True, 0, 1):
             with pytest.raises(PromotionError):
                 scope.promote(object(), state)
 
@@ -82,6 +84,19 @@ def test_promote_rejects_foreign_codes():
             scope.promote(object(), 9)
         with pytest.raises(PromotionError):
             scope.promote(object(), StateCode.IDLE)
+
+
+@pytest.mark.parametrize("state", [1.0, 4.0, 1.5, "x", None])
+def test_promote_refuses_a_state_that_is_not_an_int(state):
+    # 1.0 equals ACTIVE and 4.0 PERSISTENT, but no float is a code
+    arena = ZoneArena(ZoneLayout(4, 4, 4))
+    with YieldScope(arena=arena) as scope:
+        message = rf"^state {re.escape(repr(state))} is not an ephemeral-value code$"
+        with pytest.raises(EphemeralStateError, match=message):
+            scope.promote(object(), state)
+        assert scope.promoted == 0
+    assert all(s is StateCode.IDLE for s in arena.table.states())
+    assert all(arena.pool_stats(zone).total_requests == 0 for zone in ZoneId)
 
 
 def test_promote_without_arena_refused():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonegc.bench import SCHEDULES, WorkloadSpec
-from zonegc.checkpoint import StateCode
+from zonegc.checkpoint import HUGE_PAGE_BYTES, StateCode
 from zonegc.config import DEFAULT_CONFIG
 from zonegc.errors import LifecycleError, ZoneCapacityError
 from zonegc.layout import ZONE_ORDER, ZoneId, ZoneLayout
@@ -471,17 +471,18 @@ def test_arena_is_freed_by_reference_counting():
             gc.enable()
 
 
-# The arena's footprint, in tracemalloc's traced bytes (CPython 3.11): a per
-# table slot, for the capacity-sized columns and lists, and b per slot ever
+# The arena's footprint, in tracemalloc's traced bytes (CPython 3.11) plus a
+# mapped slot-table row block, which tracemalloc does not see: a per table
+# slot, for the capacity-sized rows, columns and lists, and b per slot ever
 # claimed, for its ObjectHandle, its index int and its pool entry.
 BYTES_PER_TABLE_SLOT = 100.1
 BYTES_PER_CLAIMED_SLOT = 88.5
 
 
 def _footprint(per_zone: int, claims: int, events: int) -> tuple[int, int]:
-    """Traced bytes of a new 3 x per_zone arena, and the bytes it holds more
-    once `claims` green slots are claimed, given `events` accesses each and
-    released."""
+    """Bytes of a new 3 x per_zone arena, traced or mapped, and the traced
+    bytes it holds more once `claims` green slots are claimed, given
+    `events` accesses each and released."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -500,7 +501,9 @@ def _footprint(per_zone: int, claims: int, events: int) -> tuple[int, int]:
         if not tracing:
             tracemalloc.stop()
     assert arena.pool_stats(ZoneId.GREEN).pool_size == claims
-    return built - before, claimed - built
+    rows = arena.slots.rows.nbytes
+    mapped = rows if rows >= HUGE_PAGE_BYTES else 0  # zero_column's size rule
+    return built - before + mapped, claimed - built
 
 
 def test_arena_footprint_is_linear_in_capacity_and_claimed_slots():
@@ -566,16 +569,17 @@ def test_resident_bytes_per_claim_do_not_depend_on_table_size():
 
 
 def _arena_snapshot(arena: ZoneArena) -> dict:
-    """Everything the arena holds: states, every SlotTable column, pools,
-    fresh cursors, counters, the sweep epoch, the clock, and which slots
-    have a handle. The columns are the table's memoryview attributes, so a
-    column added or dropped is compared too. Typed columns
-    compare as bytes, so NaNs compare too; site tags compare as the tags
-    their ids resolve to, as ids are given in first-claim order, which
+    """Everything the arena holds: states, the SlotTable's row block and
+    flag columns, pools, fresh cursors, counters, the sweep epoch, the
+    clock, and which slots have a handle. The block and columns are the
+    table's contiguous memoryview attributes, so one added or dropped is
+    compared too; the strided views of the rows are not compared again.
+    They compare as bytes, so NaNs compare too; site tags compare as the
+    tags their ids resolve to, as ids are given in first-claim order, which
     serve and the request loop need not share."""
     slots = arena.slots
     columns = {name: bytes(value) for name, value in vars(slots).items()
-               if isinstance(value, memoryview)}
+               if isinstance(value, memoryview) and value.c_contiguous}
     columns["site_tag"] = [slots.tags[tag] for tag in slots.site_tag]
     return {
         "states": bytes(arena.table._states), "epoch": arena.table.epoch,
@@ -630,14 +634,18 @@ def _frames(call) -> int:
 
 
 def test_object_birth_and_zone_lookup_run_few_python_frames():
-    # Each Python frame costs tens of ns, and a birth or a zone lookup runs
-    # once per request; the counts guard that cost with no timing. Before
-    # the birth path was cut down, they were 6, 4, 9, 12, 2 and 4.
+    # Each Python frame costs tens of ns, and a birth, a zone lookup, a
+    # state write, an event or a free runs once per request; the counts
+    # guard that cost with no timing. Before the birth path was cut down,
+    # the first six were 6, 4, 9, 12, 2 and 4; before the range and
+    # liveness tests were inlined, the last four were 2, 2, 4 and 4.
     arena = small_arena()
     scope = YieldScope(arena)
     scope.promote(None, StateCode.PERSISTENT)  # the tags below have ids from here on
     arena.release(arena.allocate(ZoneId.RED, "s"))
     handle = arena.allocate(ZoneId.BLUE, "s")
+    released, expired = (arena.allocate(ZoneId.GREEN, "s") for _ in range(2))
+    now = arena.clock.now  # an event in the open window, which closes none
     cold = FeatureVector(size=64.0)
     counts = {
         "fresh allocate": _frames(lambda: arena.allocate(ZoneId.GREEN, "s", size=8.0)),
@@ -647,9 +655,15 @@ def test_object_birth_and_zone_lookup_run_few_python_frames():
                                                           features=cold)),
         "zone_of_index": _frames(lambda: arena.layout.zone_of_index(handle.slot_index)),
         "header_of(h).zone": _frames(lambda: arena.header_of(handle).zone),
+        "set_state": _frames(lambda: arena.table.set_state(handle.slot_index,
+                                                           StateCode.PROMOTE_CANDIDATE)),
+        "record_event": _frames(lambda: record_event(handle, EventKind.ACCESS, now)),
+        "release": _frames(lambda: arena.release(released)),
+        "expire": _frames(lambda: arena.expire(expired)),
     }
     assert counts == {"fresh allocate": 3, "pooled allocate": 3, "persistent promote": 4,
-                      "deferred promote": 7, "zone_of_index": 1, "header_of(h).zone": 3}
+                      "deferred promote": 7, "zone_of_index": 1, "header_of(h).zone": 3,
+                      "set_state": 1, "record_event": 1, "release": 3, "expire": 3}
 
 
 def test_zone_edges_hold_on_unequal_zones():
