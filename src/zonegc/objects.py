@@ -6,8 +6,8 @@ checkpoint table keeps one byte of state per slot. A slot's allocation and
 last-event times, static features (size, fan-out, complexity weight) and
 windowed access and mutation rates are one row of eight-byte entries, so a
 request on the slot writes one place; its liveness flag and the allocation
-site tag's id are columns of their own. A claim writes the whole row, its
-rate windows included, which open at the claim with no events. A slot's one
+site tag's id are columns of their own. A claim, and a pause's move, write
+whole rows, rate windows included, which open with no events. A slot's one
 Python object is its ObjectHandle, which reads those entries.
 Rates are counted over a fixed logical-time window and smoothed with an
 exponential moving average; the smoothed view is what classification
@@ -109,45 +109,25 @@ def roll(ema: float, start: float, count: int, now: float, window: float,
     return ema, start
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class FeatureVector:
     """Per-object metrics consumed by classification and the cost model.
+    Every field is non-negative and defaults to 0.0."""
 
-    Every field is non-negative and defaults to 0.0. The __init__ is written
-    out: it checks the values first, then stores them through the slot
-    descriptors, which skips the generated __init__'s object.__setattr__
-    calls and a __post_init__ frame.
-    """
+    lifetime: float = 0.0  # seconds since allocation
+    mutation_rate: float = 0.0  # writes/second
+    access_rate: float = 0.0  # reads/second
+    size: float = 0.0  # bytes
+    fan_out: float = 0.0  # inbound reference count
+    complexity_weight: float = 0.0  # dimensionless workload factor
 
-    lifetime: float  # seconds since allocation
-    mutation_rate: float  # writes/second
-    access_rate: float  # reads/second
-    size: float  # bytes
-    fan_out: float  # inbound reference count
-    complexity_weight: float  # dimensionless workload factor
-
-    def __init__(self, lifetime: float = 0.0, mutation_rate: float = 0.0,
-                 access_rate: float = 0.0, size: float = 0.0, fan_out: float = 0.0,
-                 complexity_weight: float = 0.0) -> None:
-        # One chained test and one store per field: a loop over the fields
-        # costs more than the rest of the construction. min() would not do,
-        # as min(nan, -1.0) is nan.
-        if (lifetime < 0 or mutation_rate < 0 or access_rate < 0
-                or size < 0 or fan_out < 0 or complexity_weight < 0):
-            values = (lifetime, mutation_rate, access_rate, size, fan_out, complexity_weight)
-            name = next(n for n, v in zip(self.__dataclass_fields__, values) if v < 0)
+    def __post_init__(self) -> None:
+        # One chained test: a loop over the fields costs more than the rest
+        # of the construction. min() would not do, as min(nan, -1.0) is nan.
+        if (self.lifetime < 0 or self.mutation_rate < 0 or self.access_rate < 0
+                or self.size < 0 or self.fan_out < 0 or self.complexity_weight < 0):
+            name = next(n for n in self.__dataclass_fields__ if getattr(self, n) < 0)
             raise ValueError(f"{name} must be non-negative")
-        s0, s1, s2, s3, s4, s5 = _STORE_FEATURE
-        s0(self, lifetime)
-        s1(self, mutation_rate)
-        s2(self, access_rate)
-        s3(self, size)
-        s4(self, fan_out)
-        s5(self, complexity_weight)
-
-
-# FeatureVector's slot setters, in field order.
-_STORE_FEATURE = tuple(FeatureVector.__dict__[f.name].__set__ for f in fields(FeatureVector))
 
 
 class RateTracker:
@@ -201,7 +181,9 @@ class RateTracker:
 _ROW = struct.Struct("5d dqd dqd")
 _pack_row = _ROW.pack_into
 ROW = _ROW.size // 8
-SIZE, RATES = 2, 5  # the first static feature's entry, the first rate entry's
+# The entries a claim opens, by row position: the claim time goes into both
+# times and each kind's window start, 0 into each open count, NaN into each EMA.
+_STAMPED, _COUNTS, _EMAS = [0, 1, 5, 8], [6, 9], [7, 10]
 
 
 class SlotTable:
@@ -212,8 +194,9 @@ class SlotTable:
     row entry is a strided memoryview of it: allocated_at, last_event_at,
     size, fan_out and complexity_weight, and per EventKind, indexed by the
     kind, window_start, count (int64) and ema. A request on a slot writes
-    its row and its flags, not one page per entry. The flags stay apart, and
-    so do the checkpoint table's state bytes, which a sweep scans.
+    its row and its flags, not one page per entry; a pause's move gathers
+    and scatters whole rows. The flags stay apart, and so do the checkpoint
+    table's state bytes, which a sweep scans.
     Every array is sized at table capacity and is a zero_column: a
     memoryview, whose item stores skip array argument parsing, over zero
     pages that the OS commits at their first write, 4 KiB at a time. A zone
@@ -233,11 +216,10 @@ class SlotTable:
         self.rows = rows = zero_column(n * ROW, np.float64)
         counts = rows.cast("B").cast("q")
         (self.allocated_at, self.last_event_at, self.size, self.fan_out,
-         self.complexity_weight) = (rows[k::ROW] for k in range(RATES))
-        firsts = [RATES + 3 * kind for kind in EventKind]
-        self.window_start = tuple(rows[k::ROW] for k in firsts)
-        self.count = tuple(counts[k + 1::ROW] for k in firsts)
-        self.ema = tuple(rows[k + 2::ROW] for k in firsts)
+         self.complexity_weight) = (rows[k::ROW] for k in range(5))
+        self.window_start = tuple(rows[k::ROW] for k in _STAMPED[2:])
+        self.count = tuple(counts[k::ROW] for k in _COUNTS)
+        self.ema = tuple(rows[k::ROW] for k in _EMAS)
         self.alive = zero_column(n, np.uint8)
         self.site_tag = zero_column(n, np.uint16)
         self.tags: list[str | None] = [None]
@@ -259,8 +241,12 @@ class SlotTable:
             self.tag_ids[site_tag] = tag
         return tag
 
-    def live(self, i: int) -> int:
-        """i, if slot i is in the table and holds a live object; else LifecycleError."""
+    def live(self, handle: ObjectHandle) -> int:
+        """handle's slot index i, if the handle is of this table and slot i is
+        in the table and holds a live object; else LifecycleError."""
+        i = handle.slot_index
+        if handle.slots is not self:
+            raise LifecycleError(f"the handle of slot {i} is another table's")
         alive = self.alive
         if not (0 <= i < len(alive) and alive[i]):
             raise LifecycleError(f"slot {i} holds no live object")
@@ -279,30 +265,21 @@ class SlotTable:
 
     def move(self, src: np.ndarray, dst: np.ndarray, now: np.ndarray) -> None:
         """End the object of each slot in src and claim slot dst[k] at
-        now[k] for a copy of src[k]'s site and static features. The ends
-        come before the claims, as a slot that one move frees another may
-        claim."""
+        now[k] for a copy of src[k]'s site and static features: src's rows,
+        with the entries a claim opens written, are written to dst as one
+        block. The ends and the gather come before the claims, as a slot
+        that one move frees another may claim."""
         alive = np.asarray(self.alive)
         alive[src] = 0
         alive[dst] = 1
         site_tag = np.asarray(self.site_tag)
         site_tag[dst] = site_tag[src]
         rows = np.asarray(self.rows).reshape(-1, ROW)
-        rows[dst, SIZE:RATES] = rows[src, SIZE:RATES]
-        np.asarray(self.allocated_at)[dst] = now
-        np.asarray(self.last_event_at)[dst] = now
-        for start, count, ema in zip(self.window_start, self.count, self.ema):
-            np.asarray(start)[dst] = now
-            np.asarray(count)[dst] = 0
-            np.asarray(ema)[dst] = NAN
-
-    def rates(self, kind: EventKind, idx: np.ndarray) -> np.ndarray:
-        """Smoothed rate of events of `kind` on each slot in idx: the EMA,
-        or the open window's rate before a window closes."""
-        r = np.asarray(self.ema[kind])[idx]
-        cold = r != r
-        r[cold] = np.asarray(self.count[kind])[idx[cold]] / self.window
-        return r
+        moved = rows[src]
+        moved[:, _STAMPED] = now[:, None]
+        moved[:, _COUNTS] = 0  # 0.0 has the bits of int64 0
+        moved[:, _EMAS] = NAN
+        rows[dst] = moved
 
 
 def _column(name: str) -> property:
@@ -353,7 +330,7 @@ def record_event(header: ObjectHandle, kind: EventKind, now: float) -> ObjectHan
     i = header.slot_index
     alive = slots.alive
     if not (0 <= i < len(alive) and alive[i]):
-        slots.live(i)  # raises, with the lifecycle message
+        slots.live(header)  # raises, with the lifecycle message
     if kind is not _ACCESS and kind is not _MUTATION and not (
             isinstance(kind, int) and 0 <= kind <= 1):  # the members' values
         raise ValueError(f"event kind {kind!r} is neither ACCESS nor MUTATION")
@@ -385,21 +362,20 @@ FeatureColumns = NamedTuple(
 
 
 def feature_columns(slots: SlotTable, idx: np.ndarray) -> FeatureColumns:
-    """The features of every slot in idx, one fancy index per column. Pure
-    read. Every entry is non-negative: allocate refuses a negative static
-    feature, and lifetimes and rates are non-negative by construction."""
-
-    def column(name: str) -> np.ndarray:
-        return np.asarray(getattr(slots, name))[idx]
-
-    return FeatureColumns(
-        lifetime=column("last_event_at") - column("allocated_at"),
-        mutation_rate=slots.rates(EventKind.MUTATION, idx),
-        access_rate=slots.rates(EventKind.ACCESS, idx),
-        size=column("size"),
-        fan_out=column("fan_out"),
-        complexity_weight=column("complexity_weight"),
-    )
+    """The features of every slot in idx, one fancy index per row entry; a
+    NaN EMA reads as its open window's rate. Pure read. Every entry is
+    non-negative: allocate refuses a negative static feature, and lifetimes
+    and rates are non-negative by construction."""
+    allocated_at, last_event_at, size, fan_out, complexity_weight, *rates = (
+        np.asarray(view)[idx] for view in (
+            slots.allocated_at, slots.last_event_at, slots.size, slots.fan_out,
+            slots.complexity_weight, *slots.ema))
+    for rate, count in zip(rates, slots.count):
+        cold = rate != rate
+        rate[cold] = np.asarray(count)[idx[cold]] / slots.window
+    access_rate, mutation_rate = rates
+    return FeatureColumns(last_event_at - allocated_at, mutation_rate, access_rate,
+                          size, fan_out, complexity_weight)
 
 
 @dataclass

@@ -361,7 +361,8 @@ class ZoneArena:
         return self.handles[idx]
 
     def release(self, handle: ObjectHandle) -> None:
-        """Return a live slot to its zone's pool."""
+        """Return a live slot to its zone's pool. A slot with no live object,
+        or another arena's handle, raises LifecycleError and changes nothing."""
         self._free(handle)
 
     def _free(self, handle: ObjectHandle) -> int:
@@ -369,8 +370,8 @@ class ZoneArena:
         count, so a traced release counts only its own calls."""
         idx = handle.slot_index
         alive = self.slots.alive
-        if not (0 <= idx < len(alive) and alive[idx]):
-            self.slots.live(idx)  # raises, with the lifecycle message
+        if handle.slots is not self.slots or not (0 <= idx < len(alive) and alive[idx]):
+            self.slots.live(handle)  # raises, with the lifecycle message
         self.clock.ops += 1
         alive[idx] = 0
         self._states[idx] = _IDLE  # set_state(idx, IDLE) inlined
@@ -429,7 +430,7 @@ class ZoneArena:
         changes, so the object stays where it is.
         """
         slots = self.slots
-        idx = slots.live(handle.slot_index)
+        idx = slots.live(handle)
         if new_zone is self.layout.zone_of_index(idx):
             return handle
         if not self._room(new_zone.ordinal):
@@ -510,8 +511,10 @@ class ZoneArena:
 
     def header_of(self, handle: ObjectHandle) -> ObjectHandle:
         """The arena's handle of the slot, which reads its current object, or
-        its last one once freed."""
+        its last one once freed. Another arena's handle raises LifecycleError."""
         idx = handle.slot_index
+        if handle.slots is not self.slots:
+            raise LifecycleError(f"the handle of slot {idx} is another table's")
         handles = self.handles
         if 0 <= idx < len(handles) and (found := handles[idx]) is not None:
             return found

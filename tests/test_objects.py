@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import re
 import signal
@@ -20,6 +21,7 @@ from zonegc.layout import ZONE_ORDER, ZoneId, ZoneLayout
 from zonegc.objects import (
     EmaConfig,
     EventKind,
+    FeatureColumns,
     FeatureVector,
     LogicalClock,
     ObjectHandle,
@@ -409,15 +411,13 @@ def test_reclaimed_slot_reads_fresh_rates_before_its_first_event(step):
 
 def test_a_never_claimed_slot_reads_zero_and_a_claim_or_move_opens_a_nan_ema():
     # The columns start as zero pages, with no NaN EMA filled in; through
-    # feature_columns and rates, a slot no claim has written reads as a fresh
-    # object's, as it did with the NaN fill.
+    # feature_columns, a slot no claim has written reads as a fresh object's,
+    # as it did with the NaN fill.
     arena, header = _reused_slot(0.125)  # green slot 4 holds closed windows
     slots = arena.slots
     never = np.array([0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11], dtype=np.intp)
     cols = feature_columns(slots, never)
     assert all(values.tolist() == [0.0] * len(never) for values in cols)
-    for kind in EventKind:
-        assert slots.rates(kind, never).tolist() == [0.0] * len(never)
     i = header.slot_index  # the claim wrote NaN over the last object's EMA
     assert _rate_entries(slots, i)[4:] == ("nan", "nan")
     record_event(header, EventKind.ACCESS, header.last_event_at + 2.0)
@@ -555,12 +555,20 @@ def test_feature_snapshot_is_pure():
 
 
 def test_feature_vector_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        FeatureVector(lifetime=-1.0, mutation_rate=0,
-                      access_rate=0, size=0, fan_out=0, complexity_weight=0)
-    # a NaN before the negative field does not hide it
-    with pytest.raises(ValueError, match="^fan_out must be non-negative$"):
-        FeatureVector(lifetime=float("nan"), size=float("nan"), fan_out=-1.0)
+    names = FeatureColumns._fields
+    for k, name in enumerate(names):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            FeatureVector(**{name: -1.0})
+        # a NaN in each field before the negative one does not hide it
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            FeatureVector(**dict.fromkeys(names[:k], float("nan")), **{name: -1.0})
+    # the positional order is FeatureColumns', and every field defaults to 0.0
+    given = FeatureVector(*range(1, len(names) + 1))
+    assert [getattr(given, name) for name in names] == list(range(1, len(names) + 1))
+    assert all(getattr(FeatureVector(), name) == 0.0 for name in names)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        given.size = 2.0
+    assert not hasattr(given, "__dict__")  # slotted
 
 
 def test_events_stay_with_their_object():

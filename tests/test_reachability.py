@@ -15,9 +15,10 @@ The list changes only by a visible edit. The tests fail when an unlisted
 function is unreached (wire it into a CLI path or delete it), when a listed
 function is reached (drop its entry) and when a listed name no longer exists
 (drop its entry). A reason starts with what keeps the function: the
-acceptance criterion that pins it (cNN), the perfbench module that imports
-or wraps it (perfbench/), a fault that no valid run raises (safety:), or the
-ROADMAP item, by title, that puts it on a CLI path (open:).
+acceptance criterion that pins it (cNN), the perfbench module that imports,
+calls or wraps it (perfbench/, checked against that module), a fault that
+no valid run raises (safety:), or the ROADMAP item, by title, that puts it
+on a CLI path (open:).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ C13 = "c13: the no-migration fuzz releases and re-zones objects"
 C14 = "c14: yield neutrality, read through the scope and the table"
 PERFBENCH_WRAPS = "perfbench/tracer.py wraps it"
 PERFBENCH_CALLS = "perfbench/workloads.py calls it"
+PERFBENCH_IMPORTS = "perfbench/tracer.py imports its class"
 ADAPTIVE = "open: the paper's zone decision on a CLI path (an adaptive kind)"
 
 ALLOW = {
@@ -63,7 +65,7 @@ ALLOW = {
     "zones.classify_simple": C09,
     "zones._eligible": C09,
     "zones.classify_predicates": C09,
-    "objects.FeatureVector.__init__": C09,
+    "objects.FeatureVector.__post_init__": C09,
     "ppe.ThreadAllocation.__post_init__": C10,
     "ppe.ThreadAllocation.total": C10,
     "ppe.allocate_threads": C10,
@@ -79,11 +81,11 @@ ALLOW = {
     "objects.ObjectHandle.alive": C14,
     "checkpoint.CheckpointTable.states": C14,
     "bench.parse_pool_stats_csv": "c01: reads the CLI's csv report back",
-    "objects.RateTracker.__init__": PERFBENCH_WRAPS,
-    "objects.RateTracker.reset": PERFBENCH_WRAPS,
+    "objects.RateTracker.__init__": PERFBENCH_IMPORTS,
+    "objects.RateTracker.reset": PERFBENCH_IMPORTS,
     "objects.RateTracker.record": PERFBENCH_WRAPS,
-    "objects.RateTracker.raw_rate": PERFBENCH_WRAPS,
-    "objects.RateTracker.smoothed": PERFBENCH_WRAPS,
+    "objects.RateTracker.raw_rate": PERFBENCH_IMPORTS,
+    "objects.RateTracker.smoothed": PERFBENCH_IMPORTS,
     "objects.feature_snapshot": PERFBENCH_WRAPS,
     "checkpoint.CheckpointTable.get_state": PERFBENCH_CALLS,
     "objects.ObjectHandle.zone": PERFBENCH_CALLS,
@@ -91,9 +93,7 @@ ALLOW = {
     "zones.ZoneArena.reclassify_candidates": ADAPTIVE,
     "zones.ZoneArena._move_batch": ADAPTIVE,
     "objects.SlotTable.move": ADAPTIVE,
-    "objects.SlotTable.rates": ADAPTIVE,
     "objects.feature_columns": ADAPTIVE,
-    "objects.feature_columns.column": ADAPTIVE,
     "zones.argmin_cost_batch": ADAPTIVE,
     "zones.classify_simple_batch": ADAPTIVE,
     "zones.classify_predicates_batch": ADAPTIVE,
@@ -106,6 +106,8 @@ ALLOW = {
 }
 
 REASON = re.compile(r"(c\d\d|perfbench/|safety:|open:)")
+# A perfbench/ reason names the file and what it does with the function.
+PERFBENCH_REASON = re.compile(r"perfbench/(\w+\.py) (wraps|calls|imports) ")
 
 # Module-level imports that nothing in their module reads, kept because
 # perfbench's tracer wraps the module's own binding of the name. Each carries
@@ -223,6 +225,30 @@ def test_every_reason_says_what_keeps_the_function():
     bad = sorted(name for name, reason in ALLOW.items() if not REASON.match(reason))
     assert not bad, (f"the ALLOW reasons of {bad} must start with cNN, perfbench/, "
                      "safety: or open:")
+
+
+def test_every_perfbench_reason_holds():
+    """'wraps' needs a wrap() of the function, through its class or a
+    zonegc module alias; 'calls' a read of the name as an attribute, as a
+    call reads it first and a property's read calls its getter; 'imports'
+    an import of the function, or of its class, from its module."""
+    wrong = []
+    for name, reason in ALLOW.items():
+        if not reason.startswith("perfbench/"):
+            continue
+        found = PERFBENCH_REASON.match(reason)
+        assert found, f"{name}'s reason {reason!r} names no perfbench file and verb"
+        text = (SRC.parent / "perfbench" / found[1]).read_text()
+        module, *owner, attr = name.split(".")
+        through = owner[0] if owner else r"z\w+"  # a class, or a zonegc module
+        held = {
+            "wraps": rf'\bwrap\({through}, "{attr}"',
+            "calls": rf"\.{attr}\b",
+            "imports": rf"^from zonegc\.{module} import .*\b{(owner or [attr])[0]}\b",
+        }[found[2]]
+        if not re.search(held, text, re.MULTILINE):
+            wrong.append(name)
+    assert not wrong, f"the perfbench/ reasons of {wrong} do not hold: correct them"
 
 
 def _unread_imports() -> dict[str, str]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import math
@@ -617,6 +618,25 @@ def test_pause_into_a_full_zone_loses_no_object():
     assert all(handle.alive and handle.zone is ZoneId.GREEN for handle in greens)
 
 
+@pytest.mark.parametrize("call", [
+    lambda arena, handle: arena.release(handle),
+    lambda arena, handle: arena.expire(handle),
+    lambda arena, handle: arena.expire_and_reallocate(handle, ZoneId.BLUE),
+    lambda arena, handle: arena.header_of(handle),
+], ids=["release", "expire", "expire_and_reallocate", "header_of"])
+def test_an_arena_refuses_another_arenas_handle(call):
+    # Both arenas hold a green object at slot 4: with b's handle, a would
+    # free, expire or move its own object, or hand out its own handle.
+    a, b = ZoneArena(ZoneLayout(4, 4, 4)), ZoneArena(ZoneLayout(4, 4, 4))
+    a.allocate(ZoneId.GREEN, "x")
+    handle = b.allocate(ZoneId.GREEN, "y")
+    assert handle.slot_index == 4
+    before = _arena_snapshot(a), _arena_snapshot(b)
+    with pytest.raises(LifecycleError, match="^the handle of slot 4 is another table's$"):
+        call(a, handle)
+    assert (_arena_snapshot(a), _arena_snapshot(b)) == before
+
+
 def _frames(call) -> int:
     """The Python frames that call() starts, call itself not counted."""
     started = []
@@ -1097,6 +1117,73 @@ def test_flat_arena_matches_header_model(ops, window, omega, step, policy):
             for name, value in arena_features(model.features(slot)).items():
                 assert math.isclose(getattr(f, name), value, rel_tol=1e-9,
                                     abs_tol=1e-12), name
+
+
+# -- the pause's row writer against the claim's ------------------------------
+
+WRITER_OPS = st.one_of(
+    st.tuples(st.just("alloc"), ZONE_PICK, st.sampled_from(["a", "b"]),
+              st.sampled_from([0.0, 64.0, 4096.0])),
+    st.tuples(st.just("release"), st.integers(0, 63)),
+    st.tuples(st.just("event"), st.integers(0, 63), st.sampled_from(list(KINDS)),
+              st.sampled_from([0.0, 0.125, 3.0])),
+    # mark the slots of issued handles (freed ones included) 010/011, then pause
+    st.tuples(st.just("pause"), st.lists(st.integers(0, 63), max_size=4),
+              st.sampled_from([StateCode.PROMOTE_CANDIDATE, StateCode.DEMOTE_CANDIDATE])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@example(ops=[  # green slot 4's object has a closed access window: a non-NaN EMA
+    ("alloc", ZoneId.GREEN, "a", 64.0), ("event", 0, EventKind.ACCESS, 0.0),
+    ("event", 0, EventKind.ACCESS, 3.0)], step=0.125, policy="simple")
+@given(ops=st.lists(WRITER_OPS, max_size=60),
+       step=st.sampled_from([0.0, 0.125]),
+       policy=st.sampled_from(POLICIES))
+def test_a_pause_writes_the_rows_that_one_move_at_a_time_writes(ops, step, policy):
+    """A pause's moves write each claimed row through SlotTable.move, and
+    expire_and_reallocate through SlotTable.claim: after the same ops, the
+    two arenas hold the same bytes and moved the same objects. The last
+    pause marks every slot that has a handle."""
+    batched, single = (ZoneArena(ZoneLayout(4, 4, 4), clock=LogicalClock(seconds_per_op=step),
+                                 thresholds=MODEL_THRESHOLDS[policy]) for _ in range(2))
+
+    def pause_one_move_at_a_time(report):
+        live = [i for i in report.candidates if single.slots.alive[i]]
+        targets = [single.classify(feature_snapshot(single.handles[i])) for i in live]
+        moved = []
+        for i, target in zip(live, targets):
+            if target is not single.layout.zone_of_index(i):
+                with contextlib.suppress(ZoneCapacityError):  # the object stays
+                    moved.append((i, single.expire_and_reallocate(single.handles[i], target)))
+        return moved
+
+    def issued(arena, k):
+        handles = [h for h in arena.handles if h is not None]
+        return handles[k % len(handles)] if handles else ObjectHandle(0, arena.slots)
+
+    def apply(arena, op):
+        if op[0] == "alloc":
+            arena.allocate(op[1], op[2], size=op[3], fan_out=op[3] / 64)
+        elif op[0] == "release":
+            arena.release(issued(arena, op[1]))
+        else:
+            record_event(issued(arena, op[1]), op[2], arena.clock.now + op[3])
+
+    for op in [*ops, ("pause", range(12), StateCode.PROMOTE_CANDIDATE)]:
+        if op[0] == "pause":
+            for arena in (batched, single):
+                for k in op[1]:
+                    arena.table.set_state(issued(arena, k).slot_index, op[2])
+            got = batched.reclassify_candidates(batched.run_sweep())
+            want = pause_one_move_at_a_time(single.run_sweep())
+            assert [(i, h.slot_index) for i, h in got] == [
+                (i, h.slot_index) for i, h in want]
+        else:
+            for arena in (batched, single):
+                with contextlib.suppress(LifecycleError, ZoneCapacityError, ValueError):
+                    apply(arena, op)
+        assert _arena_snapshot(batched) == _arena_snapshot(single), op
 
 
 # -- the stated bound: real allocations equal the peak live count ----------
