@@ -23,6 +23,7 @@ import os
 import statistics
 import sys
 import time
+import types
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,8 +49,13 @@ MAX_MATRIX_SIZE = 1 << 18
 # requests (one size per zone in expiration and checkpoint_lifecycle), numpy
 # can still index.
 MAX_ALLOC_SIZE = np.iinfo(np.intp).max // 3
-_WORKER_STACK_BYTES = 64 * 1024 * 1024  # deep chains need room below each frame
+# A worker's C stack. Since CPython 3.11 a Python-to-Python call does not
+# recurse in C, so only 3.10's C-level recursion needs this room.
+_WORKER_STACK_BYTES = 64 * 1024 * 1024
 MAX_CHUNK = 32000  # the deepest chain, the chunk, that a worker's stack runs
+# Pointer-sized slots a frame takes beyond its locals and value stack: the
+# interpreter frame's own fields, 9 slots on CPython 3.11 to 3.13, plus one.
+_FRAME_SPECIALS = 10
 
 # Reports list zones in the order the experiment tables use.
 REPORT_ZONE_ORDER = (ZoneId.GREEN, ZoneId.BLUE, ZoneId.RED)
@@ -274,7 +280,13 @@ def run_loop(spec: WorkloadSpec) -> BenchReport:
 
 
 def run_recursion(spec: WorkloadSpec) -> BenchReport:
-    """size logical steps as size/chunk chains, chains split across workers."""
+    """size logical steps as size/chunk chains, chains split across workers.
+
+    Each worker runs its chains in a copy of its kernel whose value stack
+    reserves one whole chain, so a worker call maps one interpreter
+    data-stack chunk rather than one per chunk a chain crosses (README,
+    "The `recursion` and `deep_recursion` kernels").
+    """
     if spec.kind not in DEFAULT_CHUNK:
         raise ValueError(f"run_recursion got kind {spec.kind!r}")
     chunk = spec.chunk
@@ -287,6 +299,12 @@ def run_recursion(spec: WorkloadSpec) -> BenchReport:
             total += chain_value(chunk)
         return total
 
+    code = chain_value.__code__
+    chain_bytes = (chunk + 2) * (code.co_nlocals + code.co_stacksize + _FRAME_SPECIALS) * 8
+    reserve = 1 << (chain_bytes - 1).bit_length()
+    kernel = types.FunctionType(kernel.__code__.replace(co_stacksize=reserve // 8),
+                                kernel.__globals__, kernel.__name__, kernel.__defaults__,
+                                kernel.__closure__)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, chunk + 1000))
     try:
@@ -304,7 +322,8 @@ def run_matrix(spec: WorkloadSpec) -> BenchReport:
     block with .sum(dtype=np.int64), which casts in buffered chunks and so
     makes no int64 copy of the block. einsum's float32 sum of products is
     SIMD, runs about twice as fast as its int32 one, and, unlike `@` or
-    np.dot, calls no BLAS and so starts no thread pool beside the workers.
+    np.dot, calls no BLAS, so no busy BLAS thread competes with the workers
+    for the cores (the BLAS pool itself starts at `import numpy`).
     """
     if spec.kind != "matrix":
         raise ValueError(f"run_matrix got kind {spec.kind!r}")

@@ -3,15 +3,43 @@ acceptance criterion so a run's verdict can be read at a glance."""
 
 from __future__ import annotations
 
+import gc
 import os
 import re
+import sys
+import threading
 from pathlib import Path
+
+import pytest
 
 # pyproject's pythonpath puts src/ on the test process's sys.path; the
 # tests that run `python -m zonegc` in a child process need it there too.
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                   os.environ.get("PYTHONPATH")]))
+
+
+def _process_settings() -> dict:
+    """The process-global settings a run must leave as it found them."""
+    umask = os.umask(0o022)  # umask can only be read by setting it
+    os.umask(umask)
+    return {"recursion limit": sys.getrecursionlimit(),
+            "thread stack size": threading.stack_size(),
+            "gc thresholds": gc.get_threshold(),
+            "gc enabled": gc.isenabled(),
+            "umask": oct(umask)}
+
+
+@pytest.fixture(autouse=True)
+def _process_settings_unchanged():
+    """Fail a test that leaves a process-global setting changed behind it."""
+    before = _process_settings()
+    yield
+    after = _process_settings()
+    changed = {name: (before[name], after[name]) for name in before
+               if after[name] != before[name]}
+    assert not changed, f"the test left process settings changed (before, after): {changed}"
+
 
 _ACCEPTANCE_FILE = "test_acceptance.py"
 _NAME_RE = re.compile(r"test_c(\d+)_(\w+)")

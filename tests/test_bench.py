@@ -587,6 +587,30 @@ def test_recursion_limit_restored_after_run():
     assert sys.getrecursionlimit() == before
 
 
+# Four chains, so that three workers split them unevenly. 139 to 141 sit
+# on both sides of the depth, ~140 frames, where a chain outgrows the
+# interpreter's first 16 KiB data-stack chunk.
+@pytest.mark.parametrize("chunk", [1, 139, 140, 141, 1000, 4000, bench.MAX_CHUNK])
+@pytest.mark.parametrize("kind", sorted(bench.DEFAULT_CHUNK))
+def test_recursion_checksum_is_the_closed_form_at_every_depth(kind, chunk):
+    expected = wrap16_oracle(4 * chain_total_oracle(chunk))
+    for partitions in (1, 2, 3):
+        report = run_bench(WorkloadSpec(kind, 4 * chunk, chunk=chunk,
+                                        partitions=partitions, attempts=1))
+        assert report.records[0].checksum == expected
+
+
+def test_recursion_faults_in_one_frame_region_per_worker_call():
+    # A worker's chains run in the chunk its kernel frame reserves, so a run
+    # faults in a chain's pages once per worker call: ~60 minor faults for
+    # this run, the warm-up and one attempt, on CPython 3.11. A chunk mapped
+    # each time a chain crosses one, as without the reservation, took ~1,930.
+    spec = WorkloadSpec("recursion", 40_000, chunk=1000, partitions=1, attempts=1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_bench(spec)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 500
+
+
 def test_run_matrix_produces_frozen_checksum():
     report = run_bench(WorkloadSpec("matrix", 8, attempts=2, partitions=3))
     assert {r.checksum for r in report.records} == {MATRIX_WRAP[8]}
